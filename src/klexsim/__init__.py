@@ -12,12 +12,10 @@ from .appmodel import (
 from .monitor import (
     CensusReport,
     LivenessScenario,
-    census,
     check_fairness,
     check_kl_liveness,
     check_safety,
     closure_regressions,
-    is_legitimate,
     stabilization_time,
     waiting_time_bound,
 )

@@ -72,9 +72,6 @@ class Workload:
     def exhausted(self, step: int) -> bool:
         return self._cursor >= len(self.events)
 
-    def reset(self) -> None:
-        self._cursor = 0
-
 
 class RandomWorkload:
     """Seeded request generator for convergence and fairness campaigns.

@@ -28,7 +28,7 @@ from .simnet import (
     parse_replay,
     traversal_allowance,
 )
-from .topology import TopologyError, TreeTopology, parse_topology
+from .topology import TreeTopology, parse_topology
 
 PASS, VIOLATION, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 
@@ -53,12 +53,10 @@ class RunConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise UsageError("k must be at least 1")
-        if self.k > self.ell:
-            raise UsageError("k must not exceed ell")
-        if self.cmax < 0:
-            raise UsageError("cmax must be non-negative")
+        try:
+            SimParams(self.k, self.ell, self.cmax, self.timeout).validate()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.policy not in ("rr", "rand", "replay"):
             raise UsageError(f"policy must be rr, rand or replay, not {self.policy!r}")
         if self.policy == "replay" and not self.replay_path:
@@ -67,8 +65,6 @@ class RunConfig:
             raise UsageError(f"fault must be none or arbitrary, not {self.fault!r}")
         if self.budget is not None and self.budget < 0:
             raise UsageError("budget must be non-negative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise UsageError("timeout must be positive")
 
     def effective_budget(self) -> int:
         if self.budget is not None:
@@ -104,6 +100,10 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     workload = None
     if cfg.scenario_path is not None:
         workload = parse_scenario(Path(cfg.scenario_path).read_text(), cfg.k)
+        unknown = sorted({ev.process for ev in workload.events}
+                         - set(cfg.topology.process_ids))
+        if unknown:
+            raise ScenarioError(f"scenario names unknown processes: {', '.join(unknown)}")
     initial = (
         sim.inject_arbitrary(cfg.seed) if cfg.fault == "arbitrary"
         else sim.initial_configuration()
@@ -272,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         status, report, _ = run_once(cfg)
         print(report, end="")
         return status
-    except (UsageError, TopologyError, ScenarioError, SchedulerError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, SchedulerError, OSError) as exc:  # ValueError: usage, topology, scenario
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -42,29 +42,7 @@ def ctrl_is_valid(msg: Ctrl, receiver_state, is_root: bool, q: int) -> bool:
     return (not is_root) and q == 0 and msg.c != receiver_state.myc
 
 
-def census(cfg, topo: TreeTopology) -> CensusReport:
-    res = prio = push = ctrl = 0
-    for (pid, q), queue in cfg.channels.items():
-        st = cfg.states[pid]
-        is_root = pid == topo.root
-        for m in queue:
-            if isinstance(m, ResT):
-                res += 1
-            elif isinstance(m, PrioT):
-                prio += 1
-            elif isinstance(m, PushT):
-                push += 1
-            elif ctrl_is_valid(m, st, is_root, q):
-                ctrl += 1
-    for pid in topo.process_ids:
-        st = cfg.states[pid]
-        res += len(st.rset)
-        if st.prio is not None:
-            prio += 1
-    return CensusReport(res, prio, push, ctrl)
-
-
-class _RingInfo:
+class RingInfo:
     """Ring geometry used to decide which tokens the current controller
     traversal has already counted.
 
@@ -76,6 +54,7 @@ class _RingInfo:
     """
 
     def __init__(self, topo: TreeTopology):
+        self.topo = topo
         ring = virtual_ring(topo)
         self.length = len(ring)
         self.t_index: dict[tuple[str, int], int] = {}
@@ -89,140 +68,26 @@ class _RingInfo:
         )
 
 
-_RING_CACHE: dict[tuple, _RingInfo] = {}
-
-
-def _ring_info(topo: TreeTopology) -> _RingInfo:
-    key = (topo.root, topo.process_ids, tuple(topo.neighbors[p] for p in topo.process_ids))
-    info = _RING_CACHE.get(key)
-    if info is None:
-        info = _RING_CACHE[key] = _RingInfo(topo)
-    return info
-
-
-def is_legitimate(cfg, topo: TreeTopology, ell: int) -> bool:
-    """Membership in the legitimate attractor.
-
-    Requires the nominal token population (ell resource tokens, one
-    priority token, one pusher), a single control token that its receiver
-    will accept, no reset in progress, and a controller bookkeeping state
-    consistent with the actual token positions: counter/successor
-    variables on the canonical traversal orbit and the running counts
-    equal to the tokens the traversal has already counted.  The
-    consistency clauses are what make the predicate closed under
-    execution; a merely nominal census can still carry inflated counts
-    that trigger a spurious reset at the next wrap.
-    """
-    rep = census(cfg, topo)
-    if rep.species() != (ell, 1, 1):
-        return False
-    return _attractor_check(cfg, topo)
-
-
-def _attractor_check(cfg, topo: TreeTopology) -> bool:
-    """Clauses beyond the species census: single valid non-reset control
-    token, canonical traversal state, exact running counts, and no
-    reservations parked on the ring's wrap boundary (the literal handler
-    order counts those twice across a wrap)."""
-    root = topo.root
-    rs = cfg.states[root]
-    if rs.reset:
-        return False
-
-    ctrls = [
-        (key, qi, m)
-        for key, queue in cfg.channels.items()
-        for qi, m in enumerate(queue)
-        if isinstance(m, Ctrl)
-    ]
-    if len(ctrls) != 1:
-        return False
-    ckey, cqi, cm = ctrls[0]
-    if cm.r:
-        return False
-    if not ctrl_is_valid(cm, cfg.states[ckey[0]], ckey[0] == root, ckey[1]):
-        return False
-
-    info = _ring_info(topo)
-    t_c = info.t_index[ckey]
-    c = cm.c
-
-    rd = topo.degree(root)
-    if any(e.channel == rd - 1 for e in rs.rset) or rs.prio == rd - 1:
-        return False
-    # A requesting root can come to hold the priority token or reserved
-    # tokens at the wrap boundary, whose release then double-counts across
-    # the traversal seam; configurations that can still reach that seam
-    # burp are outside the attractor.
-    if rs.state == REQ:
-        return False
-
-    # canonical traversal state
-    if rs.myc != c:
-        return False
-    if rs.succ != sum(1 for t in info.root_keys_t if t < t_c):
-        return False
-    for pid in topo.process_ids:
-        if pid == root:
-            continue
-        st = cfg.states[pid]
-        d = topo.degree(pid)
-        visits = sum(
-            1 for ch in range(d) if info.t_index[(pid, ch)] < t_c
-        )
-        if visits == 0:
-            if st.myc == c:
-                return False
-        else:
-            if st.myc != c:
-                return False
-            if st.succ != (min(1, d - 1) + visits - 1) % d:
-                return False
-
-    # running counts match the tokens the traversal has already counted:
-    # a token is counted once it sits behind the controller
-    counted_res = counted_prio = counted_push = 0
-    for key, queue in cfg.channels.items():
-        t_k = info.t_index[key]
-        for qi, m in enumerate(queue):
-            if isinstance(m, Ctrl):
-                continue
-            behind = t_k < t_c or (key == ckey and qi > cqi)
-            if not behind:
-                continue
-            if isinstance(m, ResT):
-                counted_res += 1
-            elif isinstance(m, PrioT):
-                counted_prio += 1
-            else:
-                counted_push += 1
-    for pid in topo.process_ids:
-        st = cfg.states[pid]
-        for e in st.rset:
-            if info.visit_index[(pid, e.channel)] < t_c:
-                counted_res += 1
-        if st.prio is not None and info.visit_index[(pid, st.prio)] < t_c:
-            counted_prio += 1
-    return (
-        cm.pt + rs.stoken == counted_res
-        and cm.ppr + rs.sprio == counted_prio
-        and rs.spush == counted_push
-    )
-
-
-def step_checks(cfg, topo: TreeTopology, k: int, ell: int,
+def step_checks(cfg, ring: RingInfo, k: int, ell: int,
                 modulus: int) -> tuple[CensusReport, bool, list[str]]:
-    """One-pass census, legitimacy verdict, and safety scan for a snapshot.
+    """Census, legitimacy verdict, and safety scan for one snapshot.
+
+    Legitimacy is membership in the legitimate attractor: the nominal
+    token population (ell resource tokens, one priority token, one
+    pusher), no safety violation, and the clauses of ``_attractor_check``.
 
     Safety violations reported: a unit represented twice (duplicate
     identity tag), more than k units held by a process in its critical
     section, more than ell units in use, any variable outside its domain.
     """
+    topo = ring.topo
     violations: list[str] = []
     res = prio = push = ctrl = 0
+    ctrls: list[tuple[tuple[str, int], Ctrl]] = []  # valid or not
     seen_uids: set[int] = set()
 
-    for (pid, q), queue in cfg.channels.items():
+    for key, queue in cfg.channels.items():
+        pid, q = key
         st = cfg.states[pid]
         is_root = pid == topo.root
         for m in queue:
@@ -236,6 +101,7 @@ def step_checks(cfg, topo: TreeTopology, k: int, ell: int,
             elif isinstance(m, PushT):
                 push += 1
             else:
+                ctrls.append((key, m))
                 if ctrl_is_valid(m, st, is_root, q):
                     ctrl += 1
 
@@ -264,9 +130,100 @@ def step_checks(cfg, topo: TreeTopology, k: int, ell: int,
     legit = (
         rep.species() == (ell, 1, 1)
         and not violations
-        and _attractor_check(cfg, topo)
+        and len(ctrls) == 1
+        and _attractor_check(cfg, ring, *ctrls[0])
     )
     return rep, legit, violations
+
+
+def _attractor_check(cfg, ring: RingInfo, ckey: tuple[str, int], cm: Ctrl) -> bool:
+    """Clauses beyond the species census, given the only control message
+    ``cm`` and its channel ``ckey``: the message is valid and not a reset,
+    the traversal state is canonical, the running counts are exact, and no
+    reservations are parked on the ring's wrap boundary (the literal
+    handler order counts those twice across a wrap).
+
+    The consistency clauses are what make the predicate closed under
+    execution; a merely nominal census can still carry inflated counts
+    that trigger a spurious reset at the next wrap.
+    """
+    topo = ring.topo
+    root = topo.root
+    rs = cfg.states[root]
+    if rs.reset or cm.r:
+        return False
+    if not ctrl_is_valid(cm, cfg.states[ckey[0]], ckey[0] == root, ckey[1]):
+        return False
+
+    t_c = ring.t_index[ckey]
+    c = cm.c
+
+    rd = topo.degree(root)
+    if any(e.channel == rd - 1 for e in rs.rset) or rs.prio == rd - 1:
+        return False
+    # A requesting root can come to hold the priority token or reserved
+    # tokens at the wrap boundary, whose release then double-counts across
+    # the traversal seam; configurations that can still reach that seam
+    # burp are outside the attractor.
+    if rs.state == REQ:
+        return False
+
+    # canonical traversal state
+    if rs.myc != c:
+        return False
+    if rs.succ != sum(1 for t in ring.root_keys_t if t < t_c):
+        return False
+    for pid in topo.process_ids:
+        if pid == root:
+            continue
+        st = cfg.states[pid]
+        d = topo.degree(pid)
+        visits = sum(
+            1 for ch in range(d) if ring.t_index[(pid, ch)] < t_c
+        )
+        if visits == 0:
+            if st.myc == c:
+                return False
+        else:
+            if st.myc != c:
+                return False
+            if st.succ != (min(1, d - 1) + visits - 1) % d:
+                return False
+
+    # running counts match the tokens the traversal has already counted:
+    # a token is counted once it sits behind the controller, i.e. in a
+    # channel the controller has left or after it in its own channel
+    counted_res = counted_prio = counted_push = 0
+    for key, queue in cfg.channels.items():
+        if key == ckey:
+            behind = False
+        elif ring.t_index[key] < t_c:
+            behind = True
+        else:
+            continue
+        for m in queue:
+            if isinstance(m, Ctrl):
+                behind = True
+            elif not behind:
+                continue
+            elif isinstance(m, ResT):
+                counted_res += 1
+            elif isinstance(m, PrioT):
+                counted_prio += 1
+            else:
+                counted_push += 1
+    for pid in topo.process_ids:
+        st = cfg.states[pid]
+        for e in st.rset:
+            if ring.visit_index[(pid, e.channel)] < t_c:
+                counted_res += 1
+        if st.prio is not None and ring.visit_index[(pid, st.prio)] < t_c:
+            counted_prio += 1
+    return (
+        cm.pt + rs.stoken == counted_res
+        and cm.ppr + rs.sprio == counted_prio
+        and rs.spush == counted_push
+    )
 
 
 # --------------------------------------------------------------------------
@@ -514,14 +471,10 @@ def render_report(trace, topo: TreeTopology, ell: int, sample_every: int = 0) ->
     lines.append(f"steps executed: {len(trace.records)} (ended: {trace.ended})")
     lines.append(f"stabilization step: {'never' if stab is None else stab}")
     lines.append(f"closure regressions: {closure_regressions(trace)}")
+    final = trace.records[-1].census if trace.records else trace.initial_census
     lines.append(
-        "final census: res=%d prio=%d push=%d ctrl=%d"
-        % (
-            (trace.records[-1].census if trace.records else trace.initial_census).res_tokens,
-            (trace.records[-1].census if trace.records else trace.initial_census).prio_tokens,
-            (trace.records[-1].census if trace.records else trace.initial_census).push_tokens,
-            (trace.records[-1].census if trace.records else trace.initial_census).ctrl_tokens,
-        )
+        f"final census: res={final.res_tokens} prio={final.prio_tokens} "
+        f"push={final.push_tokens} ctrl={final.ctrl_tokens}"
     )
     lines.append(f"safety: {'pass' if safety.passed else 'FAIL'} "
                  f"({len(safety.pre_stabilization)} pre-stabilization violations recorded)")

@@ -136,7 +136,6 @@ class TraversalEnd:
 
 @dataclass
 class HandlerOutput:
-    state: ProcessState
     sends: list[tuple[int, Message]] = field(default_factory=list)
     entered_cs: bool = False
     restart_timer: bool = False
@@ -145,6 +144,23 @@ class HandlerOutput:
 
 def _nxt(channel: int, delta: int) -> int:
     return (channel + 1) % delta
+
+
+def _forward_res(st: ProcessState, channel: int, token: ResT, p: ProcParams,
+                 out: HandlerOutput) -> None:
+    """Pass a resource token that arrived on ``channel`` along the ring.  The
+    root counts every resource token leaving its wrap channel delta-1 into
+    SToken, which the next wrap adds to the controller's PT."""
+    if p.is_root and channel == p.delta - 1:
+        st.stoken = min(st.stoken + 1, p.ell + 1)
+    out.sends.append((_nxt(channel, p.delta), token))
+
+
+def _release_all(st: ProcessState, p: ProcParams, out: HandlerOutput) -> None:
+    """Return every reserved resource token to the ring."""
+    for e in st.rset:
+        _forward_res(st, e.channel, ResT(uid=e.uid), p, out)
+    st.rset.clear()
 
 
 # --------------------------------------------------------------------------
@@ -157,15 +173,13 @@ def handle_res_t(st: ProcessState, q: int, msg: ResT, p: ProcParams) -> HandlerO
     A requester short of its need reserves the token; anyone else forwards
     it along the ring.  A root in reset mode silently consumes it.
     """
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     if p.is_root and st.reset:
         return out
     if st.state == REQ and len(st.rset) < st.need:
         st.rset.append(Reserved(q, msg.uid))
     else:
-        if p.is_root and q == p.delta - 1:
-            st.stoken = min(st.stoken + 1, p.ell + 1)
-        out.sends.append((_nxt(q, p.delta), msg))
+        _forward_res(st, q, msg, p, out)
     return out
 
 
@@ -176,16 +190,12 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
     section, enabled to enter it, or holds the priority token.  The pusher
     itself is always forwarded (root in reset mode consumes it instead).
     """
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     if p.is_root and st.reset:
         return out
     enabled = st.state == REQ and len(st.rset) >= st.need
     if st.prio is None and not enabled and st.state != IN:
-        for e in st.rset:
-            if p.is_root and e.channel == p.delta - 1:
-                st.stoken = min(st.stoken + 1, p.ell + 1)
-            out.sends.append((_nxt(e.channel, p.delta), ResT(uid=e.uid)))
-        st.rset.clear()
+        _release_all(st, p, out)
     if p.is_root and q == p.delta - 1:
         st.spush = min(st.spush + 1, 2)
     out.sends.append((_nxt(q, p.delta), msg))
@@ -194,7 +204,7 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
 
 def handle_prio_t(st: ProcessState, q: int, msg: PrioT, p: ProcParams) -> HandlerOutput:
     """Receive the priority token on channel q: hold it if free, else forward."""
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     if p.is_root and st.reset:
         return out
     if st.prio is None:
@@ -219,7 +229,7 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
     or to mint the missing tokens, then stamps and relaunches the
     controller.
     """
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     if q != st.succ or msg.c != st.myc:
         return out  # invalid: ignored entirely, no retransmission
     st.succ = _nxt(st.succ, p.delta)
@@ -239,9 +249,8 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
         else:
             if prio_total < 1:
                 out.sends.append((0, PrioT()))
-            while pt + st.stoken < p.ell:
+            for _ in range(p.ell - res_total):
                 out.sends.append((0, ResT()))
-                st.stoken = min(st.stoken + 1, p.ell + 1)
             if st.spush < 1:
                 out.sends.append((0, PushT()))
         st.stoken = 0
@@ -266,7 +275,7 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
     is retransmitted without touching the traversal state (dropping it
     could deadlock the ring).  Everything else is dropped.
     """
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     ok = False
     if q == st.succ and msg.c == st.myc and st.succ != 0:
         st.succ = _nxt(st.succ, p.delta)
@@ -308,17 +317,13 @@ def local_actions(
     ``release_cs`` is consulted after a potential entry, so a freshly
     granted critical section is never released in the same pass.
     """
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     if st.state == REQ and len(st.rset) >= st.need:
         st.state = IN
         out.entered_cs = True
         enter_cs()
     if st.state == IN and release_cs():
-        for e in st.rset:
-            if p.is_root and e.channel == p.delta - 1:
-                st.stoken = min(st.stoken + 1, p.ell + 1)
-            out.sends.append((_nxt(e.channel, p.delta), ResT(uid=e.uid)))
-        st.rset.clear()
+        _release_all(st, p, out)
         st.state = OUT
     if st.prio is not None and (st.state != REQ or len(st.rset) >= st.need):
         if p.is_root and st.prio == p.delta - 1:
@@ -330,7 +335,7 @@ def local_actions(
 
 def on_timeout_root(st: ProcessState, p: ProcParams) -> HandlerOutput:
     """Root timeout: retransmit a controller with zeroed counts toward Succ."""
-    out = HandlerOutput(st)
+    out = HandlerOutput()
     out.sends.append((st.succ, Ctrl(st.myc, st.reset, 0, 0)))
     out.restart_timer = True
     return out

@@ -18,6 +18,7 @@ import copy
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import monitor
@@ -281,6 +282,16 @@ class Simulator:
             (DELIVER, pid, ch) for pid, ch in self.channel_keys
         ] + [(TIMEOUT,)]
 
+    @cached_property
+    def ring(self) -> monitor.RingInfo:
+        # built on first use: a campaign keeps many simulators alive at once
+        return monitor.RingInfo(self.topo)
+
+    def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, list[str]]:
+        """(census, legitimacy, safety violations) of one configuration."""
+        return monitor.step_checks(cfg, self.ring, self.params.k, self.params.ell,
+                                   self.modulus)
+
     # -- configuration builders --------------------------------------------
 
     def empty_configuration(self) -> Configuration:
@@ -430,9 +441,18 @@ class Simulator:
                 f"sends=[{','.join(sends)}]"
             )
 
-    def _phase_app(self, cfg: Configuration, rec: StepRecord, workload) -> None:
-        """Application phase: request arrivals, critical-section countdowns,
-        and a local-action sweep over every process."""
+    def execute_step(self, cfg: Configuration, policy,
+                     workload=None) -> StepRecord:
+        """Run one atomic step in place: the application phase (request
+        arrivals, critical-section countdowns, a local-action sweep over
+        every process), then the event ``policy`` chooses, then the checks
+        of the configuration produced.
+
+        The application phase can enable deliveries (a finished critical
+        section releases tokens), so the policy chooses after it.  A choice
+        of None or ``skip`` is an idle step: only the timers advance.
+        """
+        rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
         if workload is not None:
             due = workload.due(cfg.step, cfg.states)
             apply_workload(due, cfg.app, cfg.states)
@@ -447,68 +467,38 @@ class Simulator:
         for pid in self.topo.process_ids:
             self._local_pass(cfg, pid, rec)
 
-    def _phase_event(self, cfg: Configuration, rec: StepRecord,
-                     choice: Choice | None) -> bool:
-        """Execute the scheduled event; returns whether the root timer was
-        restarted."""
+        choice = policy.choose(self.enabled_events(cfg), self.slots)
         restart = False
-        if choice is not None and choice[0] == DELIVER:
-            _, pid, ch = choice
-            key = (pid, ch)
-            if not cfg.channels[key]:
-                raise SchedulerError(f"delivery from empty channel {key}")
-            msg = cfg.channels[key].popleft()
-            out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
-            if out.traversal_end is not None:
-                rec.traversal_end = out.traversal_end
-            restart |= out.restart_timer
+        if choice is not None and choice[0] != SKIP:
+            if choice[0] == DELIVER:
+                _, pid, ch = choice
+                msg = cfg.channels[(pid, ch)].popleft()
+                out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
+                event = f"event=deliver msg={msg} ch={ch}"
+            else:
+                pid = self.topo.root
+                out = on_timeout_root(cfg.states[pid], self.pp[pid])
+                rec.timeout_fired = True
+                event = "event=timeout msg=- ch=-"
+            rec.traversal_end = out.traversal_end
+            restart = out.restart_timer
             sends = self._enqueue(cfg, pid, out.sends)
             rec.lines.append(
-                f"step={rec.step} proc={pid} event=deliver msg={msg} ch={ch} "
-                f"sends=[{','.join(sends)}]"
+                f"step={rec.step} proc={pid} {event} sends=[{','.join(sends)}]"
             )
             self._local_pass(cfg, pid, rec)
-        elif choice is not None and choice[0] == TIMEOUT:
-            if self.params.timeout is None or cfg.timer < self.params.timeout:
-                raise SchedulerError("timeout fired before the timer expired")
-            root = self.topo.root
-            out = on_timeout_root(cfg.states[root], self.pp[root])
-            restart = True
-            rec.timeout_fired = True
-            sends = self._enqueue(cfg, root, out.sends)
-            rec.lines.append(
-                f"step={rec.step} proc={root} event=timeout msg=- ch=- "
-                f"sends=[{','.join(sends)}]"
-            )
-            self._local_pass(cfg, root, rec)
-        return restart
 
-    def _finalize_step(self, cfg: Configuration, rec: StepRecord,
-                       restart: bool) -> None:
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
-        rec.census, rec.legit, rec.violations = monitor.step_checks(
-            cfg, self.topo, self.params.k, self.params.ell, self.modulus
-        )
-
-    def execute_step(self, cfg: Configuration, choice: Choice | None,
-                     workload=None) -> StepRecord:
-        """Run one atomic step: application phase, then the chosen event.
-
-        ``choice`` may be None (idle: nothing but the application phase and
-        the timers advance) or a (deliver|timeout|skip) tuple.
-        """
-        rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
-        self._phase_app(cfg, rec, workload)
-        restart = self._phase_event(cfg, rec, choice)
-        self._finalize_step(cfg, rec, restart)
+        rec.census, rec.legit, rec.violations = self.check(cfg)
         return rec
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
         """Functional stepping: returns the successor configuration, leaving
-        the input untouched.  ``run`` uses the in-place path instead."""
+        the input untouched.  ``choice`` must be enabled once the
+        application phase has run, or be ``skip``."""
         nxt = cfg.clone()
-        self.execute_step(nxt, choice, workload)
+        self.execute_step(nxt, ReplayPolicy([choice]), workload)
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -537,9 +527,7 @@ class Simulator:
         happen again), on a replay running dry, or when ``stop`` says so.
         """
         cfg = cfg0.clone()
-        census0, legit0, violations0 = monitor.step_checks(
-            cfg, self.topo, self.params.k, self.params.ell, self.modulus
-        )
+        census0, legit0, violations0 = self.check(cfg)
         trace = Trace(
             records=[],
             initial_census=census0,
@@ -559,17 +547,7 @@ class Simulator:
             if not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
-            # the application phase can enable deliveries (a finished
-            # critical section releases tokens), so the scheduling choice
-            # is made after it
-            self._phase_app(cfg, rec, workload)
-            enabled = self.enabled_events(cfg)
-            choice = policy.choose(enabled, self.slots)
-            if choice is not None and choice[0] == SKIP:
-                choice = None
-            restart = self._phase_event(cfg, rec, choice)
-            self._finalize_step(cfg, rec, restart)
+            rec = self.execute_step(cfg, policy, workload)
             trace.records.append(rec)
             if observer is not None:
                 observer(cfg, rec)

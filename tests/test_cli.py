@@ -52,6 +52,24 @@ class TestValidation:
         f.write_text("n 2 root r\nr: a\na: r x\n")
         assert main(["--topology", str(f)]) == USAGE
 
+    @pytest.mark.parametrize("flag", ["--topology", "--scenario", "--out"])
+    def test_unusable_path_is_usage_error(self, flag, star_file, tmp_path, capsys):
+        # a directory where a file is read, an existing file where a
+        # directory is created
+        path = star_file if flag == "--out" else tmp_path
+        argv = ["--topology", str(star_file), "--budget", "10", flag, str(path)]
+        assert main(argv) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_unknown_scenario_process_is_usage_error(self, star_file, tmp_path, capsys):
+        f = tmp_path / "load.scn"
+        f.write_text("req 3 zz 1 2\n")
+        assert main(["--topology", str(star_file), "--scenario", str(f)]) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zz" in err
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):

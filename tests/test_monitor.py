@@ -2,13 +2,11 @@ import pytest
 
 from klexsim.monitor import (
     LivenessScenario,
-    census,
     check_fairness,
     check_kl_liveness,
     check_safety,
     closure_regressions,
     first_legitimate,
-    is_legitimate,
     render_report,
     stabilization_time,
     traversal_observations,
@@ -59,7 +57,7 @@ def recount(cfg, topo):
 class TestCensus:
     def test_empty_configuration(self):
         sim = make_sim()
-        rep = census(sim.empty_configuration(), STAR)
+        rep = sim.check(sim.empty_configuration())[0]
         assert (rep.res_tokens, rep.prio_tokens, rep.push_tokens, rep.ctrl_tokens) == (0, 0, 0, 0)
 
     def test_all_tokens_reserved_counts_as_held(self):
@@ -70,7 +68,7 @@ class TestCensus:
         cfg.states["b"].rset = [Reserved(0, 2)]
         cfg.states["c"].rset = [Reserved(0, 3)]
         cfg.states["d"].rset = [Reserved(0, 4)]
-        rep = census(cfg, CHAIN5)
+        rep = sim.check(cfg)[0]
         assert rep.res_tokens == 5
         free = sum(1 for key in sim.channel_keys for m in cfg.channels[key]
                    if isinstance(m, ResT))
@@ -81,7 +79,7 @@ class TestCensus:
             topo = random_tree(seed, 2 + seed % 8)
             sim = Simulator(topo, SimParams(k=2, ell=4, cmax=3, timeout=None))
             cfg = sim.inject_arbitrary(seed)
-            rep = census(cfg, topo)
+            rep = sim.check(cfg)[0]
             assert (rep.res_tokens, rep.prio_tokens, rep.push_tokens,
                     rep.ctrl_tokens) == recount(cfg, topo)
 
@@ -89,13 +87,13 @@ class TestCensus:
 class TestLegitimacy:
     def test_canonical_configuration_is_legitimate(self):
         sim = make_sim()
-        assert is_legitimate(sim.initial_configuration(), STAR, 3)
+        assert sim.check(sim.initial_configuration())[1]
 
     def test_two_pushers_not_legitimate(self):
         sim = make_sim()
         cfg = sim.initial_configuration()
         cfg.channels[("b", 0)].append(PushT())
-        assert not is_legitimate(cfg, STAR, 3)
+        assert not sim.check(cfg)[1]
 
     def test_missing_resource_not_legitimate(self):
         sim = make_sim()
@@ -104,19 +102,19 @@ class TestLegitimacy:
             if isinstance(m, ResT):
                 del cfg.channels[("a", 0)][i]
                 break
-        assert not is_legitimate(cfg, STAR, 3)
+        assert not sim.check(cfg)[1]
 
     def test_reset_in_progress_not_legitimate(self):
         sim = make_sim()
         cfg = sim.initial_configuration()
         cfg.states["r"].reset = True
-        assert not is_legitimate(cfg, STAR, 3)
+        assert not sim.check(cfg)[1]
 
     def test_stale_second_ctrl_not_legitimate(self):
         sim = make_sim()
         cfg = sim.initial_configuration()
         cfg.channels[("r", 1)].append(Ctrl(7, False, 0, 0))
-        assert not is_legitimate(cfg, STAR, 3)
+        assert not sim.check(cfg)[1]
 
     def test_inflated_root_counter_not_legitimate(self):
         # nominal census but SToken carries a stale count: the next wrap
@@ -124,7 +122,7 @@ class TestLegitimacy:
         sim = make_sim()
         cfg = sim.initial_configuration()
         cfg.states["r"].stoken = 1
-        assert not is_legitimate(cfg, STAR, 3)
+        assert not sim.check(cfg)[1]
 
 
 class TestStabilization:

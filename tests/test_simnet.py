@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klexsim.appmodel import Workload, WorkloadEvent
-from klexsim.monitor import census, is_legitimate, stabilization_time
+from klexsim.monitor import stabilization_time
 from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, ResT
 from klexsim.simnet import (
     DELIVER,
@@ -50,7 +50,7 @@ class TestInitialConfiguration:
     def test_legitimate_from_step_zero(self):
         sim = make_sim()
         cfg = sim.initial_configuration()
-        assert is_legitimate(cfg, STAR, 3)
+        assert sim.check(cfg)[1]
 
     def test_stays_legitimate(self):
         sim = make_sim()
@@ -89,7 +89,7 @@ class TestStep:
         nxt = sim.step(cfg, (DELIVER, "r", 1))
         q = nxt.channels[("a", 0)]
         assert [type(m).__name__ for m in q] == ["PrioT", "ResT", "ResT", "PushT", "Ctrl"]
-        rep = census(nxt, STAR)
+        rep = sim.check(nxt)[0]
         assert rep.species() == (2, 1, 1)
 
     def test_delivery_from_empty_channel_is_structural_error(self):
@@ -200,7 +200,7 @@ class TestInjection:
         # frozen seed producing more resource tokens than ell
         sim = make_sim(k=3, ell=3, cmax=3)
         for seed in range(50):
-            rep = census(sim.inject_arbitrary(seed), STAR)
+            rep = sim.check(sim.inject_arbitrary(seed))[0]
             if rep.res_tokens > 3:
                 return
         pytest.fail("no seed among 0..49 produced an excess of resource tokens")
