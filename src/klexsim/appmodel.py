@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .protocol import OUT, REQ, ProcessState
 
 INF = math.inf
+DEFAULT_CS_STEPS = 1  # length of a critical section entered with no armed request
 
 
 class ScenarioError(ValueError):
@@ -61,8 +62,7 @@ class Workload:
         self.events = sorted(events, key=lambda e: (e.at_step, e.process))
         self._cursor = 0
 
-    def due(self, step: int, states: dict[str, ProcessState] | None = None
-            ) -> list[WorkloadEvent]:
+    def due(self, step: int, states: dict[str, ProcessState]) -> list[WorkloadEvent]:
         out = []
         while self._cursor < len(self.events) and self.events[self._cursor].at_step <= step:
             out.append(self.events[self._cursor])
@@ -124,7 +124,6 @@ class RepeatingWorkload:
         for pid, (need, duration) in specs.items():
             WorkloadEvent(0, pid, need, duration).check(k)
         self.specs = dict(specs)
-        self.processes = list(specs)
 
     def due(self, step: int, states: dict[str, ProcessState]) -> list[WorkloadEvent]:
         out = []
@@ -145,15 +144,14 @@ class AppState:
     is in its critical section.  ``armed_duration`` holds the duration of
     the pending request, consumed when the protocol grants entry.  Entries
     with no armed request (possible from an arbitrary initial state) run
-    for ``default_duration`` steps so they always terminate.
+    for ``DEFAULT_CS_STEPS`` steps so they always terminate.
     """
 
     remaining: dict[str, float] = field(default_factory=dict)
     armed_duration: dict[str, float] = field(default_factory=dict)
-    default_duration: int = 1
 
     def enter_cs(self, pid: str) -> None:
-        self.remaining[pid] = self.armed_duration.pop(pid, self.default_duration)
+        self.remaining[pid] = self.armed_duration.pop(pid, DEFAULT_CS_STEPS)
 
     def release_cs(self, pid: str) -> bool:
         return self.remaining.get(pid, 0) == 0

@@ -145,6 +145,8 @@ def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
     cfg.validate()
     if seeds < 1:
         raise UsageError("campaign needs at least one seed")
+    if cfg.scenario_path is not None:
+        raise UsageError("a campaign runs without requests; it takes no scenario")
     sim = build_simulator(cfg)
     budget = cfg.effective_budget()
     stabs: list[int] = []

@@ -305,24 +305,23 @@ class RequestRecord:
 
 def collect_requests(trace) -> list[RequestRecord]:
     """Pair every request with its satisfaction and count the entries by
-    other processes in between (the waiting time of the request)."""
+    other processes in between (the waiting time of the request), in one
+    forward pass: a pending request keeps as its base the running count of
+    entries through its own step.  A process enters at most once a step."""
     requests = [RequestRecord(pid, -1, need) for pid, need in trace.initial_requests]
-    entries: list[tuple[int, str]] = []
+    pending = {req.process: [(req, 0)] for req in requests}
+    count = 0  # entries in the steps already passed
     for rec in trace.records:
+        through = count + len(rec.entries)
         for pid, need in rec.requests:
-            requests.append(RequestRecord(pid, rec.step, need))
+            req = RequestRecord(pid, rec.step, need)
+            requests.append(req)
+            pending.setdefault(pid, []).append((req, through))
         for pid in rec.entries:
-            entries.append((rec.step, pid))
-    for req in requests:
-        for step, pid in entries:
-            if pid == req.process and step >= req.step_requested:
-                req.step_entered = step
-                break
-        if req.step_entered is not None:
-            req.waiting = sum(
-                1 for step, pid in entries
-                if pid != req.process and req.step_requested < step <= req.step_entered
-            )
+            for req, base in pending.pop(pid, ()):
+                req.step_entered = rec.step
+                req.waiting = through - base - 1 if req.step_requested < rec.step else 0
+        count = through
     return requests
 
 

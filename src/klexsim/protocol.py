@@ -26,7 +26,9 @@ what makes the priority token cancel the pusher's effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
+
+from .topology import forward_channel
 
 REQ = "Req"
 IN = "In"
@@ -142,10 +144,6 @@ class HandlerOutput:
     traversal_end: TraversalEnd | None = None
 
 
-def _nxt(channel: int, delta: int) -> int:
-    return (channel + 1) % delta
-
-
 def _forward_res(st: ProcessState, channel: int, token: ResT, p: ProcParams,
                  out: HandlerOutput) -> None:
     """Pass a resource token that arrived on ``channel`` along the ring.  The
@@ -153,7 +151,7 @@ def _forward_res(st: ProcessState, channel: int, token: ResT, p: ProcParams,
     SToken, which the next wrap adds to the controller's PT."""
     if p.is_root and channel == p.delta - 1:
         st.stoken = min(st.stoken + 1, p.ell + 1)
-    out.sends.append((_nxt(channel, p.delta), token))
+    out.sends.append((forward_channel(channel, p.delta), token))
 
 
 def _release_all(st: ProcessState, p: ProcParams, out: HandlerOutput) -> None:
@@ -198,7 +196,7 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
         _release_all(st, p, out)
     if p.is_root and q == p.delta - 1:
         st.spush = min(st.spush + 1, 2)
-    out.sends.append((_nxt(q, p.delta), msg))
+    out.sends.append((forward_channel(q, p.delta), msg))
     return out
 
 
@@ -210,7 +208,7 @@ def handle_prio_t(st: ProcessState, q: int, msg: PrioT, p: ProcParams) -> Handle
     if st.prio is None:
         st.prio = q
     else:
-        out.sends.append((_nxt(q, p.delta), msg))
+        out.sends.append((forward_channel(q, p.delta), msg))
     return out
 
 
@@ -232,7 +230,7 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
     out = HandlerOutput()
     if q != st.succ or msg.c != st.myc:
         return out  # invalid: ignored entirely, no retransmission
-    st.succ = _nxt(st.succ, p.delta)
+    st.succ = forward_channel(st.succ, p.delta)
     pt, ppr = msg.pt, msg.ppr
     if st.succ == 0:
         res_total = pt + st.stoken
@@ -278,7 +276,7 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
     out = HandlerOutput()
     ok = False
     if q == st.succ and msg.c == st.myc and st.succ != 0:
-        st.succ = _nxt(st.succ, p.delta)
+        st.succ = forward_channel(st.succ, p.delta)
         ok = True
         if msg.r:
             st.rset.clear()
@@ -302,33 +300,26 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
 # Local actions and the root timeout
 # --------------------------------------------------------------------------
 
-def local_actions(
-    st: ProcessState,
-    p: ProcParams,
-    enter_cs: Callable[[], None] = lambda: None,
-    release_cs: Callable[[], bool] = lambda: False,
-) -> HandlerOutput:
+def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutput:
     """The guard/action block run after every handled message and whenever
-    the application side changes.
+    a request arrives or the critical section ends (``cs_done``).
 
-    In order: enter the critical section once enough tokens are reserved;
-    release all tokens when the critical section finishes; pass the
-    priority token on unless an unsatisfied request justifies keeping it.
-    ``release_cs`` is consulted after a potential entry, so a freshly
-    granted critical section is never released in the same pass.
+    In order: enter the critical section once enough tokens are reserved
+    (the caller then starts it), or else release all tokens if it is done;
+    then pass the priority token on unless an unsatisfied request justifies
+    keeping it.  A section granted in a pass is never released in it.
     """
     out = HandlerOutput()
     if st.state == REQ and len(st.rset) >= st.need:
         st.state = IN
         out.entered_cs = True
-        enter_cs()
-    if st.state == IN and release_cs():
+    elif st.state == IN and cs_done:
         _release_all(st, p, out)
         st.state = OUT
     if st.prio is not None and (st.state != REQ or len(st.rset) >= st.need):
         if p.is_root and st.prio == p.delta - 1:
             st.sprio = min(st.sprio + 1, 2)
-        out.sends.append((_nxt(st.prio, p.delta), PrioT()))
+        out.sends.append((forward_channel(st.prio, p.delta), PrioT()))
         st.prio = None
     return out
 

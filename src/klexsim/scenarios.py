@@ -231,9 +231,9 @@ def run_livelock_figure(cycles: int = 6, budget: int = 4000) -> FigureResult:
     return FigureResult("fig3-livelock", reproduced, recovered, detail)
 
 
-def run_figure(name: str, **kwargs) -> FigureResult:
+def run_figure(name: str) -> FigureResult:
     if name == "fig2-deadlock":
-        return run_deadlock_figure(**kwargs)
+        return run_deadlock_figure()
     if name == "fig3-livelock":
-        return run_livelock_figure(**kwargs)
+        return run_livelock_figure()
     raise ValueError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")

@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulator for the token-circulation protocol.
 
 One scheduler step applies the application phase (request arrivals, critical
-section countdowns, and a local-action pass for every process) and then
-executes one scheduled event: delivery of a single message, or the root
-timeout.  Handlers run atomically; their sends enter the FIFO channels in
-emission order.  Identical inputs (initial configuration, policy, seed)
-reproduce byte-identical traces.
+section countdowns, a local-action pass at each process whose request arrived
+or section ended) and then executes one scheduled event: delivery of a single
+message, or the root timeout.  Handlers run atomically, each followed by a
+local-action pass; their sends enter the FIFO channels in emission order.
+Identical inputs (initial configuration, policy, seed) reproduce
+byte-identical traces.
 
 Fault injection builds an arbitrary initial configuration constrained only
 by the structural bounds: at most C_MAX messages per channel, all variables
@@ -73,11 +74,10 @@ class SimParams:
             raise ValueError("timeout must be positive or None")
 
 
-def default_timeout(topo: TreeTopology, params_ell: int, cmax: int, factor: int = 20) -> int:
-    """Default root timeout: ``factor`` traversal allowances, where one
-    allowance generously covers a full ring circulation with maximal
-    queueing."""
-    return factor * traversal_allowance(topo, params_ell, cmax)
+def default_timeout(topo: TreeTopology, ell: int, cmax: int) -> int:
+    """Default root timeout: 20 traversal allowances, where one allowance
+    generously covers a full ring circulation with maximal queueing."""
+    return 20 * traversal_allowance(topo, ell, cmax)
 
 
 def traversal_allowance(topo: TreeTopology, ell: int, cmax: int) -> int:
@@ -425,12 +425,9 @@ class Simulator:
     def _local_pass(self, cfg: Configuration, pid: str, rec: StepRecord) -> None:
         st = cfg.states[pid]
         old = st.state
-        out = local_actions(
-            st, self.pp[pid],
-            enter_cs=lambda: cfg.app.enter_cs(pid),
-            release_cs=lambda: cfg.app.release_cs(pid),
-        )
+        out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
         if out.entered_cs:
+            cfg.app.enter_cs(pid)
             rec.entries.append(pid)
         if st.state != old:
             rec.transitions.append((pid, old, st.state))
@@ -441,21 +438,24 @@ class Simulator:
                 f"sends=[{','.join(sends)}]"
             )
 
-    def execute_step(self, cfg: Configuration, policy,
-                     workload=None) -> StepRecord:
+    def execute_step(self, cfg: Configuration, policy, workload,
+                     dirty: Iterable[str]) -> StepRecord:
         """Run one atomic step in place: the application phase (request
-        arrivals, critical-section countdowns, a local-action sweep over
-        every process), then the event ``policy`` chooses, then the checks
-        of the configuration produced.
+        arrivals, critical-section countdowns, then a local-action pass at
+        each process that requested, finished its section or is ``dirty``,
+        in ``process_ids`` order), then the event ``policy`` chooses, then
+        the checks of the configuration produced.  ``dirty`` processes may
+        have true guards already, as only a start no step produced can.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it.  A choice
         of None or ``skip`` is an idle step: only the timers advance.
         """
         rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
+        woken = set(dirty)
         if workload is not None:
             due = workload.due(cfg.step, cfg.states)
-            apply_workload(due, cfg.app, cfg.states)
+            woken.update(apply_workload(due, cfg.app, cfg.states))
             for ev in due:
                 rec.requests.append((ev.process, ev.need))
                 rec.transitions.append((ev.process, OUT, REQ))
@@ -463,9 +463,10 @@ class Simulator:
                     f"step={rec.step} proc={ev.process} event=local "
                     f"msg=request{{need={ev.need}}} ch=- sends=[]"
                 )
-        cfg.app.tick()
+        woken.update(cfg.app.tick())
         for pid in self.topo.process_ids:
-            self._local_pass(cfg, pid, rec)
+            if pid in woken:
+                self._local_pass(cfg, pid, rec)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
         restart = False
@@ -494,11 +495,11 @@ class Simulator:
         return rec
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
-        """Functional stepping: returns the successor configuration, leaving
-        the input untouched.  ``choice`` must be enabled once the
-        application phase has run, or be ``skip``."""
+        """Functional stepping, passing over every process: returns the
+        successor configuration, leaving the input untouched.  ``choice``
+        must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
-        self.execute_step(nxt, ReplayPolicy([choice]), workload)
+        self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids)
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -519,7 +520,8 @@ class Simulator:
             stop: Callable[[list[StepRecord], Configuration], bool] | None = None,
             observer: Callable[[Configuration, StepRecord], None] | None = None,
             ) -> Trace:
-        """Execute up to ``budget`` steps from a copy of ``cfg0``.
+        """Execute up to ``budget`` steps from a copy of ``cfg0``; only the
+        first step passes over every process.
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration
@@ -547,7 +549,8 @@ class Simulator:
             if not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload)
+            rec = self.execute_step(cfg, policy, workload,
+                                    () if trace.records else self.topo.process_ids)
             trace.records.append(rec)
             if observer is not None:
                 observer(cfg, rec)

@@ -115,12 +115,17 @@ class TreeTopology:
                 )
 
 
+def forward_channel(in_channel: int, degree: int) -> int:
+    """The ring rule: a token received on channel i leaves on (i+1) mod degree."""
+    return (in_channel + 1) % degree
+
+
 def next_channel(topo: TreeTopology, p: str, in_channel: int) -> int:
-    """Channel a token received on ``in_channel`` is forwarded on: (i+1) mod degree."""
+    """``forward_channel`` at process p, with the channel range checked."""
     d = topo.degree(p)
     if not 0 <= in_channel < d:
         raise TopologyError(f"process {p!r}: channel {in_channel} out of range 0..{d - 1}")
-    return (in_channel + 1) % d
+    return forward_channel(in_channel, d)
 
 
 def virtual_ring(topo: TreeTopology) -> list[RingPosition]:

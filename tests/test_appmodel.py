@@ -75,8 +75,8 @@ def test_parse_scenario_roundtrip():
     wl = parse_scenario("# demo\nreq 5 a 2 10\nreq 7 b 1 inf\n", k=3)
     assert wl.events[0] == WorkloadEvent(5, "a", 2, 10)
     assert wl.events[1].duration == math.inf
-    assert wl.due(4) == []
-    assert [e.process for e in wl.due(7)] == ["a", "b"]
+    assert wl.due(4, {}) == []
+    assert [e.process for e in wl.due(7, {})] == ["a", "b"]
     assert wl.exhausted(8)
 
 

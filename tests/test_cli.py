@@ -70,6 +70,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zz" in err
 
+    def test_campaign_with_scenario_is_usage_error(self, star_file, tmp_path, capsys):
+        f = tmp_path / "bad.scn"
+        f.write_text("not a scenario\n")
+        argv = ["--topology", str(star_file), "--k", "2", "--ell", "3",
+                "--campaign", "2", "--scenario", str(f)]
+        assert main(argv) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scenario" in err
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):

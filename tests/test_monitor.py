@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from klexsim.monitor import (
@@ -6,6 +8,7 @@ from klexsim.monitor import (
     check_kl_liveness,
     check_safety,
     closure_regressions,
+    collect_requests,
     first_legitimate,
     render_report,
     stabilization_time,
@@ -236,6 +239,26 @@ class TestFairnessChecker:
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 2, workload=wl)
         verdict = check_fairness(trace)
         assert not verdict.passed and verdict.inconclusive
+
+    def test_request_pairing_on_hand_built_trace(self):
+        def rec(step, requests, entries):
+            return SimpleNamespace(step=step, requests=requests, entries=entries)
+
+        trace = SimpleNamespace(initial_requests=[("a", 1)], records=[
+            rec(0, [("b", 1)], ["c", "b"]),  # b entered in its request's step
+            rec(1, [("c", 2)], ["d"]),  # d's entry is in c's request step
+            rec(2, [], ["b"]),
+            rec(3, [("d", 1)], ["a", "c"]),  # c entry at 3, not its earlier one
+            rec(4, [], ["e"]),
+        ])
+        got = [(r.process, r.step_requested, r.need, r.step_entered, r.waiting)
+               for r in collect_requests(trace)]
+        assert got == [
+            ("a", -1, 1, 3, 5),  # initial request: c, b, d, b, c entered first
+            ("b", 0, 1, 0, 0),
+            ("c", 1, 2, 3, 2),  # b at 2 and a at 3, the entry's own step
+            ("d", 3, 1, None, None),  # never satisfied
+        ]
 
     def test_quiescent_starvation_is_failure(self):
         sim = make_sim(timeout=None)

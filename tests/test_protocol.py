@@ -247,46 +247,39 @@ class TestCtrlNonRoot:
 class TestLocalActions:
     def test_enter_cs(self):
         st_ = ProcessState(state=REQ, need=2, rset=[Reserved(0), Reserved(1)])
-        fired = []
-        out = local_actions(st_, params(delta=2), enter_cs=lambda: fired.append(1))
+        out = local_actions(st_, params(delta=2), False)
         assert st_.state == IN
-        assert out.entered_cs and fired == [1]
+        assert out.entered_cs
         assert out.sends == []
 
     def test_release_path(self):
         st_ = ProcessState(state=IN, rset=[Reserved(0), Reserved(0)])
-        out = local_actions(st_, params(delta=2), release_cs=lambda: True)
+        out = local_actions(st_, params(delta=2), True)
         assert kinds(out.sends) == [(1, "ResT"), (1, "ResT")]
         assert st_.state == OUT and st_.rset == []
 
     def test_prio_forwarded_when_not_requesting(self):
         st_ = ProcessState(state=OUT, prio=1)
-        out = local_actions(st_, params(delta=3))
+        out = local_actions(st_, params(delta=3), False)
         assert out.sends == [(2, PrioT())]
         assert st_.prio is None
 
     def test_prio_kept_while_request_unsatisfied(self):
         st_ = ProcessState(state=REQ, need=2, rset=[Reserved(0)], prio=0)
-        out = local_actions(st_, params(delta=2))
+        out = local_actions(st_, params(delta=2), False)
         assert out.sends == []
         assert st_.prio == 0
 
     def test_fresh_entry_not_released_same_pass(self):
-        # release_cs reports True until entry actually happens
+        # cs_done is still True from the previous section when entry happens
         st_ = ProcessState(state=REQ, need=1, rset=[Reserved(0)])
-        in_cs = {"v": False}
-
-        def enter():
-            in_cs["v"] = True
-
-        out = local_actions(st_, params(delta=2),
-                            enter_cs=enter, release_cs=lambda: not in_cs["v"])
+        out = local_actions(st_, params(delta=2), True)
         assert st_.state == IN
         assert out.sends == []
 
     def test_root_counts_on_release_and_prio(self):
         st_ = ProcessState(state=IN, rset=[Reserved(1)], prio=1)
-        out = local_actions(st_, params(is_root=True, delta=2), release_cs=lambda: True)
+        out = local_actions(st_, params(is_root=True, delta=2), True)
         assert st_.stoken == 1 and st_.sprio == 1
         assert kinds(out.sends) == [(0, "ResT"), (0, "PrioT")]
 
@@ -395,7 +388,7 @@ def test_local_actions_conserve_resources(is_root, data):
     release = data.draw(st.booleans())
     p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
     before = len(s.rset)
-    out = local_actions(s, p, release_cs=lambda: release)
+    out = local_actions(s, p, release)
     assert res_count(s, out.sends) == before
 
 

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klexsim.appmodel import Workload, WorkloadEvent
+from klexsim import scenarios
+from klexsim.appmodel import RandomWorkload, Workload, WorkloadEvent
 from klexsim.monitor import stabilization_time
-from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, ResT
+from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT
 from klexsim.simnet import (
     DELIVER,
     SKIP,
@@ -97,6 +100,20 @@ class TestStep:
         cfg = sim.empty_configuration()
         with pytest.raises(SchedulerError):
             sim.step(cfg, (DELIVER, "a", 0))
+
+    def test_entry_starts_armed_or_default_section(self):
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        for pid in ("a", "b"):
+            cfg.states[pid].state = REQ
+            cfg.states[pid].need = 1
+            cfg.states[pid].rset = [Reserved(0)]
+        cfg.app.armed_duration["a"] = 4
+        sim.stamp_uids(cfg)
+        nxt = sim.step(cfg, (SKIP,))
+        assert nxt.states["a"].state == nxt.states["b"].state == IN
+        assert nxt.app.remaining == {"a": 4, "b": 1}
+        assert nxt.app.armed_duration == {}
 
     def test_fifo_order_preserved(self):
         sim = make_sim()
@@ -277,3 +294,60 @@ class TestWorkloadIntegration:
         exit_ = next(r.step for r in trace.records
                      for (pid, a, b) in r.transitions if pid == "a" and b == OUT)
         assert exit_ == enter + 1
+
+
+class RecordingPolicy:
+    """Delegates to ``inner`` and records every choice, idle steps as skip."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.choices = []
+
+    def choose(self, enabled, slots):
+        choice = self.inner.choose(enabled, slots)
+        self.choices.append((SKIP,) if choice is None else choice)
+        return choice
+
+
+class TestWokenOnlySweep:
+    """``run`` passes only over processes whose inputs changed; a ``sim.step``
+    chain passes over every process each step.  Driven by the same choices
+    from an arbitrary start, both must produce the same configurations."""
+
+    def assert_equivalent(self, sim, cfg0, make_workload, seed, steps=300):
+        order = sim.topo.process_ids
+        policy = RecordingPolicy(RandomPolicy(seed))
+        from_run = []
+        trace = sim.run(cfg0, policy, steps, workload=make_workload(),
+                        observer=lambda cfg, rec: from_run.append(
+                            (cfg.fingerprint(order), cfg.timer, sorted(rec.entries))))
+        assert len(from_run) == steps
+        cfg, workload, from_step = cfg0, make_workload(), []
+        for choice in policy.choices:
+            nxt = sim.step(cfg, choice, workload)
+            entered = sorted(pid for pid in order if nxt.states[pid].state == IN
+                             and cfg.states[pid].state != IN)
+            from_step.append((nxt.fingerprint(order), nxt.timer, entered))
+            cfg = nxt
+        assert from_step == from_run
+        return trace
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_workload(self, seed):
+        topo = random_tree(seed, 2 + seed % 6)
+        sim = Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=30))
+        trace = self.assert_equivalent(
+            sim, sim.inject_arbitrary(seed),
+            lambda: RandomWorkload(topo.process_ids, 2, seed, rate=0.2, max_duration=4),
+            seed)
+        assert any(rec.entries for rec in trace.records)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_livelock_workload(self, seed):
+        sim = scenarios.livelock_simulator(timeout=30)
+        cfg0 = sim.inject_arbitrary(seed)
+        rng = random.Random(seed)
+        for pid in sim.topo.process_ids:  # in-flight sections, some pinned
+            if cfg0.states[pid].state == IN and rng.random() < 0.3:
+                cfg0.app.remaining[pid] = float("inf")
+        self.assert_equivalent(sim, cfg0, scenarios.livelock_workload, seed)
