@@ -114,7 +114,7 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     stab = monitor.stabilization_time(trace)
     safety = monitor.check_safety(trace, stab)
     fairness = monitor.check_fairness(trace)
-    report = monitor.render_report(trace, cfg.topology, cfg.ell)
+    report = monitor.render_report(trace, cfg.topology, cfg.ell, stab, safety, fairness)
 
     if not safety.passed or (not fairness.passed and not fairness.inconclusive):
         status = VIOLATION
@@ -196,9 +196,6 @@ def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
 
 
 def run_figure(name: str) -> tuple[int, str]:
-    if name not in scenarios.FIGURE_NAMES:
-        raise UsageError(f"unknown figure {name!r}; choose from "
-                         f"{', '.join(scenarios.FIGURE_NAMES)}")
     result = scenarios.run_figure(name)
     lines = [
         f"{result.name}: failure reproduced in diagnostic mode: "
@@ -246,6 +243,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         if args.figure is not None:
+            ignored = [flag for flag, value in (
+                ("--topology", args.topology), ("--scenario", args.scenario),
+                ("--replay", args.replay), ("--out", args.out),
+                ("--campaign", args.campaign)) if value is not None]
+            if ignored:
+                raise UsageError(f"--figure runs a built-in scenario; it takes no "
+                                 f"{', '.join(ignored)}")
             status, text = run_figure(args.figure)
             print(text, end="")
             return status

@@ -43,187 +43,146 @@ def ctrl_is_valid(msg: Ctrl, receiver_state, is_root: bool, q: int) -> bool:
 
 
 class RingInfo:
-    """Ring geometry used to decide which tokens the current controller
-    traversal has already counted.
+    """Ring geometry of one topology, as ``step_checks`` walks it.
 
-    ``t_index`` maps a channel key to its position 1..2(n-1) in the order
-    the controller visits channels, with the wrap channel (root, deg-1)
-    last.  ``visit_index`` is the same map except that the wrap channel
-    maps to 0: reserved tokens there are picked into PT at the wrap, i.e.
-    at the very start of a traversal.
+    ``walk`` lists every channel as (key, ring position) against the ring
+    direction: the wrap channel (root, deg-1) first, with position 2(n-1)
+    (a controller there has passed every other channel), then ring
+    positions 2(n-1)-1 down to 1.  ``positions[p][ch]`` is the ring
+    position of channel ch at p, with the wrap channel at 0: reservations
+    there are picked into PT at the wrap, i.e. at the very start of a
+    traversal.
     """
 
     def __init__(self, topo: TreeTopology):
         self.topo = topo
-        ring = virtual_ring(topo)
-        self.length = len(ring)
-        self.t_index: dict[tuple[str, int], int] = {}
-        for i, pos in enumerate(ring):
-            key = (pos.process, pos.in_channel)
-            self.t_index[key] = i if i >= 1 else self.length
-        self.visit_index = dict(self.t_index)
-        self.visit_index[(topo.root, topo.degree(topo.root) - 1)] = 0
-        self.root_keys_t = sorted(
-            t for (pid, _ch), t in self.t_index.items() if pid == topo.root
-        )
+        ring = [(pos.process, pos.in_channel) for pos in virtual_ring(topo)]
+        self.positions = {p: [0] * topo.degree(p) for p in topo.process_ids}
+        for t, (p, ch) in enumerate(ring):
+            self.positions[p][ch] = t
+        self.walk = [(ring[0], len(ring))]
+        self.walk += [(ring[t], t) for t in range(len(ring) - 1, 0, -1)]
 
 
 def step_checks(cfg, ring: RingInfo, k: int, ell: int,
                 modulus: int) -> tuple[CensusReport, bool, list[str]]:
-    """Census, legitimacy verdict, and safety scan for one snapshot.
-
-    Legitimacy is membership in the legitimate attractor: the nominal
-    token population (ell resource tokens, one priority token, one
-    pusher), no safety violation, and the clauses of ``_attractor_check``.
+    """Census, legitimacy verdict, and safety scan for one snapshot, in one
+    walk over the channels and one over the processes.
 
     Safety violations reported: a unit represented twice (duplicate
     identity tag), more than k units held by a process in its critical
     section, more than ell units in use, any variable outside its domain.
+
+    A configuration is legitimate when all of these hold:
+
+    - census: ell resource tokens, one priority token, one pusher;
+    - no safety violation;
+    - exactly one control message, valid for its receiver (``ctrl_is_valid``),
+      not a reset, and the root not in reset mode;
+    - root carve-outs: the root does not request and holds neither a
+      reservation nor the priority token on its wrap channel (the literal
+      handler order counts those twice across a wrap);
+    - canonical traversal state, with c the controller's counter and
+      ``visits`` the number of a process's channels the controller has
+      passed in this traversal: the root, and every non-root with
+      visits > 0, has ``myc == c`` and ``succ == visits % degree``; every
+      other non-root has ``myc != c``;
+    - running counts (counter flushing): ``Ctrl.pt + SToken``,
+      ``Ctrl.ppr + SPrio`` and ``SPush`` equal the resource, priority and
+      pusher tokens the traversal has already counted: those behind the
+      controller in its own channel or in a channel it has passed, and those
+      held on a passed channel or on the root's wrap channel.
+
+    The traversal clauses are what make the predicate closed under
+    execution; a merely nominal census can still carry inflated counts
+    that trigger a spurious reset at the next wrap.
     """
     topo = ring.topo
+    root = topo.root
+    states = cfg.states
+    channels = cfg.channels
     violations: list[str] = []
-    res = prio = push = ctrl = 0
-    ctrls: list[tuple[tuple[str, int], Ctrl]] = []  # valid or not
+    res = prio = push = ctrl = n_ctrl = 0
     seen_uids: set[int] = set()
 
-    for key, queue in cfg.channels.items():
-        pid, q = key
-        st = cfg.states[pid]
-        is_root = pid == topo.root
+    # Against the ring direction, so the tokens met after the controller
+    # are exactly the ones behind it.
+    for key, t in ring.walk:
+        queue = channels[key]
+        if not queue:
+            continue
         for m in queue:
             if isinstance(m, ResT):
                 res += 1
                 if m.uid in seen_uids:
-                    violations.append(f"resource unit {m.uid} duplicated (channel {pid}:{q})")
+                    violations.append(f"resource unit {m.uid} duplicated "
+                                      f"(channel {key[0]}:{key[1]})")
                 seen_uids.add(m.uid)
             elif isinstance(m, PrioT):
                 prio += 1
             elif isinstance(m, PushT):
                 push += 1
             else:
-                ctrls.append((key, m))
-                if ctrl_is_valid(m, st, is_root, q):
+                n_ctrl += 1
+                pid, q = key
+                if ctrl_is_valid(m, states[pid], pid == root, q):
                     ctrl += 1
+                cm, t_c, ahead = m, t, (res, prio, push)
+
+    rs = states[root]
+    rd = topo.degree(root)
+    canon = (
+        n_ctrl == ctrl == 1 and not cm.r and not rs.reset
+        and rs.state != REQ and rs.prio != rd - 1
+        and all(e.channel != rd - 1 for e in rs.rset)
+    )
+    if canon:
+        c = cm.c
+        counted_res, counted_prio = res - ahead[0], prio - ahead[1]
+        counted_push = push - ahead[2]
 
     in_use = 0
     for pid in topo.process_ids:
-        st = cfg.states[pid]
-        res += len(st.rset)
-        for e in st.rset:
+        st = states[pid]
+        rset = st.rset
+        res += len(rset)
+        for e in rset:
             if e.uid in seen_uids:
                 violations.append(f"resource unit {e.uid} duplicated (RSet of {pid})")
             seen_uids.add(e.uid)
         if st.prio is not None:
             prio += 1
         if st.state == IN:
-            in_use += len(st.rset)
-            if len(st.rset) > k:
-                violations.append(f"{pid} in CS with {len(st.rset)} > k units")
+            in_use += len(rset)
+            if len(rset) > k:
+                violations.append(f"{pid} in CS with {len(rset)} > k units")
         if not 0 <= st.myc < modulus:
             violations.append(f"{pid} counter {st.myc} outside domain")
-        if st.stoken > ell + 1 or st.spush > 2 or st.sprio > 2 or len(st.rset) > k:
+        if st.stoken > ell + 1 or st.spush > 2 or st.sprio > 2 or len(rset) > k:
             violations.append(f"{pid} bounded variable outside domain")
+        if canon:
+            pos = ring.positions[pid]
+            # the root's wrap channel (position 0) is never passed mid-traversal
+            visits = len([t for t in pos if 0 < t < t_c])
+            if visits or pid == root:
+                canon = st.myc == c and st.succ == visits % len(pos)
+            else:
+                canon = st.myc != c
+            counted_res += len([e for e in rset if pos[e.channel] < t_c])
+            if st.prio is not None and pos[st.prio] < t_c:
+                counted_prio += 1
     if in_use > ell:
         violations.append(f"{in_use} > ell units in use")
 
-    rep = CensusReport(res, prio, push, ctrl)
     legit = (
-        rep.species() == (ell, 1, 1)
+        canon
+        and (res, prio, push) == (ell, 1, 1)
         and not violations
-        and len(ctrls) == 1
-        and _attractor_check(cfg, ring, *ctrls[0])
-    )
-    return rep, legit, violations
-
-
-def _attractor_check(cfg, ring: RingInfo, ckey: tuple[str, int], cm: Ctrl) -> bool:
-    """Clauses beyond the species census, given the only control message
-    ``cm`` and its channel ``ckey``: the message is valid and not a reset,
-    the traversal state is canonical, the running counts are exact, and no
-    reservations are parked on the ring's wrap boundary (the literal
-    handler order counts those twice across a wrap).
-
-    The consistency clauses are what make the predicate closed under
-    execution; a merely nominal census can still carry inflated counts
-    that trigger a spurious reset at the next wrap.
-    """
-    topo = ring.topo
-    root = topo.root
-    rs = cfg.states[root]
-    if rs.reset or cm.r:
-        return False
-    if not ctrl_is_valid(cm, cfg.states[ckey[0]], ckey[0] == root, ckey[1]):
-        return False
-
-    t_c = ring.t_index[ckey]
-    c = cm.c
-
-    rd = topo.degree(root)
-    if any(e.channel == rd - 1 for e in rs.rset) or rs.prio == rd - 1:
-        return False
-    # A requesting root can come to hold the priority token or reserved
-    # tokens at the wrap boundary, whose release then double-counts across
-    # the traversal seam; configurations that can still reach that seam
-    # burp are outside the attractor.
-    if rs.state == REQ:
-        return False
-
-    # canonical traversal state
-    if rs.myc != c:
-        return False
-    if rs.succ != sum(1 for t in ring.root_keys_t if t < t_c):
-        return False
-    for pid in topo.process_ids:
-        if pid == root:
-            continue
-        st = cfg.states[pid]
-        d = topo.degree(pid)
-        visits = sum(
-            1 for ch in range(d) if ring.t_index[(pid, ch)] < t_c
-        )
-        if visits == 0:
-            if st.myc == c:
-                return False
-        else:
-            if st.myc != c:
-                return False
-            if st.succ != (min(1, d - 1) + visits - 1) % d:
-                return False
-
-    # running counts match the tokens the traversal has already counted:
-    # a token is counted once it sits behind the controller, i.e. in a
-    # channel the controller has left or after it in its own channel
-    counted_res = counted_prio = counted_push = 0
-    for key, queue in cfg.channels.items():
-        if key == ckey:
-            behind = False
-        elif ring.t_index[key] < t_c:
-            behind = True
-        else:
-            continue
-        for m in queue:
-            if isinstance(m, Ctrl):
-                behind = True
-            elif not behind:
-                continue
-            elif isinstance(m, ResT):
-                counted_res += 1
-            elif isinstance(m, PrioT):
-                counted_prio += 1
-            else:
-                counted_push += 1
-    for pid in topo.process_ids:
-        st = cfg.states[pid]
-        for e in st.rset:
-            if ring.visit_index[(pid, e.channel)] < t_c:
-                counted_res += 1
-        if st.prio is not None and ring.visit_index[(pid, st.prio)] < t_c:
-            counted_prio += 1
-    return (
-        cm.pt + rs.stoken == counted_res
+        and cm.pt + rs.stoken == counted_res
         and cm.ppr + rs.sprio == counted_prio
         and rs.spush == counted_push
     )
+    return CensusReport(res, prio, push, ctrl), legit, violations
 
 
 # --------------------------------------------------------------------------
@@ -460,12 +419,12 @@ def traversal_observations(trace) -> list[TraversalObservation]:
 # Human-readable verdict report
 # --------------------------------------------------------------------------
 
-def render_report(trace, topo: TreeTopology, ell: int, sample_every: int = 0) -> str:
-    """Structured text summary of one run: stabilization step, per-request
-    waits, violation list, and an optional sampled census timeline."""
-    stab = stabilization_time(trace)
-    safety = check_safety(trace, stab)
-    fairness = check_fairness(trace)
+def render_report(trace, topo: TreeTopology, ell: int, stab: int | None,
+                  safety: SafetyVerdict, fairness: FairnessVerdict,
+                  sample_every: int = 0) -> str:
+    """Structured text summary of one run, given its verdicts: stabilization
+    step, per-request waits, violation list, and an optional sampled census
+    timeline."""
     lines = []
     lines.append(f"steps executed: {len(trace.records)} (ended: {trace.ended})")
     lines.append(f"stabilization step: {'never' if stab is None else stab}")

@@ -70,14 +70,18 @@ class FigureResult:
 # Deadlock (five units, four greedy requesters, pusher suppressed)
 # --------------------------------------------------------------------------
 
+DEADLOCK_K = 3
+DEADLOCK_BUDGET = 6000
+
+
 def deadlock_simulator(timeout: int | None) -> Simulator:
     topo = parse_topology(DEADLOCK_TOPOLOGY)
-    return Simulator(topo, SimParams(k=3, ell=5, cmax=3, timeout=timeout))
+    return Simulator(topo, SimParams(k=DEADLOCK_K, ell=5, cmax=3, timeout=timeout))
 
 
-def deadlock_workload(k: int = 3) -> Workload:
+def deadlock_workload() -> Workload:
     return Workload(
-        [WorkloadEvent(0, p, 3, 5) for p in ("a", "b", "c", "d")], k=k
+        [WorkloadEvent(0, p, 3, 5) for p in ("a", "b", "c", "d")], k=DEADLOCK_K
     )
 
 
@@ -92,11 +96,11 @@ def deadlock_config(sim: Simulator) -> Configuration:
     return cfg
 
 
-def run_deadlock_figure(budget: int = 6000) -> FigureResult:
+def run_deadlock_figure() -> FigureResult:
     # diagnostic: pusher suppressed, timeout disabled so nothing can recover
     sim = deadlock_simulator(timeout=None)
     trace = sim.run(
-        deadlock_config(sim), RoundRobinPolicy(), budget,
+        deadlock_config(sim), RoundRobinPolicy(), DEADLOCK_BUDGET,
         workload=deadlock_workload(),
     )
     fairness = check_fairness(trace)
@@ -112,7 +116,7 @@ def run_deadlock_figure(budget: int = 6000) -> FigureResult:
     topo = sim.topo
     sim_full = deadlock_simulator(timeout=default_timeout(topo, 5, 3))
     trace_full = sim_full.run(
-        sim_full.initial_configuration(), RoundRobinPolicy(), budget,
+        sim_full.initial_configuration(), RoundRobinPolicy(), DEADLOCK_BUDGET,
         workload=deadlock_workload(),
     )
     fairness_full = check_fairness(trace_full)
@@ -134,17 +138,20 @@ def run_deadlock_figure(budget: int = 6000) -> FigureResult:
 ROOT_CS_STEPS = 7
 LEAF_CS_STEPS = 5
 CYCLE = 8
+LIVELOCK_K = 2
+LIVELOCK_CYCLES = 6
+LIVELOCK_BUDGET = 4000
 
 
 def livelock_simulator(timeout: int | None) -> Simulator:
     topo = parse_topology(LIVELOCK_TOPOLOGY)
-    return Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=timeout))
+    return Simulator(topo, SimParams(k=LIVELOCK_K, ell=3, cmax=2, timeout=timeout))
 
 
-def livelock_workload(k: int = 2) -> RepeatingWorkload:
+def livelock_workload() -> RepeatingWorkload:
     return RepeatingWorkload(
         {"r": (1, ROOT_CS_STEPS), "a": (2, math.inf), "b": (1, LEAF_CS_STEPS)},
-        k=k,
+        k=LIVELOCK_K,
     )
 
 
@@ -187,7 +194,7 @@ def livelock_replay(cycles: int) -> list[Choice]:
     return one_cycle * cycles
 
 
-def run_livelock_figure(cycles: int = 6, budget: int = 4000) -> FigureResult:
+def run_livelock_figure() -> FigureResult:
     # diagnostic: priority suppressed, exact replay; the network must return
     # to an earlier configuration while a's request stays unsatisfied
     sim = livelock_simulator(timeout=None)
@@ -195,8 +202,8 @@ def run_livelock_figure(cycles: int = 6, budget: int = 4000) -> FigureResult:
     order = sim.topo.process_ids
     trace = sim.run(
         livelock_config(sim, with_priority=False),
-        ReplayPolicy(livelock_replay(cycles)),
-        cycles * CYCLE,
+        ReplayPolicy(livelock_replay(LIVELOCK_CYCLES)),
+        LIVELOCK_CYCLES * CYCLE,
         workload=livelock_workload(),
         observer=lambda cfg, rec: fingerprints.append(cfg.fingerprint(order)),
     )
@@ -216,7 +223,7 @@ def run_livelock_figure(cycles: int = 6, budget: int = 4000) -> FigureResult:
     trace2 = sim2.run(
         livelock_config(sim2, with_priority=True),
         RoundRobinPolicy(),
-        budget,
+        LIVELOCK_BUDGET,
         workload=livelock_workload(),
     )
     recovered = any("a" in rec.entries for rec in trace2.records)
@@ -236,4 +243,4 @@ def run_figure(name: str) -> FigureResult:
         return run_deadlock_figure()
     if name == "fig3-livelock":
         return run_livelock_figure()
-    raise ValueError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
+    raise ValueError(f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")

@@ -1,5 +1,6 @@
 import pytest
 
+from klexsim import monitor
 from klexsim.cli import (
     INCONCLUSIVE,
     PASS,
@@ -79,6 +80,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "scenario" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--topology", "/nonexistent"), ("--scenario", "/nonexistent"),
+        ("--replay", "/nonexistent"), ("--out", "/nonexistent"), ("--campaign", "3"),
+    ])
+    def test_figure_with_run_flag_is_usage_error(self, flag, value, capsys):
+        assert main(["--figure", "fig2-deadlock", flag, value]) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):
@@ -133,6 +143,20 @@ class TestRunOnce:
         lib_code, lib_report, _ = run_once(cfg)
         assert cli_code == lib_code
         assert cli_out == lib_report
+
+    def test_each_verdict_computed_once(self, monkeypatch):
+        names = ("stabilization_time", "check_safety", "check_fairness",
+                 "collect_requests")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(monitor, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(monitor, name, counted)
+        cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=2, ell=3,
+                        fault="arbitrary", seed=5, budget=800)
+        run_once(cfg)
+        assert calls == dict.fromkeys(names, 1)
 
 
 class TestReplayPolicy:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -17,12 +18,16 @@ from klexsim.monitor import (
 )
 from klexsim.protocol import IN, REQ, Ctrl, PrioT, PushT, Reserved, ResT
 from klexsim.simnet import RoundRobinPolicy, SimParams, Simulator
-from klexsim.topology import parse_topology, random_tree
+from klexsim.topology import parse_topology, random_tree, virtual_ring
 
 STAR = parse_topology("n 3 root r\nr: a b\na: r\nb: r\n")
 CHAIN5 = parse_topology(
     "n 5 root r\nr: a\na: r b\nb: a c\nc: b d\nd: c\n"
 )
+
+
+# root of degree 2, an inner process of degree 3, three leaves
+TREE5 = parse_topology("n 5 root r\nr: a b\na: r c d\nb: r\nc: a\nd: a\n")
 
 
 def make_sim(topo=STAR, k=2, ell=3, cmax=2, timeout=500):
@@ -87,6 +92,85 @@ class TestCensus:
                     rep.ctrl_tokens) == recount(cfg, topo)
 
 
+def legit_configurations(sim, steps=400):
+    """Every legitimate configuration of a canonical run, with the channel
+    holding its controller and the non-root processes the controller has
+    visited in its current traversal (a channel at ring position 1..t-1,
+    where t is the controller's position and the wrap channel counts as the
+    last)."""
+    ring = [(pos.process, pos.in_channel) for pos in virtual_ring(sim.topo)]
+    out = []
+
+    def keep(cfg, rec):
+        if rec.legit:
+            (ckey,) = [key for key, q in cfg.channels.items()
+                       if any(isinstance(m, Ctrl) for m in q)]
+            t = ring.index(ckey) or len(ring)
+            visited = {p for p, _ in ring[1:t]} - {sim.topo.root}
+            out.append((cfg.clone(), ckey, visited))
+
+    sim.run(sim.initial_configuration(), RoundRobinPolicy(), steps, observer=keep)
+    return out
+
+
+def ctrl_at(cfg, ckey):
+    q = cfg.channels[ckey]
+    return q, next(i for i, m in enumerate(q) if isinstance(m, Ctrl))
+
+
+def token_ahead_moved_behind(sim, cfg, ckey, visited):
+    q, i = ctrl_at(cfg, ckey)
+    if i == 0:
+        return False
+    tok = q[i - 1]
+    del q[i - 1]
+    q.insert(i, tok)
+    return True
+
+
+def unvisited_adopts_counter(sim, cfg, ckey, visited):
+    q, i = ctrl_at(cfg, ckey)
+    topo = sim.topo
+    for p in topo.process_ids:
+        if p not in visited and p not in (topo.root, ckey[0]):
+            cfg.states[p].myc = q[i].c
+            return True
+    return False
+
+
+def visited_succ_off_by_one(sim, cfg, ckey, visited):
+    for p in sorted(visited - {ckey[0]}):
+        if sim.topo.degree(p) > 1:
+            st = cfg.states[p]
+            st.succ = (st.succ + 1) % sim.topo.degree(p)
+            return True
+    return False
+
+
+def root_succ_off_by_one(sim, cfg, ckey, visited):
+    root = sim.topo.root
+    if ckey[0] == root:
+        return False
+    st = cfg.states[root]
+    st.succ = (st.succ + 1) % sim.topo.degree(root)
+    return True
+
+
+def ctrl_pt_off_by_one(sim, cfg, ckey, visited):
+    q, i = ctrl_at(cfg, ckey)
+    q[i] = replace(q[i], pt=q[i].pt + 1)
+    return True
+
+
+def visited_leaf_wrong_counter(sim, cfg, ckey, visited):
+    for p in sorted(visited - {ckey[0]}):
+        if sim.topo.degree(p) == 1:
+            st = cfg.states[p]
+            st.myc = (st.myc + 1) % sim.modulus
+            return True
+    return False
+
+
 class TestLegitimacy:
     def test_canonical_configuration_is_legitimate(self):
         sim = make_sim()
@@ -126,6 +210,29 @@ class TestLegitimacy:
         cfg = sim.initial_configuration()
         cfg.states["r"].stoken = 1
         assert not sim.check(cfg)[1]
+
+    # Legitimate mid-traversal configurations of a canonical run, each
+    # mutated so that exactly one traversal clause breaks: the census and
+    # the safety scan must not change, and legitimacy must be lost.
+    @pytest.mark.parametrize("mutate", [
+        token_ahead_moved_behind,
+        unvisited_adopts_counter,
+        visited_succ_off_by_one,
+        root_succ_off_by_one,
+        ctrl_pt_off_by_one,
+        visited_leaf_wrong_counter,
+    ], ids=lambda f: f.__name__)
+    def test_single_clause_mutation_not_legitimate(self, mutate):
+        sim = make_sim(TREE5)
+        applied = 0
+        for cfg, ckey, visited in legit_configurations(sim):
+            census, legit, violations = sim.check(cfg)
+            assert legit and not violations
+            if not mutate(sim, cfg, ckey, visited):
+                continue
+            applied += 1
+            assert sim.check(cfg) == (census, False, [])
+        assert applied >= 10
 
 
 class TestStabilization:
@@ -350,7 +457,9 @@ class TestReport:
     def test_render_mentions_key_facts(self):
         sim = make_sim()
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 100)
-        text = render_report(trace, STAR, 3, sample_every=50)
+        stab = stabilization_time(trace)
+        text = render_report(trace, STAR, 3, stab, check_safety(trace, stab),
+                             check_fairness(trace), sample_every=50)
         assert "stabilization step: 0" in text
         assert "safety: pass" in text
         assert "census timeline:" in text
