@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring
@@ -43,31 +44,194 @@ def ctrl_is_valid(msg: Ctrl, receiver_state, is_root: bool, q: int) -> bool:
 
 
 class RingInfo:
-    """Ring geometry of one topology, as ``step_checks`` walks it.
+    """Ring geometry of one topology, as ``step_checks`` counts it.
 
-    ``walk`` lists every channel as (key, ring position) against the ring
-    direction: the wrap channel (root, deg-1) first, with position 2(n-1)
-    (a controller there has passed every other channel), then ring
-    positions 2(n-1)-1 down to 1.  ``positions[p][ch]`` is the ring
-    position of channel ch at p, with the wrap channel at 0: reservations
-    there are picked into PT at the wrap, i.e. at the very start of a
-    traversal.
+    ``keys[t]`` is the channel at ring position t, which is also its index
+    in the simulator's ``channel_keys``; position 0 is the root's wrap
+    channel (root, deg-1).  ``positions[p][ch]`` inverts ``keys``: the ring
+    position of channel ch at p.  Held reservations on the wrap channel are
+    picked into PT at the wrap, i.e. at the very start of a traversal; a
+    controller on it has passed every other channel, so as the controller's
+    place it counts as 2(n-1).  ``order[p]`` is p's index in ``process_ids``.
     """
 
     def __init__(self, topo: TreeTopology):
         self.topo = topo
-        ring = [(pos.process, pos.in_channel) for pos in virtual_ring(topo)]
+        self.keys = [(pos.process, pos.in_channel) for pos in virtual_ring(topo)]
         self.positions = {p: [0] * topo.degree(p) for p in topo.process_ids}
-        for t, (p, ch) in enumerate(ring):
+        for t, (p, ch) in enumerate(self.keys):
             self.positions[p][ch] = t
-        self.walk = [(ring[0], len(ring))]
-        self.walk += [(ring[t], t) for t in range(len(ring) - 1, 0, -1)]
+        self.order = {p: i for i, p in enumerate(topo.process_ids)}
 
 
-def step_checks(cfg, ring: RingInfo, k: int, ell: int,
-                modulus: int) -> tuple[CensusReport, bool, list[str]]:
-    """Census, legitimacy verdict, and safety scan for one snapshot, in one
-    walk over the channels and one over the processes.
+_SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
+_NO_PROCESS = (0, False, 0, (), (), False, 0, False)
+
+
+class Tally:
+    """What ``step_checks`` keeps from one configuration to the next in a
+    run: the token counts of every channel and the part of every process in
+    the census, the safety scan and the traversal clauses, with their sums.
+
+    A process's part is (held resource tokens, holds the priority token,
+    units in use, reserved uids, violations, off the canonical traversal
+    state, held resource tokens and priority token the traversal has
+    counted).  The traversal fields are taken for ``key``, the
+    (counter, place) of the controller, and only while there is one.
+    """
+
+    def __init__(self, ring: RingInfo, k: int, ell: int, modulus: int):
+        self.ring, self.k, self.ell, self.modulus = ring, k, ell, modulus
+        self.primed = False
+        self.tokens = [0, 0, 0]  # resource, priority, pusher tokens, held included
+        self.counts = {key: [0, 0, 0] for key in ring.keys}  # per channel
+        self.ctrls: dict = {}  # channel -> its control messages, front first
+        self.after: dict = {}  # channel -> tokens behind its last control message
+        self.copies: dict[int, int] = {}  # resource uid -> copies
+        self.procs: dict = {}
+        self.bad: dict = {}  # process -> its violations
+        self.in_use = 0
+        self.key: tuple[int, int] | None = None
+        # for ``key``: tokens in the channels before the controller's place,
+        # processes off the canonical state, held tokens already counted
+        self.behind = [0, 0, 0]
+        self.off = self.counted_res = self.counted_prio = 0
+        self.census = CensusReport(0, 0, 0, 0)
+
+    def move(self, key, m, sign: int) -> None:
+        """Count message m into (sign 1, put at the back) or out of (sign -1,
+        taken from the front) channel ``key``."""
+        i = _SPECIES.get(m.__class__)
+        if i is None:
+            if sign > 0:
+                self.ctrls.setdefault(key, []).append(m)
+                self.after[key] = [0, 0, 0]
+            else:
+                ctrls = self.ctrls[key]
+                del ctrls[0]
+                if not ctrls:
+                    del self.ctrls[key], self.after[key]
+            return
+        if not i:
+            copies = self.copies
+            left = copies.get(m.uid, 0) + sign
+            if left:
+                copies[m.uid] = left
+            else:
+                del copies[m.uid]
+        self.counts[key][i] += sign
+        self.tokens[i] += sign
+        if sign > 0 and key in self.after:
+            self.after[key][i] += 1
+        if self.key is not None and 0 < self.ring.positions[key[0]][key[1]] < self.key[1]:
+            self.behind[i] += sign
+
+    def process(self, pid, st) -> None:
+        """Count one process's part again, for the current ``key``."""
+        rset = st.rset
+        held = len(rset)
+        viol = ()
+        if st.state == IN and held > self.k:
+            viol += (f"{pid} in CS with {held} > k units",)
+        if not 0 <= st.myc < self.modulus:
+            viol += (f"{pid} counter {st.myc} outside domain",)
+        if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
+            viol += (f"{pid} bounded variable outside domain",)
+        off = False
+        counted_res = 0
+        counted_prio = False
+        if self.key is not None:
+            c, t_c = self.key
+            pos = self.ring.positions[pid]
+            # the root's wrap channel (position 0) is never passed mid-traversal
+            visits = 0
+            for t in pos:
+                visits += 0 < t < t_c
+            if pid == self.ring.topo.root:
+                # with its carve-outs: no reset, no request, nothing held
+                # on the wrap channel
+                off = (st.myc != c or st.succ != visits % len(pos) or st.reset
+                       or st.state == REQ or st.prio == len(pos) - 1
+                       or any(e.channel == len(pos) - 1 for e in rset))
+            elif visits:
+                off = st.myc != c or st.succ != visits % len(pos)
+            else:
+                off = st.myc == c
+            for e in rset:
+                counted_res += pos[e.channel] < t_c
+            counted_prio = st.prio is not None and pos[st.prio] < t_c
+        new = (held, st.prio is not None, held if st.state == IN else 0,
+               tuple([e.uid for e in rset]) if rset else (), viol,
+               off, counted_res, counted_prio)
+        old = self.procs.get(pid, _NO_PROCESS)
+        if new == old:
+            return
+        self.procs[pid] = new
+        if old[3] != new[3]:
+            copies = self.copies
+            for uid in old[3]:
+                left = copies[uid] - 1
+                if left:
+                    copies[uid] = left
+                else:
+                    del copies[uid]
+            for uid in new[3]:
+                copies[uid] = copies.get(uid, 0) + 1
+        self.tokens[0] += held - old[0]
+        self.tokens[1] += new[1] - old[1]
+        self.in_use += new[2] - old[2]
+        if viol:
+            self.bad[pid] = viol
+        elif old[4]:
+            del self.bad[pid]
+        self.off += off - old[5]
+        self.counted_res += counted_res - old[6]
+        self.counted_prio += counted_prio - old[7]
+
+    def violations(self, cfg) -> list[str]:
+        """The safety violations of ``cfg``, in the order of a walk over the
+        channels against the ring direction, the wrap channel first, and then
+        over the processes."""
+        ring = self.ring
+        if self.tokens[0] == len(self.copies):  # no unit represented twice
+            out = [v for pid in sorted(self.bad, key=ring.order.__getitem__)
+                   for v in self.bad[pid]]
+        else:
+            seen: set[int] = set()
+            out = []
+            for key in ring.keys[:1] + ring.keys[:0:-1]:
+                for m in cfg.channels[key]:
+                    if isinstance(m, ResT):
+                        if m.uid in seen:
+                            out.append(f"resource unit {m.uid} duplicated "
+                                       f"(channel {key[0]}:{key[1]})")
+                        seen.add(m.uid)
+            for pid in ring.topo.process_ids:
+                part = self.procs.get(pid, _NO_PROCESS)
+                for uid in part[3]:
+                    if uid in seen:
+                        out.append(f"resource unit {uid} duplicated (RSet of {pid})")
+                    seen.add(uid)
+                out += part[4]
+        if self.in_use > self.ell:
+            out.append(f"{self.in_use} > ell units in use")
+        return out
+
+
+def step_checks(tally: Tally, cfg, moves: Iterable,
+                procs: Iterable) -> tuple[CensusReport, bool, list[str]]:
+    """Census, legitimacy verdict, and safety scan for one snapshot.
+
+    ``moves`` lists, in the order they happened since the configuration
+    ``tally`` last counted, the messages taken from the front of a channel
+    or put at its back, as (channel, message, -1 or 1); ``procs`` names the
+    processes whose state may have changed.  Only those are counted again.
+    A fresh tally ignores both and counts every message and process.  The
+    traversal fields of every process are counted again when the
+    controller's place does not follow from the last one: on a wrap (the
+    counter changes), a jump, a move backwards, or when a single valid
+    control message appears.  A move to the next channel adds the channel
+    it left, and counts again the process that channel leads to.
 
     Safety violations reported: a unit represented twice (duplicate
     identity tag), more than k units held by a process in its critical
@@ -97,92 +261,64 @@ def step_checks(cfg, ring: RingInfo, k: int, ell: int,
     execution; a merely nominal census can still carry inflated counts
     that trigger a spurious reset at the next wrap.
     """
-    topo = ring.topo
-    root = topo.root
+    ring = tally.ring
+    root = ring.topo.root
     states = cfg.states
-    channels = cfg.channels
-    violations: list[str] = []
-    res = prio = push = ctrl = n_ctrl = 0
-    seen_uids: set[int] = set()
+    if not tally.primed:
+        tally.primed = True
+        moves = [(key, m, 1) for key in ring.keys for m in cfg.channels[key]]
+        procs = ring.topo.process_ids
+    for key, m, sign in moves:
+        tally.move(key, m, sign)
 
-    # Against the ring direction, so the tokens met after the controller
-    # are exactly the ones behind it.
-    for key, t in ring.walk:
-        queue = channels[key]
-        if not queue:
-            continue
-        for m in queue:
-            if isinstance(m, ResT):
-                res += 1
-                if m.uid in seen_uids:
-                    violations.append(f"resource unit {m.uid} duplicated "
-                                      f"(channel {key[0]}:{key[1]})")
-                seen_uids.add(m.uid)
-            elif isinstance(m, PrioT):
-                prio += 1
-            elif isinstance(m, PushT):
-                push += 1
-            else:
-                n_ctrl += 1
-                pid, q = key
-                if ctrl_is_valid(m, states[pid], pid == root, q):
-                    ctrl += 1
-                cm, t_c, ahead = m, t, (res, prio, push)
+    n_ctrl = ctrl = 0
+    for ckey, ctrls in tally.ctrls.items():
+        pid, q = ckey
+        for cm in ctrls:
+            n_ctrl += 1
+            ctrl += ctrl_is_valid(cm, states[pid], pid == root, q)
+    key = None
+    if n_ctrl == ctrl == 1:
+        key = (cm.c, ring.positions[pid][q] or len(ring.keys))
+    if key != tally.key:
+        # with no key the traversal fields stay as they are: the next key
+        # counts every process again
+        behind = tally.behind
+        passed = ()
+        if key is not None and tally.key == (key[0], key[1] - 1):
+            passed = (key[1] - 1,)
+            procs = {*procs, ring.keys[key[1] - 1][0]}
+        elif key is not None:
+            behind[:] = (0, 0, 0)
+            passed = range(1, key[1])
+            procs = ring.topo.process_ids
+        for t in passed:
+            for i, n in enumerate(tally.counts[ring.keys[t]]):
+                behind[i] += n
+        tally.key = key
+    for pid in procs:
+        tally.process(pid, states[pid])
 
+    res, prio, push = tally.tokens
+    census = tally.census
+    if (census.res_tokens, census.prio_tokens, census.push_tokens,
+            census.ctrl_tokens) != (res, prio, push, ctrl):
+        census = tally.census = CensusReport(res, prio, push, ctrl)
+    violations = []
+    if tally.bad or res != len(tally.copies) or tally.in_use > tally.ell:
+        violations = tally.violations(cfg)
+    if (key is None or tally.off or violations or cm.r
+            or (res, prio, push) != (tally.ell, 1, 1)):
+        return census, False, violations
     rs = states[root]
-    rd = topo.degree(root)
-    canon = (
-        n_ctrl == ctrl == 1 and not cm.r and not rs.reset
-        and rs.state != REQ and rs.prio != rd - 1
-        and all(e.channel != rd - 1 for e in rs.rset)
-    )
-    if canon:
-        c = cm.c
-        counted_res, counted_prio = res - ahead[0], prio - ahead[1]
-        counted_push = push - ahead[2]
-
-    in_use = 0
-    for pid in topo.process_ids:
-        st = states[pid]
-        rset = st.rset
-        res += len(rset)
-        for e in rset:
-            if e.uid in seen_uids:
-                violations.append(f"resource unit {e.uid} duplicated (RSet of {pid})")
-            seen_uids.add(e.uid)
-        if st.prio is not None:
-            prio += 1
-        if st.state == IN:
-            in_use += len(rset)
-            if len(rset) > k:
-                violations.append(f"{pid} in CS with {len(rset)} > k units")
-        if not 0 <= st.myc < modulus:
-            violations.append(f"{pid} counter {st.myc} outside domain")
-        if st.stoken > ell + 1 or st.spush > 2 or st.sprio > 2 or len(rset) > k:
-            violations.append(f"{pid} bounded variable outside domain")
-        if canon:
-            pos = ring.positions[pid]
-            # the root's wrap channel (position 0) is never passed mid-traversal
-            visits = len([t for t in pos if 0 < t < t_c])
-            if visits or pid == root:
-                canon = st.myc == c and st.succ == visits % len(pos)
-            else:
-                canon = st.myc != c
-            counted_res += len([e for e in rset if pos[e.channel] < t_c])
-            if st.prio is not None and pos[st.prio] < t_c:
-                counted_prio += 1
-    if in_use > ell:
-        violations.append(f"{in_use} > ell units in use")
-
+    b = tally.behind
+    after = tally.after[ckey]
     legit = (
-        canon
-        and (res, prio, push) == (ell, 1, 1)
-        and not violations
-        and cm.pt + rs.stoken == counted_res
-        and cm.ppr + rs.sprio == counted_prio
-        and rs.spush == counted_push
+        cm.pt + rs.stoken == b[0] + after[0] + tally.counted_res
+        and cm.ppr + rs.sprio == b[1] + after[1] + tally.counted_prio
+        and rs.spush == b[2] + after[2]
     )
-    return CensusReport(res, prio, push, ctrl), legit, violations
+    return census, legit, violations
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +367,17 @@ class SafetyVerdict:
     post_stabilization: list[str]
 
 
-def check_safety(trace, stabilization: int | None = None) -> SafetyVerdict:
+_NOT_GIVEN = object()
+
+
+def check_safety(trace, stabilization=_NOT_GIVEN) -> SafetyVerdict:
     """Safety over a trace: violations before the stabilization point are
     recorded but expected; any at or after it fails the run.  Also rejects
     any state transition outside the Out->Req->In->Out cycle.
+    ``stabilization`` is the trace's ``stabilization_time`` (None: it never
+    stabilizes), computed here when not given.
     """
-    if stabilization is None:
+    if stabilization is _NOT_GIVEN:
         stabilization = stabilization_time(trace)
     cutoff = math.inf if stabilization is None else stabilization
     pre: list[str] = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -96,9 +97,16 @@ class Configuration:
     step: int = 0
     timer: int = 0  # steps since the root last restarted its timer
     next_uid: int = 0
+    # ascending ``channel_keys`` indices of the non-empty channels, kept by
+    # the simulator's steps; None until first needed and in every clone
+    # (``run`` and ``step`` work on clones), so channels changed by hand
+    # before a run or step are indexed afresh
+    busy: list[int] | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "Configuration":
-        return copy.deepcopy(self)
+        nxt = copy.deepcopy(self)
+        nxt.busy = None
+        return nxt
 
     def fingerprint(self, order: Iterable[str]) -> tuple:
         """Protocol-visible identity of the configuration (monitor-only token
@@ -284,13 +292,19 @@ class Simulator:
 
     @cached_property
     def ring(self) -> monitor.RingInfo:
+        """The ring geometry; ``ring.positions`` also numbers the channels
+        in ``channel_keys`` order, and ``ring.order`` the processes."""
         # built on first use: a campaign keeps many simulators alive at once
         return monitor.RingInfo(self.topo)
 
+    def tally(self) -> monitor.Tally:
+        """A fresh tally: its first ``step_checks`` counts everything."""
+        return monitor.Tally(self.ring, self.params.k, self.params.ell, self.modulus)
+
     def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, list[str]]:
-        """(census, legitimacy, safety violations) of one configuration."""
-        return monitor.step_checks(cfg, self.ring, self.params.k, self.params.ell,
-                                   self.modulus)
+        """(census, legitimacy, safety violations) of one configuration,
+        counted from scratch."""
+        return monitor.step_checks(self.tally(), cfg, (), ())
 
     # -- configuration builders --------------------------------------------
 
@@ -402,27 +416,37 @@ class Simulator:
         dest = self.topo.endpoint(sender, out_channel)
         return (dest, self.topo.channel_to(dest, sender))
 
+    def _busy(self, cfg: Configuration) -> list[int]:
+        if cfg.busy is None:
+            cfg.busy = [i for i, key in enumerate(self.channel_keys) if cfg.channels[key]]
+        return cfg.busy
+
     def enabled_events(self, cfg: Configuration) -> list[Choice]:
-        enabled: list[Choice] = [
-            (DELIVER, pid, ch)
-            for pid, ch in self.channel_keys
-            if cfg.channels[(pid, ch)]
-        ]
+        """Enabled events in slot order: a delivery on every non-empty
+        channel (read from the configuration's index), then the timeout."""
+        slots = self.slots
+        enabled: list[Choice] = [slots[i] for i in self._busy(cfg)]
         if timeout_ready(cfg, self.params.timeout):
             enabled.append((TIMEOUT,))
         return enabled
 
     def _enqueue(self, cfg: Configuration, sender: str,
-                 sends: list[tuple[int, Message]]) -> list[str]:
+                 sends: list[tuple[int, Message]], moves: list) -> list[str]:
         rendered = []
         for out_ch, msg in sends:
             if isinstance(msg, ResT) and msg.uid < 0:
                 msg = replace(msg, uid=self._take_uid(cfg))
-            cfg.channels[self._dest_key(sender, out_ch)].append(msg)
+            key = self._dest_key(sender, out_ch)
+            queue = cfg.channels[key]
+            if not queue:
+                insort(self._busy(cfg), self.ring.positions[key[0]][key[1]])
+            queue.append(msg)
+            moves.append((key, msg, 1))
             rendered.append(f"{out_ch}:{msg}")
         return rendered
 
-    def _local_pass(self, cfg: Configuration, pid: str, rec: StepRecord) -> None:
+    def _local_pass(self, cfg: Configuration, pid: str, rec: StepRecord,
+                    moves: list) -> None:
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
@@ -432,26 +456,30 @@ class Simulator:
         if st.state != old:
             rec.transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, pid, out.sends)
+            sends = self._enqueue(cfg, pid, out.sends, moves)
             rec.lines.append(
                 f"step={rec.step} proc={pid} event=local msg=actions ch=- "
                 f"sends=[{','.join(sends)}]"
             )
 
     def execute_step(self, cfg: Configuration, policy, workload,
-                     dirty: Iterable[str]) -> StepRecord:
+                     dirty: Iterable[str], tally: monitor.Tally) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
         in ``process_ids`` order), then the event ``policy`` chooses, then
-        the checks of the configuration produced.  ``dirty`` processes may
-        have true guards already, as only a start no step produced can.
+        the checks of the configuration produced, counted into ``tally``
+        from what the step touched: the messages it took from or put into
+        a channel, and the processes it woke or delivered to.  ``dirty``
+        processes may have true guards already, as only a start no step
+        produced can.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it.  A choice
         of None or ``skip`` is an idle step: only the timers advance.
         """
         rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
+        moves: list[tuple[ChannelKey, Message, int]] = []
         woken = set(dirty)
         if workload is not None:
             due = workload.due(cfg.step, cfg.states)
@@ -464,16 +492,21 @@ class Simulator:
                     f"msg=request{{need={ev.need}}} ch=- sends=[]"
                 )
         woken.update(cfg.app.tick())
-        for pid in self.topo.process_ids:
-            if pid in woken:
-                self._local_pass(cfg, pid, rec)
+        for pid in sorted(woken, key=self.ring.order.__getitem__):
+            self._local_pass(cfg, pid, rec, moves)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
         restart = False
         if choice is not None and choice[0] != SKIP:
             if choice[0] == DELIVER:
                 _, pid, ch = choice
-                msg = cfg.channels[(pid, ch)].popleft()
+                key = (pid, ch)
+                queue = cfg.channels[key]
+                msg = queue.popleft()
+                if not queue:
+                    busy = self._busy(cfg)
+                    del busy[bisect_left(busy, self.ring.positions[pid][ch])]
+                moves.append((key, msg, -1))
                 out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
                 event = f"event=deliver msg={msg} ch={ch}"
             else:
@@ -483,15 +516,17 @@ class Simulator:
                 event = "event=timeout msg=- ch=-"
             rec.traversal_end = out.traversal_end
             restart = out.restart_timer
-            sends = self._enqueue(cfg, pid, out.sends)
+            sends = self._enqueue(cfg, pid, out.sends, moves)
             rec.lines.append(
                 f"step={rec.step} proc={pid} {event} sends=[{','.join(sends)}]"
             )
-            self._local_pass(cfg, pid, rec)
+            self._local_pass(cfg, pid, rec, moves)
+            woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
-        rec.census, rec.legit, rec.violations = self.check(cfg)
+        rec.census, rec.legit, rec.violations = monitor.step_checks(
+            tally, cfg, moves, woken)
         return rec
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
@@ -499,7 +534,8 @@ class Simulator:
         successor configuration, leaving the input untouched.  ``choice``
         must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
-        self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids)
+        self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
+                          self.tally())
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -508,7 +544,7 @@ class Simulator:
         workload out of events."""
         if self.params.timeout is not None:
             return True  # the timer will eventually fire
-        if any(cfg.channels[key] for key in self.channel_keys):
+        if self._busy(cfg):
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
             return True
@@ -521,7 +557,8 @@ class Simulator:
             observer: Callable[[Configuration, StepRecord], None] | None = None,
             ) -> Trace:
         """Execute up to ``budget`` steps from a copy of ``cfg0``; only the
-        first step passes over every process.
+        first step passes over every process, and the checks of each step
+        count again only what it touched (``monitor.step_checks``).
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration
@@ -529,7 +566,8 @@ class Simulator:
         happen again), on a replay running dry, or when ``stop`` says so.
         """
         cfg = cfg0.clone()
-        census0, legit0, violations0 = self.check(cfg)
+        tally = self.tally()
+        census0, legit0, violations0 = monitor.step_checks(tally, cfg, (), ())
         trace = Trace(
             records=[],
             initial_census=census0,
@@ -550,7 +588,7 @@ class Simulator:
                 trace.ended = "quiescent"
                 return trace
             rec = self.execute_step(cfg, policy, workload,
-                                    () if trace.records else self.topo.process_ids)
+                                    () if trace.records else self.topo.process_ids, tally)
             trace.records.append(rec)
             if observer is not None:
                 observer(cfg, rec)

@@ -158,6 +158,20 @@ class TestRunOnce:
         run_once(cfg)
         assert calls == dict.fromkeys(names, 1)
 
+    def test_unsettled_run_computes_stabilization_once(self, monkeypatch):
+        calls = []
+        real = monitor.stabilization_time
+
+        def counted(trace):
+            calls.append(real(trace))
+            return calls[-1]
+        monkeypatch.setattr(monitor, "stabilization_time", counted)
+        cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=2, ell=3,
+                        fault="arbitrary", seed=7, budget=2)
+        status, _, _ = run_once(cfg)
+        assert status == INCONCLUSIVE
+        assert calls == [None]
+
 
 class TestReplayPolicy:
     def test_replay_run_via_cli(self, star_file, tmp_path, capsys):

@@ -18,8 +18,11 @@ from klexsim.simnet import (
     SchedulerError,
     SimParams,
     Simulator,
+    default_timeout,
     format_replay,
     parse_replay,
+    timeout_ready,
+    traversal_allowance,
 )
 from klexsim.topology import parse_topology, random_tree
 
@@ -351,3 +354,111 @@ class TestWokenOnlySweep:
             if cfg0.states[pid].state == IN and rng.random() < 0.3:
                 cfg0.app.remaining[pid] = float("inf")
         self.assert_equivalent(sim, cfg0, scenarios.livelock_workload, seed)
+
+
+def scan_enabled(sim, cfg):
+    """``enabled_events`` by looking at every channel, as the index must give."""
+    enabled = [(DELIVER, pid, ch) for pid, ch in sim.channel_keys if cfg.channels[(pid, ch)]]
+    if timeout_ready(cfg, sim.params.timeout):
+        enabled.append((TIMEOUT,))
+    return enabled
+
+
+def run_checked(sim, cfg0, policy, budget, workload=None):
+    """Run with an observer that holds the checks ``run`` tallies at every
+    step to ``sim.check`` from scratch, and the indexed ``enabled_events``
+    to a scan of every channel."""
+    def observe(cfg, rec):
+        assert (rec.census, rec.legit, rec.violations) == sim.check(cfg), rec.step
+        assert sim.enabled_events(cfg) == scan_enabled(sim, cfg), rec.step
+
+    trace = sim.run(cfg0, policy, budget, workload=workload, observer=observe)
+    assert (trace.initial_census, trace.initial_legit,
+            trace.initial_violations) == sim.check(cfg0)
+    return trace
+
+
+def canonical_sim(topo, ell=3, k=2):
+    return Simulator(topo, SimParams(k=k, ell=ell, cmax=1,
+                                     timeout=default_timeout(topo, ell, 1)))
+
+
+class TestTallyMatchesScratch:
+    """``run`` counts each configuration's census, legitimacy and violations
+    from what the step touched, and keeps an index of the non-empty
+    channels; both must agree with counting everything afresh."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arbitrary_start(self, seed):
+        n, cmax, ell = 2 + seed % 11, seed % 4, 1 + seed % 4
+        topo = random_tree(500 + seed, n)
+        allowance = traversal_allowance(topo, ell, cmax)
+        sim = Simulator(topo, SimParams(k=1 + seed % ell, ell=ell, cmax=cmax,
+                                        timeout=3 * allowance))
+        policy = RoundRobinPolicy() if seed % 2 else RandomPolicy(seed)
+        run_checked(sim, sim.inject_arbitrary(seed), policy, 6 * allowance)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_requests_with_root(self, seed):
+        topo = random_tree(7000 + seed, 3 + seed % 5)
+        sim = canonical_sim(topo, ell=1 + seed % 3, k=1)
+        allowance = traversal_allowance(topo, sim.params.ell, 1)
+        workload = RandomWorkload(topo.process_ids, 1, seed, rate=0.08,
+                                  last_step=8 * allowance)
+        policy = RoundRobinPolicy() if seed % 2 else RandomPolicy(seed)
+        trace = run_checked(sim, sim.initial_configuration(), policy,
+                            10 * allowance, workload)
+        assert any(topo.root in rec.entries for rec in trace.records)
+
+    @pytest.mark.parametrize("n, steps", [(40, 1200), (160, 2400)])
+    def test_large_tree_across_a_wrap(self, n, steps):
+        sim = canonical_sim(random_tree(n, n))
+        trace = run_checked(sim, sim.initial_configuration(), RoundRobinPolicy(), steps)
+        assert any(rec.traversal_end for rec in trace.records)
+
+    def test_figures(self):
+        sim = scenarios.deadlock_simulator(timeout=None)
+        run_checked(sim, scenarios.deadlock_config(sim), RoundRobinPolicy(), 1500,
+                    scenarios.deadlock_workload())
+        sim = scenarios.livelock_simulator(timeout=None)
+        run_checked(sim, scenarios.livelock_config(sim, with_priority=False),
+                    ReplayPolicy(scenarios.livelock_replay(2)), 2 * scenarios.CYCLE,
+                    scenarios.livelock_workload())
+        run_checked(sim, scenarios.livelock_config(sim, with_priority=True),
+                    RoundRobinPolicy(), 1500, scenarios.livelock_workload())
+
+    def test_duplicated_unit(self):
+        sim = canonical_sim(random_tree(3, 6))
+        cfg = sim.initial_configuration()
+        uid = next(m.uid for q in cfg.channels.values() for m in q if isinstance(m, ResT))
+        cfg.channels[sim.channel_keys[3]].append(ResT(uid=uid))
+        pid = sim.topo.process_ids[2]
+        cfg.states[pid].state = REQ
+        cfg.states[pid].need = 2
+        cfg.states[pid].rset = [Reserved(0, uid)]
+        trace = run_checked(sim, cfg, RandomPolicy(3), 400)
+        assert any("duplicated" in v for rec in trace.records for v in rec.violations)
+
+    def test_stale_second_controller(self):
+        sim = canonical_sim(random_tree(4, 7))
+        cfg = sim.initial_configuration()
+        cfg.channels[sim.channel_keys[5]].append(Ctrl(3, False, 0, 0))
+        run_checked(sim, cfg, RoundRobinPolicy(), 600)
+
+    def test_parent_duplicate_jumps_the_controller(self):
+        # a non-root that finished its subtree (succ 0, counter adopted)
+        # takes a control message from its parent as valid, and forwards it
+        # to the parent: past its whole subtree
+        sim = canonical_sim(CHAIN)
+        mid = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 40,
+                      stop=lambda recs, cfg: cfg.states["a"].succ == 0
+                      and cfg.states["a"].myc == cfg.states["r"].myc).final
+        for q in mid.channels.values():
+            for m in [m for m in q if isinstance(m, Ctrl)]:
+                q.remove(m)
+        mid.channels[("a", 0)].appendleft(Ctrl(mid.states["a"].myc, False, 0, 0))
+        assert sim.check(mid)[0].ctrl_tokens == 1
+        trace = run_checked(sim, mid, ReplayPolicy([(DELIVER, "a", 0)]), 1)
+        assert trace.records[0].lines[0].endswith("sends=[0:Ctrl{c=%d,r=0,pt=0,ppr=0}]"
+                                                  % mid.states["a"].myc)
+        run_checked(sim, mid, RoundRobinPolicy(), 400)
