@@ -132,15 +132,19 @@ class Configuration:
 Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
+    """One executed step, built once when the step ends.  The event fields
+    are tuples (the shared ``()`` when empty) and there is no ``__dict__``,
+    so a long trace leaves the garbage collector little to walk."""
+
     step: int
-    lines: list[str]
+    lines: tuple[str, ...]
     census: monitor.CensusReport
     legit: bool
-    entries: list[str] = field(default_factory=list)
-    requests: list[tuple[str, int]] = field(default_factory=list)
-    transitions: list[tuple[str, str, str]] = field(default_factory=list)
+    entries: tuple[str, ...] = ()
+    requests: tuple[tuple[str, int], ...] = ()
+    transitions: tuple[tuple[str, str, str], ...] = ()
     traversal_end: TraversalEnd | None = None
     violations: list[str] = field(default_factory=list)
     timeout_fired: bool = False
@@ -445,20 +449,20 @@ class Simulator:
             rendered.append(f"{out_ch}:{msg}")
         return rendered
 
-    def _local_pass(self, cfg: Configuration, pid: str, rec: StepRecord,
-                    moves: list) -> None:
+    def _local_pass(self, cfg: Configuration, pid: str, lines: list, entries: list,
+                    transitions: list, moves: list) -> None:
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
         if out.entered_cs:
             cfg.app.enter_cs(pid)
-            rec.entries.append(pid)
+            entries.append(pid)
         if st.state != old:
-            rec.transitions.append((pid, old, st.state))
+            transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
             sends = self._enqueue(cfg, pid, out.sends, moves)
-            rec.lines.append(
-                f"step={rec.step} proc={pid} event=local msg=actions ch=- "
+            lines.append(
+                f"step={cfg.step} proc={pid} event=local msg=actions ch=- "
                 f"sends=[{','.join(sends)}]"
             )
 
@@ -478,25 +482,30 @@ class Simulator:
         section releases tokens), so the policy chooses after it.  A choice
         of None or ``skip`` is an idle step: only the timers advance.
         """
-        rec = StepRecord(step=cfg.step, lines=[], census=None, legit=False)
+        step = cfg.step
+        lines: list[str] = []
+        entries: list[str] = []
+        requests: list[tuple[str, int]] = []
+        transitions: list[tuple[str, str, str]] = []
         moves: list[tuple[ChannelKey, Message, int]] = []
         woken = set(dirty)
         if workload is not None:
-            due = workload.due(cfg.step, cfg.states)
+            due = workload.due(step, cfg.states)
             woken.update(apply_workload(due, cfg.app, cfg.states))
             for ev in due:
-                rec.requests.append((ev.process, ev.need))
-                rec.transitions.append((ev.process, OUT, REQ))
-                rec.lines.append(
-                    f"step={rec.step} proc={ev.process} event=local "
+                requests.append((ev.process, ev.need))
+                transitions.append((ev.process, OUT, REQ))
+                lines.append(
+                    f"step={step} proc={ev.process} event=local "
                     f"msg=request{{need={ev.need}}} ch=- sends=[]"
                 )
         woken.update(cfg.app.tick())
         for pid in sorted(woken, key=self.ring.order.__getitem__):
-            self._local_pass(cfg, pid, rec, moves)
+            self._local_pass(cfg, pid, lines, entries, transitions, moves)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
-        restart = False
+        restart = timeout_fired = False
+        traversal_end = None
         if choice is not None and choice[0] != SKIP:
             if choice[0] == DELIVER:
                 _, pid, ch = choice
@@ -512,22 +521,21 @@ class Simulator:
             else:
                 pid = self.topo.root
                 out = on_timeout_root(cfg.states[pid], self.pp[pid])
-                rec.timeout_fired = True
+                timeout_fired = True
                 event = "event=timeout msg=- ch=-"
-            rec.traversal_end = out.traversal_end
+            traversal_end = out.traversal_end
             restart = out.restart_timer
             sends = self._enqueue(cfg, pid, out.sends, moves)
-            rec.lines.append(
-                f"step={rec.step} proc={pid} {event} sends=[{','.join(sends)}]"
-            )
-            self._local_pass(cfg, pid, rec, moves)
+            lines.append(f"step={step} proc={pid} {event} sends=[{','.join(sends)}]")
+            self._local_pass(cfg, pid, lines, entries, transitions, moves)
             woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
-        rec.census, rec.legit, rec.violations = monitor.step_checks(
-            tally, cfg, moves, woken)
-        return rec
+        census, legit, violations = monitor.step_checks(tally, cfg, moves, woken)
+        return StepRecord(step, tuple(lines), census, legit, tuple(entries),
+                          tuple(requests), tuple(transitions), traversal_end,
+                          violations, timeout_fired)
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -462,3 +463,32 @@ class TestTallyMatchesScratch:
         assert trace.records[0].lines[0].endswith("sends=[0:Ctrl{c=%d,r=0,pt=0,ppr=0}]"
                                                   % mid.states["a"].myc)
         run_checked(sim, mid, RoundRobinPolicy(), 400)
+
+
+class TestStepRecordFootprint:
+    """A record is built once, slotted, with tuple event fields, so a long
+    trace holds few objects the garbage collector has to walk."""
+
+    def test_slotted_with_tuple_fields(self):
+        sim = make_sim()
+        workload = Workload([WorkloadEvent(0, "a", 1, 2)], 2)
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 30, workload)
+        for rec in trace.records:
+            assert not hasattr(rec, "__dict__")
+            for name in ("lines", "entries", "requests", "transitions"):
+                assert type(getattr(rec, name)) is tuple, name
+            assert type(rec.violations) is list
+        assert any(rec.entries for rec in trace.records)
+
+    def test_tracked_objects_per_step(self):
+        sim = canonical_sim(random_tree(4, 4))
+        sim.run(sim.initial_configuration(), RoundRobinPolicy(), 10)  # warm caches
+        cfg0 = sim.initial_configuration()
+        gc.collect()
+        before = len(gc.get_objects())
+        trace = sim.run(cfg0, RoundRobinPolicy(), 2000)
+        gc.collect()
+        per_step = (len(gc.get_objects()) - before) / len(trace.records)
+        assert len(trace.records) == 2000
+        assert any(rec.traversal_end for rec in trace.records)
+        assert per_step <= 2.1
