@@ -49,9 +49,10 @@ class RingInfo:
     ``keys[t]`` is the channel at ring position t, which is also its index
     in the simulator's ``channel_keys``; position 0 is the root's wrap
     channel (root, deg-1).  ``positions[p][ch]`` inverts ``keys``: the ring
-    position of channel ch at p.  Held reservations on the wrap channel are
-    picked into PT at the wrap, i.e. at the very start of a traversal; a
-    controller on it has passed every other channel, so as the controller's
+    position of channel ch at p.  Tokens the root holds on the wrap channel
+    are picked into PT when the controller arrives there, at the end of a
+    traversal, so a traversal never counts them as passed; a controller on
+    the wrap channel has passed every other channel, so as the controller's
     place it counts as 2(n-1).  ``order[p]`` is p's index in ``process_ids``.
     """
 
@@ -148,18 +149,14 @@ class Tally:
             for t in pos:
                 visits += 0 < t < t_c
             if pid == self.ring.topo.root:
-                # with its carve-outs: no reset, no request, nothing held
-                # on the wrap channel
-                off = (st.myc != c or st.succ != visits % len(pos) or st.reset
-                       or st.state == REQ or st.prio == len(pos) - 1
-                       or any(e.channel == len(pos) - 1 for e in rset))
+                off = st.myc != c or st.succ != visits % len(pos) or st.reset
             elif visits:
                 off = st.myc != c or st.succ != visits % len(pos)
             else:
                 off = st.myc == c
             for e in rset:
-                counted_res += pos[e.channel] < t_c
-            counted_prio = st.prio is not None and pos[st.prio] < t_c
+                counted_res += 0 < pos[e.channel] < t_c
+            counted_prio = st.prio is not None and 0 < pos[st.prio] < t_c
         new = (held, st.prio is not None, held if st.state == IN else 0,
                tuple([e.uid for e in rset]) if rset else (), viol,
                off, counted_res, counted_prio)
@@ -243,9 +240,6 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     - no safety violation;
     - exactly one control message, valid for its receiver (``ctrl_is_valid``),
       not a reset, and the root not in reset mode;
-    - root carve-outs: the root does not request and holds neither a
-      reservation nor the priority token on its wrap channel (the literal
-      handler order counts those twice across a wrap);
     - canonical traversal state, with c the controller's counter and
       ``visits`` the number of a process's channels the controller has
       passed in this traversal: the root, and every non-root with
@@ -255,7 +249,8 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
       ``Ctrl.ppr + SPrio`` and ``SPush`` equal the resource, priority and
       pusher tokens the traversal has already counted: those behind the
       controller in its own channel or in a channel it has passed, and those
-      held on a passed channel or on the root's wrap channel.
+      held on a passed channel (never on the root's wrap channel, whose
+      holdings the controller counts when it arrives there).
 
     The traversal clauses are what make the predicate closed under
     execution; a merely nominal census can still carry inflated counts

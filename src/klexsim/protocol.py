@@ -222,16 +222,19 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
     """Root reception of a controller message.
 
     Valid only when it arrives from Succ carrying the root's own counter;
-    anything else is dropped.  When Succ wraps to 0 a traversal has
-    completed: the root decides whether to reset (too many of some species)
-    or to mint the missing tokens, then stamps and relaunches the
-    controller.
+    anything else is dropped.  The tokens the root holds on the arrival
+    channel are added to the counts first.  When Succ then wraps to 0 a
+    traversal has completed, with the root's holdings on its wrap channel
+    counted in it: the root decides whether to reset (too many of some
+    species) or to mint the missing tokens, then stamps and relaunches the
+    controller with zeroed counts.
     """
     out = HandlerOutput()
     if q != st.succ or msg.c != st.myc:
         return out  # invalid: ignored entirely, no retransmission
+    pt = min(msg.pt + st.rset_count(q), p.ell + 1)
+    ppr = min(msg.ppr + 1, 2) if st.prio == q else msg.ppr
     st.succ = forward_channel(st.succ, p.delta)
-    pt, ppr = msg.pt, msg.ppr
     if st.succ == 0:
         res_total = pt + st.stoken
         prio_total = ppr + st.sprio
@@ -256,9 +259,6 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
         st.spush = 0
         pt = 0
         ppr = 0
-    pt = min(pt + st.rset_count(q), p.ell + 1)
-    if st.prio == q:
-        ppr = min(ppr + 1, 2)
     out.sends.append((st.succ, Ctrl(st.myc, st.reset, pt, ppr)))
     out.restart_timer = True
     return out

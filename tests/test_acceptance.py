@@ -143,17 +143,14 @@ def test_criterion_3_controller_counting_oracle():
         k = 1 + i % ell if ell > 1 else 1
         sim = Simulator(topo, SimParams(k=k, ell=ell, cmax=1,
                                         timeout=20 * traversal_allowance(topo, ell, 1)))
-        # requests on non-root processes only: a root reservation parked on
-        # the wrap channel is counted across the traversal seam by the
-        # literal handler order and would not compare exactly
         workload = RandomWorkload(
-            [p for p in topo.process_ids if p != topo.root],
-            k=k, seed=1000 + i, rate=0.04, max_duration=6,
+            topo.process_ids, k=k, seed=1000 + i, rate=0.04, max_duration=6,
         )
         trace = sim.run(sim.initial_configuration(), policy_for(i), budget,
                         workload=workload)
         obs = traversal_observations(trace)
         assert len(obs) > 100, f"topology {i} produced too few traversals"
+        assert any(topo.root in rec.entries for rec in trace.records)
         for o in obs:
             assert not o.new_reset and not o.arriving_r
             assert o.res_total <= ell
@@ -275,7 +272,7 @@ def test_criterion_6_waiting_time_bound(fairness_runs):
               waiting_time_bound(r["topo_n"], r["ell"]), f"seed {r['seed']}")
 
     # stabilized-regime coverage: canonical starts under heavy contention
-    # (non-root requesters, so legitimacy holds for the whole run)
+    # (every process requests, the root included)
     for i in range(10):
         topo = random_tree(7000 + i, 3 + i % 7)
         ell = 1 + i % 5
@@ -284,13 +281,13 @@ def test_criterion_6_waiting_time_bound(fairness_runs):
         sim = Simulator(topo, SimParams(k=k, ell=ell, cmax=1,
                                         timeout=20 * allowance))
         workload = RandomWorkload(
-            [p for p in topo.process_ids if p != topo.root],
-            k=k, seed=7000 + i, rate=0.08, max_duration=6,
+            topo.process_ids, k=k, seed=7000 + i, rate=0.08, max_duration=6,
             last_step=70 * allowance,
         )
         trace = sim.run(sim.initial_configuration(), policy_for(i),
                         90 * allowance, workload=workload)
         assert stabilization_time(trace) == 0
+        assert any(topo.root in rec.entries for rec in trace.records)
         tally(collect_requests(trace), 0,
               waiting_time_bound(topo.n, ell), f"canonical run {i}")
 

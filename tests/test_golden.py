@@ -217,8 +217,8 @@ GOLDEN: dict[str, tuple] = {
     ),
     'arbitrary-rr-cmax3-seed7': (
         'e84bd743453f3e599851469d12795a2997211c08d0cacd92f8b556e7dc80dd85',
-        '67ac85cb090c51844d842eac3d14ca18802798dc04a8a6bbdd44930cad71e5e8',
-        (480, 'budget', 147, 0, True, 0, 0, 3, 3, 2, 13, 0),
+        '5919d2def7b753dad2bba4623f86e507ba00b8b4e5cb04685c2a282871ae90d6',
+        (480, 'budget', 135, 0, True, 0, 0, 3, 3, 2, 13, 0),
     ),
     'arbitrary-rr-cmax3-seed9': (
         '39bcab6cfa0c72ae814c4007042d888844a2897c69b068166f5ff5cd5b39d26f',
@@ -236,24 +236,24 @@ GOLDEN: dict[str, tuple] = {
         (200, 'budget', 0, 0, True, 0, 0, 11, 11, 1, 13, 0),
     ),
     'workload-root-rand-seed3': (
-        '6f2ff28a5608c3fbbc6ef40055573244136762fb42da0e99aa50cec9cab57953',
-        'caf5e1d4c8f6c8616629bab58385acc66f603572cbacc61f345e44c3d1d6b17e',
-        (500, 'budget', 425, 7, True, 4, 0, 49, 49, 13, 17, 2),
+        'c61bd5697f108b930d6976580b636ca6dc2d76cdf52a1396227877b8e2e4fc62',
+        '1d77a3e53d5c3292545d8e793a0a82daf16463a88255baa582680ad6fa18392b',
+        (500, 'budget', 0, 0, True, 0, 0, 50, 50, 8, 16, 0),
     ),
     'workload-root-rand-seed5': (
-        'd8fc18efeb934a7367e76421ca9f75f925cd934b3b81cb7b6061ce81b0d34864',
-        'b04a557ed9b50885c4ab998299cc6d965b96545eec68c68d134ce0997d05a1a7',
-        (280, 'budget', None, 4, True, 0, 0, 19, 19, 3, 13, 4),
+        '412a3929303e315a49b6fa5790836bbe5cf6baf1829bb9044d95015b5bc8fa1e',
+        '49052fee64848e0dd6733f4e804b320f1cbc186853059a6b579102873e72fd23',
+        (280, 'budget', 0, 0, True, 0, 0, 21, 21, 3, 17, 0),
     ),
     'workload-root-rr-seed2': (
-        'd12fe2b46a11bf2b7c03e5a73d082f1d441aba12f0a63cff0091790956c35c37',
-        '95875a02db7d0499a4c7a336bb8f2322c040f79b3aaf2a9b97080b06baf2aefb',
-        (560, 'budget', 517, 9, True, 5, 0, 44, 44, 7, 17, 4),
+        'cb0ed124a056947bb0f1d1301a26142c7ea9ab864e162ab35dd38565c8e3a696',
+        '327d80d86118c69d23d42f79cda72b6757d5b18debbc090c3369b2ba9e58ce96',
+        (560, 'budget', 0, 0, True, 0, 0, 47, 47, 8, 17, 0),
     ),
     'workload-root-rr-seed4': (
-        '5f84647001181e571f93339447b5251b7806033ae514c5a6a72cb2ed7255d25b',
-        'e43f0b8bf3368a05dfd31ca4da72a866024800d987ae6060bbc16998fb6096a4',
-        (720, 'budget', 580, 19, True, 1, 0, 100, 100, 14, 16, 2),
+        '136adfc11f534e781c3f6d5e942c07324e7219f93ed2ba0fe30d161de11d4a77',
+        '38828a33ac5fe3d362bdf442aca4a149182fea1511e5dae49f947354447ea8b2',
+        (720, 'budget', 0, 0, True, 0, 0, 98, 98, 14, 15, 0),
     ),
 }
 
@@ -290,7 +290,7 @@ FIGURES_GOLDEN: dict[str, tuple] = {
     ),
 }
 
-STEP_CHAIN_GOLDEN = 'e57cbfd777b31d35f39a4af29223a2b3d8c52d2eeb98ba882b8dbf6644c5f830'
+STEP_CHAIN_GOLDEN = '055a6d91551c202ebdb320c17e6d31fc9ce49eeb7ccf30ead618972844375735'
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

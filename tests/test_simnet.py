@@ -492,3 +492,43 @@ class TestStepRecordFootprint:
         assert len(trace.records) == 2000
         assert any(rec.traversal_end for rec in trace.records)
         assert per_step <= 2.1
+
+
+class TestRootHoldingsAtTheWrap:
+    """The root's holdings on its wrap channel are counted in the traversal
+    that ends there, once: no mint, no reset."""
+
+    def wrap_config(self, sim):
+        # 3-star, ell = 1: the root is in its critical section with the only
+        # unit, reserved on its wrap channel 1; the controller is about to
+        # arrive on channel 1; the priority token and the pusher have crossed
+        # the wrap since the last one
+        cfg = sim.empty_configuration()
+        root = cfg.states["r"]
+        root.succ, root.state, root.need = 1, IN, 1
+        root.rset = [Reserved(1)]
+        root.sprio = root.spush = 1
+        cfg.app.remaining["r"] = 5
+        cfg.channels[("a", 0)].extend([PrioT(), PushT()])
+        cfg.channels[("r", 1)].append(Ctrl(0, False, 0, 0))
+        sim.stamp_uids(cfg)
+        return cfg
+
+    def test_wrap_counts_the_held_unit_once(self):
+        sim = make_sim(k=1, ell=1, cmax=1, timeout=None)
+        trace = sim.run(self.wrap_config(sim), ReplayPolicy([(DELIVER, "r", 1)]), 1)
+        rec = trace.records[0]
+        te = rec.traversal_end
+        assert te.res_total == 1 and not te.new_reset
+        assert rec.lines == ("step=0 proc=r event=deliver msg=Ctrl{c=0,r=0,pt=0,ppr=0} "
+                             "ch=1 sends=[0:Ctrl{c=1,r=0,pt=0,ppr=0}]",)
+        assert rec.census.res_tokens == 1
+        assert trace.initial_legit and rec.legit
+
+    def test_no_mint_or_reset_follows(self):
+        sim = make_sim(k=1, ell=1, cmax=1, timeout=None)
+        trace = sim.run(self.wrap_config(sim), RoundRobinPolicy(), 200)
+        ends = [rec.traversal_end for rec in trace.records if rec.traversal_end]
+        assert len(ends) > 5
+        assert all(te.res_total == 1 and not te.new_reset for te in ends)
+        assert all(rec.legit for rec in trace.records)
