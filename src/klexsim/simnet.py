@@ -142,12 +142,12 @@ class StepRecord:
     lines: tuple[str, ...]
     census: monitor.CensusReport
     legit: bool
-    entries: tuple[str, ...] = ()
-    requests: tuple[tuple[str, int], ...] = ()
-    transitions: tuple[tuple[str, str, str], ...] = ()
-    traversal_end: TraversalEnd | None = None
-    violations: list[str] = field(default_factory=list)
-    timeout_fired: bool = False
+    entries: tuple[str, ...]
+    requests: tuple[tuple[str, int], ...]
+    transitions: tuple[tuple[str, str, str], ...]
+    traversal_end: TraversalEnd | None
+    violations: list[str]
+    timeout_fired: bool
 
 
 @dataclass
