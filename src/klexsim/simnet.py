@@ -504,7 +504,7 @@ class Simulator:
             self._local_pass(cfg, pid, lines, entries, transitions, moves)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
-        restart = timeout_fired = False
+        restart = False
         traversal_end = None
         if choice is not None and choice[0] != SKIP:
             if choice[0] == DELIVER:
@@ -521,7 +521,6 @@ class Simulator:
             else:
                 pid = self.topo.root
                 out = on_timeout_root(cfg.states[pid], self.pp[pid])
-                timeout_fired = True
                 event = "event=timeout msg=- ch=-"
             traversal_end = out.traversal_end
             restart = out.restart_timer
@@ -535,7 +534,7 @@ class Simulator:
         census, legit, violations = monitor.step_checks(tally, cfg, moves, woken)
         return StepRecord(step, tuple(lines), census, legit, tuple(entries),
                           tuple(requests), tuple(transitions), traversal_end,
-                          violations, timeout_fired)
+                          violations, choice == (TIMEOUT,))
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the
