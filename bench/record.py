@@ -11,7 +11,11 @@ scale workload's ``steps_per_s_n*``) and traced once (``--trace 1``, the
 per-layer metrics), then the Tier-1 suite once with ``--durations=0``, which
 gives its wall time and the time of each acceptance criterion.  It takes
 about ten minutes on a 2-vCPU VM.  ``--compare`` prints one line per metric
-present in either file.
+present in either file.  A timed metric's change is marked "within spread"
+when the two recordings' [q1, q3] ranges overlap: recordings made at
+different times are not alternating pairs, so host drift alone can move a
+median that far.  Per-layer metrics are marked as what they are, one traced
+run, with times in raw seconds.
 """
 
 from __future__ import annotations
@@ -128,20 +132,22 @@ def record(label: str) -> Path:
     return path
 
 
-def flatten(bench: dict) -> dict[str, tuple[float, str]]:
-    """Every metric of a recording as name -> (value, unit); medians for the
-    timed metrics."""
+def flatten(bench: dict) -> dict[str, tuple[float, str, tuple[float, float] | str]]:
+    """Every metric of a recording as name -> (value, unit, how it was taken):
+    the median and its [q1, q3] range for the timed metrics, a label for the
+    one-run ones."""
     flat = {}
     for workload, metrics in bench["workloads"].items():
         for name, m in metrics.items():
             if name == "per_layer":
                 for layer, v in m.items():
-                    flat[f"{workload}.{layer}"] = (v["value"], v["unit"])
+                    how = "one traced run" + (", raw s" if v["unit"] == "s" else "")
+                    flat[f"{workload}.{layer}"] = (v["value"], v["unit"], how)
             elif isinstance(m, dict):
-                flat[f"{workload}.{name}"] = (m["median"], m["unit"])
-    flat["tier1.wall_s"] = (bench["tier1"]["wall_s"]["value"], "s")
+                flat[f"{workload}.{name}"] = (m["median"], m["unit"], (m["q1"], m["q3"]))
+    flat["tier1.wall_s"] = (bench["tier1"]["wall_s"]["value"], "s", "one run")
     for name, m in bench["tier1"]["criteria_s"].items():
-        flat[f"tier1.{name}"] = (m["value"], m["unit"])
+        flat[f"tier1.{name}"] = (m["value"], m["unit"], "one run")
     return flat
 
 
@@ -151,10 +157,16 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"# {a['label']} ({a['commit'][:12]}) -> {b['label']} ({b['commit'][:12]})")
     fa, fb = flatten(a), flatten(b)
     for name in sorted(fa.keys() | fb.keys()):
-        va, ua = fa.get(name, (None, None))
-        vb, ub = fb.get(name, (None, None))
+        va, ua, how_a = fa.get(name, (None, None, None))
+        vb, ub, how_b = fb.get(name, (None, None, None))
         change = f" ({(vb - va) / abs(va):+.1%})" if va and vb is not None else ""
-        print(f"{name}: {_fmt(va)} -> {_fmt(vb)} {ua or ub}{change}")
+        if isinstance(how_a, tuple) and isinstance(how_b, tuple):
+            overlap = how_a[0] <= how_b[1] and how_b[0] <= how_a[1]
+            how = "within spread" if overlap else "beyond spread"
+        else:
+            how = how_a if isinstance(how_a, str) else how_b
+        note = f" [{how}]" if how else ""
+        print(f"{name}: {_fmt(va)} -> {_fmt(vb)} {ua or ub}{change}{note}")
 
 
 def _fmt(value: float | None) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, ResT
-from .topology import TreeTopology, virtual_ring
+from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
 
 
 @dataclass(frozen=True)
@@ -43,51 +43,34 @@ def ctrl_is_valid(msg: Ctrl, receiver_state, is_root: bool, q: int) -> bool:
     return (not is_root) and q == 0 and msg.c != receiver_state.myc
 
 
-class RingInfo:
-    """Ring geometry of one topology, as ``step_checks`` counts it.
-
-    ``keys[t]`` is the channel at ring position t, which is also its index
-    in the simulator's ``channel_keys``; position 0 is the root's wrap
-    channel (root, deg-1).  ``positions[p][ch]`` inverts ``keys``: the ring
-    position of channel ch at p.  Tokens the root holds on the wrap channel
-    are picked into PT when the controller arrives there, at the end of a
-    traversal, so a traversal never counts them as passed; a controller on
-    the wrap channel has passed every other channel, so as the controller's
-    place it counts as 2(n-1).  ``order[p]`` is p's index in ``process_ids``.
-    """
-
-    def __init__(self, topo: TreeTopology):
-        self.topo = topo
-        self.keys = [(pos.process, pos.in_channel) for pos in virtual_ring(topo)]
-        self.positions = {p: [0] * topo.degree(p) for p in topo.process_ids}
-        for t, (p, ch) in enumerate(self.keys):
-            self.positions[p][ch] = t
-        self.order = {p: i for i, p in enumerate(topo.process_ids)}
-
-
 _SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
 _NO_PROCESS = (0, False, 0, (), (), False, 0, False)
 
 
 class Tally:
-    """What ``step_checks`` keeps from one configuration to the next in a
-    run: the token counts of every channel and the part of every process in
-    the census, the safety scan and the traversal clauses, with their sums.
+    """What ``step_checks`` keeps from one configuration to the next in a run:
+    the token counts of every channel and the part of every process in the
+    census, the safety scan and the traversal clauses, with their sums.  It
+    counts channels by ring slot (``topology.Ring``) and starts from the
+    channels of ``cfg``; its first ``step_checks`` must name every process.
 
     A process's part is (held resource tokens, holds the priority token,
     units in use, reserved uids, violations, off the canonical traversal
     state, held resource tokens and priority token the traversal has
-    counted).  The traversal fields are taken for ``key``, the
-    (counter, place) of the controller, and only while there is one.
+    counted).  The traversal fields are taken for ``key``, the (counter,
+    place) of the controller, and only while there is one.  The place is the
+    controller's slot, or 2(n-1) on the root's wrap channel (slot 0), where
+    it has passed every other channel; the root's holdings there are picked
+    into PT on that arrival, so a traversal never counts them as passed.
     """
 
-    def __init__(self, ring: RingInfo, k: int, ell: int, modulus: int):
-        self.ring, self.k, self.ell, self.modulus = ring, k, ell, modulus
-        self.primed = False
+    def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
+        self.topo, self.ring = topo, topo.ring
+        self.k, self.ell, self.modulus = k, ell, modulus
         self.tokens = [0, 0, 0]  # resource, priority, pusher tokens, held included
-        self.counts = {key: [0, 0, 0] for key in ring.keys}  # per channel
-        self.ctrls: dict = {}  # channel -> its control messages, front first
-        self.after: dict = {}  # channel -> tokens behind its last control message
+        self.counts = [[0, 0, 0] for _ in self.ring.keys]  # per slot
+        self.ctrls: dict = {}  # slot -> its control messages, front first
+        self.after: dict = {}  # slot -> tokens behind its last control message
         self.copies: dict[int, int] = {}  # resource uid -> copies
         self.procs: dict = {}
         self.bad: dict = {}  # process -> its violations
@@ -98,20 +81,23 @@ class Tally:
         self.behind = [0, 0, 0]
         self.off = self.counted_res = self.counted_prio = 0
         self.census = CensusReport(0, 0, 0, 0)
+        for t, key in enumerate(self.ring.keys):
+            for m in cfg.channels[key]:
+                self.move(t, m, 1)
 
-    def move(self, key, m, sign: int) -> None:
+    def move(self, t: int, m, sign: int) -> None:
         """Count message m into (sign 1, put at the back) or out of (sign -1,
-        taken from the front) channel ``key``."""
+        taken from the front) the channel at slot t."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             if sign > 0:
-                self.ctrls.setdefault(key, []).append(m)
-                self.after[key] = [0, 0, 0]
+                self.ctrls.setdefault(t, []).append(m)
+                self.after[t] = [0, 0, 0]
             else:
-                ctrls = self.ctrls[key]
+                ctrls = self.ctrls[t]
                 del ctrls[0]
                 if not ctrls:
-                    del self.ctrls[key], self.after[key]
+                    del self.ctrls[t], self.after[t]
             return
         if not i:
             copies = self.copies
@@ -120,11 +106,11 @@ class Tally:
                 copies[m.uid] = left
             else:
                 del copies[m.uid]
-        self.counts[key][i] += sign
+        self.counts[t][i] += sign
         self.tokens[i] += sign
-        if sign > 0 and key in self.after:
-            self.after[key][i] += 1
-        if self.key is not None and 0 < self.ring.positions[key[0]][key[1]] < self.key[1]:
+        if sign > 0 and t in self.after:
+            self.after[t][i] += 1
+        if self.key is not None and 0 < t < self.key[1]:
             self.behind[i] += sign
 
     def process(self, pid, st) -> None:
@@ -143,12 +129,12 @@ class Tally:
         counted_prio = False
         if self.key is not None:
             c, t_c = self.key
-            pos = self.ring.positions[pid]
-            # the root's wrap channel (position 0) is never passed mid-traversal
+            pos = self.ring.slot[pid]
+            # the root's wrap channel (slot 0) is never passed mid-traversal
             visits = 0
             for t in pos:
                 visits += 0 < t < t_c
-            if pid == self.ring.topo.root:
+            if pid == self.topo.root:
                 off = st.myc != c or st.succ != visits % len(pos) or st.reset
             elif visits:
                 off = st.myc != c or st.succ != visits % len(pos)
@@ -203,7 +189,7 @@ class Tally:
                             out.append(f"resource unit {m.uid} duplicated "
                                        f"(channel {key[0]}:{key[1]})")
                         seen.add(m.uid)
-            for pid in ring.topo.process_ids:
+            for pid in self.topo.process_ids:
                 part = self.procs.get(pid, _NO_PROCESS)
                 for uid in part[3]:
                     if uid in seen:
@@ -221,9 +207,9 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
 
     ``moves`` lists, in the order they happened since the configuration
     ``tally`` last counted, the messages taken from the front of a channel
-    or put at its back, as (channel, message, -1 or 1); ``procs`` names the
-    processes whose state may have changed.  Only those are counted again.
-    A fresh tally ignores both and counts every message and process.  The
+    or put at its back, as (ring slot, message, -1 or 1); ``procs`` names
+    the processes whose state may have changed (every process, the first
+    time a tally is checked).  Only those are counted again.  The
     traversal fields of every process are counted again when the
     controller's place does not follow from the last one: on a wrap (the
     counter changes), a jump, a move backwards, or when a single valid
@@ -257,24 +243,20 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     that trigger a spurious reset at the next wrap.
     """
     ring = tally.ring
-    root = ring.topo.root
+    root = tally.topo.root
     states = cfg.states
-    if not tally.primed:
-        tally.primed = True
-        moves = [(key, m, 1) for key in ring.keys for m in cfg.channels[key]]
-        procs = ring.topo.process_ids
-    for key, m, sign in moves:
-        tally.move(key, m, sign)
+    for t, m, sign in moves:
+        tally.move(t, m, sign)
 
     n_ctrl = ctrl = 0
-    for ckey, ctrls in tally.ctrls.items():
-        pid, q = ckey
+    for c_slot, ctrls in tally.ctrls.items():
+        pid, q = ring.keys[c_slot]
         for cm in ctrls:
             n_ctrl += 1
             ctrl += ctrl_is_valid(cm, states[pid], pid == root, q)
     key = None
     if n_ctrl == ctrl == 1:
-        key = (cm.c, ring.positions[pid][q] or len(ring.keys))
+        key = (cm.c, c_slot or len(ring.keys))
     if key != tally.key:
         # with no key the traversal fields stay as they are: the next key
         # counts every process again
@@ -286,9 +268,9 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
         elif key is not None:
             behind[:] = (0, 0, 0)
             passed = range(1, key[1])
-            procs = ring.topo.process_ids
+            procs = tally.topo.process_ids
         for t in passed:
-            for i, n in enumerate(tally.counts[ring.keys[t]]):
+            for i, n in enumerate(tally.counts[t]):
                 behind[i] += n
         tally.key = key
     for pid in procs:
@@ -307,7 +289,7 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
         return census, False, violations
     rs = states[root]
     b = tally.behind
-    after = tally.after[ckey]
+    after = tally.after[c_slot]
     legit = (
         cm.pt + rs.stoken == b[0] + after[0] + tally.counted_res
         and cm.ppr + rs.sprio == b[1] + after[1] + tally.counted_prio

@@ -20,7 +20,6 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Iterable
 
 from . import monitor
@@ -97,8 +96,8 @@ class Configuration:
     step: int = 0
     timer: int = 0  # steps since the root last restarted its timer
     next_uid: int = 0
-    # ascending ``channel_keys`` indices of the non-empty channels, kept by
-    # the simulator's steps; None until first needed and in every clone
+    # ascending ring slots (``topology.Ring``) of the non-empty channels,
+    # kept by the simulator's steps; None until first needed and in every clone
     # (``run`` and ``step`` work on clones), so channels changed by hand
     # before a run or step are indexed afresh
     busy: list[int] | None = field(default=None, compare=False, repr=False)
@@ -244,7 +243,7 @@ def parse_replay(text: str) -> list[Choice]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == DELIVER and len(parts) == 3:
+        if parts[0] == DELIVER and len(parts) == 3 and parts[2].isdecimal():
             choices.append((DELIVER, parts[1], int(parts[2])))
         elif parts[0] == TIMEOUT and len(parts) == 1:
             choices.append((TIMEOUT,))
@@ -289,26 +288,18 @@ class Simulator:
             )
             for pid in topo.process_ids
         }
-        self.channel_keys: list[ChannelKey] = topo.channel_keys()
+        self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
         self.slots: list[Choice] = [
             (DELIVER, pid, ch) for pid, ch in self.channel_keys
         ] + [(TIMEOUT,)]
 
-    @cached_property
-    def ring(self) -> monitor.RingInfo:
-        """The ring geometry; ``ring.positions`` also numbers the channels
-        in ``channel_keys`` order, and ``ring.order`` the processes."""
-        # built on first use: a campaign keeps many simulators alive at once
-        return monitor.RingInfo(self.topo)
-
-    def tally(self) -> monitor.Tally:
-        """A fresh tally: its first ``step_checks`` counts everything."""
-        return monitor.Tally(self.ring, self.params.k, self.params.ell, self.modulus)
+    def tally(self, cfg: Configuration) -> monitor.Tally:
+        """A tally of ``cfg``'s channels; see ``monitor.Tally``."""
+        return monitor.Tally(self.topo, self.params.k, self.params.ell, self.modulus, cfg)
 
     def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, list[str]]:
-        """(census, legitimacy, safety violations) of one configuration,
-        counted from scratch."""
-        return monitor.step_checks(self.tally(), cfg, (), ())
+        """(census, legitimacy, safety violations) of ``cfg``, counted from scratch."""
+        return monitor.step_checks(self.tally(cfg), cfg, (), self.topo.process_ids)
 
     # -- configuration builders --------------------------------------------
 
@@ -328,8 +319,7 @@ class Simulator:
         for pid in self.topo.process_ids:
             if pid != self.topo.root:
                 cfg.states[pid].myc = self.modulus - 1
-        first_hop = self._dest_key(self.topo.root, 0)
-        q = cfg.channels[first_hop]
+        q = cfg.channels[self.channel_keys[self.topo.ring.dest[self.topo.root][0]]]
         q.append(PrioT())
         for _ in range(self.params.ell):
             q.append(ResT(uid=cfg.next_uid))
@@ -416,18 +406,14 @@ class Simulator:
 
     # -- stepping ------------------------------------------------------------
 
-    def _dest_key(self, sender: str, out_channel: int) -> ChannelKey:
-        dest = self.topo.endpoint(sender, out_channel)
-        return (dest, self.topo.channel_to(dest, sender))
-
     def _busy(self, cfg: Configuration) -> list[int]:
         if cfg.busy is None:
             cfg.busy = [i for i, key in enumerate(self.channel_keys) if cfg.channels[key]]
         return cfg.busy
 
     def enabled_events(self, cfg: Configuration) -> list[Choice]:
-        """Enabled events in slot order: a delivery on every non-empty
-        channel (read from the configuration's index), then the timeout."""
+        """Enabled events in ring-slot order: a delivery on every non-empty
+        channel (read from ``Configuration.busy``), then the timeout."""
         slots = self.slots
         enabled: list[Choice] = [slots[i] for i in self._busy(cfg)]
         if timeout_ready(cfg, self.params.timeout):
@@ -437,15 +423,16 @@ class Simulator:
     def _enqueue(self, cfg: Configuration, sender: str,
                  sends: list[tuple[int, Message]], moves: list) -> list[str]:
         rendered = []
+        dest = self.topo.ring.dest[sender]
         for out_ch, msg in sends:
             if isinstance(msg, ResT) and msg.uid < 0:
                 msg = replace(msg, uid=self._take_uid(cfg))
-            key = self._dest_key(sender, out_ch)
-            queue = cfg.channels[key]
+            t = dest[out_ch]
+            queue = cfg.channels[self.channel_keys[t]]
             if not queue:
-                insort(self._busy(cfg), self.ring.positions[key[0]][key[1]])
+                insort(self._busy(cfg), t)
             queue.append(msg)
-            moves.append((key, msg, 1))
+            moves.append((t, msg, 1))
             rendered.append(f"{out_ch}:{msg}")
         return rendered
 
@@ -487,7 +474,7 @@ class Simulator:
         entries: list[str] = []
         requests: list[tuple[str, int]] = []
         transitions: list[tuple[str, str, str]] = []
-        moves: list[tuple[ChannelKey, Message, int]] = []
+        moves: list[tuple[int, Message, int]] = []
         woken = set(dirty)
         if workload is not None:
             due = workload.due(step, cfg.states)
@@ -500,7 +487,7 @@ class Simulator:
                     f"msg=request{{need={ev.need}}} ch=- sends=[]"
                 )
         woken.update(cfg.app.tick())
-        for pid in sorted(woken, key=self.ring.order.__getitem__):
+        for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
             self._local_pass(cfg, pid, lines, entries, transitions, moves)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
@@ -509,13 +496,13 @@ class Simulator:
         if choice is not None and choice[0] != SKIP:
             if choice[0] == DELIVER:
                 _, pid, ch = choice
-                key = (pid, ch)
-                queue = cfg.channels[key]
+                t = self.topo.ring.slot[pid][ch]
+                queue = cfg.channels[(pid, ch)]
                 msg = queue.popleft()
                 if not queue:
                     busy = self._busy(cfg)
-                    del busy[bisect_left(busy, self.ring.positions[pid][ch])]
-                moves.append((key, msg, -1))
+                    del busy[bisect_left(busy, t)]
+                moves.append((t, msg, -1))
                 out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
                 event = f"event=deliver msg={msg} ch={ch}"
             else:
@@ -542,7 +529,7 @@ class Simulator:
         must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
-                          self.tally())
+                          self.tally(nxt))
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -573,8 +560,8 @@ class Simulator:
         happen again), on a replay running dry, or when ``stop`` says so.
         """
         cfg = cfg0.clone()
-        tally = self.tally()
-        census0, legit0, violations0 = monitor.step_checks(tally, cfg, (), ())
+        tally = self.tally(cfg)
+        census0, legit0, violations0 = monitor.step_checks(tally, cfg, (), self.topo.process_ids)
         trace = Trace(
             records=[],
             initial_census=census0,

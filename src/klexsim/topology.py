@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TopologyError(ValueError):
@@ -53,9 +54,10 @@ class TreeTopology:
         """Label of p's channel leading to neighbor q."""
         return self.neighbors[p].index(q)
 
-    def channel_keys(self) -> list[tuple[str, int]]:
-        """All 2(n-1) directed channels as (receiver, receive-label) pairs, in ring order."""
-        return [(pos.process, pos.in_channel) for pos in virtual_ring(self)]
+    @cached_property
+    def ring(self) -> Ring:
+        """The virtual ring's slot table, built on first use."""
+        return Ring(self)
 
     def validate(self) -> None:
         ids = set(self.process_ids)
@@ -150,6 +152,34 @@ def virtual_ring(topo: TreeTopology) -> list[RingPosition]:
     if len(ring) != 2 * (topo.n - 1):
         raise TopologyError("virtual ring shorter than 2(n-1); topology is corrupt")
     return ring
+
+
+class Ring:
+    """The virtual ring numbered once.  ``keys[t]`` is the channel, as
+    (receiver, receive-label), at ring slot t; slot 0 is the root's wrap
+    channel.  ``slot[p][ch]`` inverts ``keys``; ``dest[p][out]`` is the slot
+    a send by p on channel ``out`` enters (slot t+1 mod 2(n-1) for a token
+    that arrived at slot t); ``order[p]`` is p's index in ``process_ids``.
+    ``slot`` and ``dest`` are built on first use, as a campaign builds many
+    runs before it runs any."""
+
+    def __init__(self, topo: TreeTopology):
+        self.neighbors = topo.neighbors  # not topo: the topology caches its ring
+        self.keys = tuple((pos.process, pos.in_channel) for pos in virtual_ring(topo))
+        self.order = {p: i for i, p in enumerate(topo.process_ids)}
+
+    @cached_property
+    def slot(self) -> dict[str, list[int]]:
+        slot = {p: [0] * len(nbrs) for p, nbrs in self.neighbors.items()}
+        for t, (p, ch) in enumerate(self.keys):
+            slot[p][ch] = t
+        return slot
+
+    @cached_property
+    def dest(self) -> dict[str, list[int]]:
+        # ``forward_channel`` sends on channel out what arrived on out-1
+        return {p: [(s[out - 1] + 1) % len(self.keys) for out in range(len(s))]
+                for p, s in self.slot.items()}
 
 
 def random_tree(seed: int, n: int) -> TreeTopology:

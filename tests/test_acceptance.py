@@ -298,13 +298,13 @@ def test_criterion_6_waiting_time_bound(fairness_runs):
 
 
 def test_criterion_7_kl_liveness():
-    passed = 0
+    passed = root_pinned = 0
     for case in range(LIVENESS_SCENARIOS):
         rng = random.Random(9000 + case)
         topo = random_tree(9000 + case, rng.randint(3, 8))
         ell = rng.randint(2, 5)
         k = rng.randint(1, ell)
-        procs = [p for p in topo.process_ids if p != topo.root]
+        procs = list(topo.process_ids)
         rng.shuffle(procs)
         pinned = {}
         alpha = 0
@@ -323,6 +323,7 @@ def test_criterion_7_kl_liveness():
             requesters[q] = rng.randint(1, min(k, ell - alpha))
         scenario = LivenessScenario(pinned=pinned, requesters=requesters)
         scenario.validate(ell)
+        root_pinned += topo.root in pinned
 
         events = [WorkloadEvent(0, p, u, math.inf) for p, u in pinned.items()]
         events += [WorkloadEvent(5, q, r, 3) for q, r in requesters.items()]
@@ -337,8 +338,10 @@ def test_criterion_7_kl_liveness():
             f"(pinned={pinned}, requesters={requesters}, ell={ell})"
         )
         passed += 1
+    assert root_pinned, "no scenario pins the root in its critical section"
     print(f"\nACCEPTANCE 7 (k,l)-liveness: PASS ({passed} pinned-CS scenarios, "
-          f"a requester outside the pinned set was served in each)")
+          f"{root_pinned} with the root pinned; a requester outside the pinned "
+          f"set was served in each)")
 
 
 def test_criterion_8_figure_regressions():

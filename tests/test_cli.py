@@ -89,6 +89,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    def test_non_integer_replay_channel_is_usage_error(self, star_file, tmp_path, capsys):
+        f = tmp_path / "bad.replay"
+        f.write_text("deliver a x\n")
+        argv = ["--topology", str(star_file), "--policy", "replay", "--replay", str(f)]
+        assert main(argv) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: replay line 1: ")
+        assert "Traceback" not in err
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):

@@ -259,6 +259,9 @@ class TestPolicies:
     def test_replay_roundtrip_and_validation(self):
         choices = [(DELIVER, "a", 0), (SKIP,), (TIMEOUT,)]
         assert parse_replay(format_replay(choices)) == choices
+        for bad in ("deliver a", "deliver a x", "deliver a -1", "timeout 3", "fly"):
+            with pytest.raises(SchedulerError, match="replay line 2: "):
+                parse_replay("skip\n" + bad + "\n")
 
     def test_replay_disabled_event_is_error(self):
         sim = make_sim()

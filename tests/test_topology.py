@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klexsim import topology
+from klexsim.simnet import RoundRobinPolicy, SimParams, Simulator
 from klexsim.topology import (
     RingPosition,
     TopologyError,
     TreeTopology,
+    forward_channel,
     next_channel,
     parse_topology,
+    random_tree,
     virtual_ring,
 )
 
@@ -146,6 +150,43 @@ class TestVirtualRing:
         assert edges == euler_tour_edges(t)
         # every directed edge exactly once
         assert len(set(edges)) == len(edges)
+
+
+class TestRing:
+    """``topo.ring`` numbers the virtual ring's channels once for every
+    module: slots, their inverse, each send's destination slot, and the
+    process order."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_slot_table_follows_the_ring(self, n):
+        for seed in (n, 1000 + n):
+            t = random_tree(seed, n)
+            ring = t.ring
+            L = 2 * (n - 1)
+            assert ring.keys == tuple((pos.process, pos.in_channel)
+                                      for pos in virtual_ring(t))
+            assert ring.keys[0] == (t.root, t.degree(t.root) - 1)
+            for slot, (p, ch) in enumerate(ring.keys):
+                assert ring.slot[p][ch] == slot
+                assert ring.dest[p][forward_channel(ch, t.degree(p))] == (slot + 1) % L
+            for p in t.process_ids:
+                for out in range(t.degree(p)):
+                    q = t.endpoint(p, out)
+                    assert ring.keys[ring.dest[p][out]] == (q, t.channel_to(q, p))
+            assert [ring.order[p] for p in t.process_ids] == list(range(n))
+
+    def test_ring_walked_once_per_topology(self, monkeypatch):
+        walks = []
+        real = topology.virtual_ring
+        monkeypatch.setattr(topology, "virtual_ring", lambda t: walks.append(t) or real(t))
+        t = random_tree(5, 9)
+        sims = [Simulator(t, SimParams(k=1, ell=2, cmax=1, timeout=None))
+                for _ in range(2)]
+        for sim in sims:
+            cfg = sim.initial_configuration()
+            sim.check(cfg)
+            sim.run(cfg, RoundRobinPolicy(), 50)
+        assert walks == [t]
 
 
 class TestParseTopology:
