@@ -61,6 +61,8 @@ class RunConfig:
             raise UsageError(f"policy must be rr, rand or replay, not {self.policy!r}")
         if self.policy == "replay" and not self.replay_path:
             raise UsageError("policy replay requires --replay PATH")
+        if self.replay_path and self.policy != "replay":
+            raise UsageError("--replay needs --policy replay")
         if self.fault not in ("none", "arbitrary"):
             raise UsageError(f"fault must be none or arbitrary, not {self.fault!r}")
         if self.budget is not None and self.budget < 0:

@@ -9,10 +9,11 @@ that a unit is never in two places at once rather than merely counting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, ResT
+from .protocol import IN, OUT, REQ, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
 
 
@@ -37,12 +38,6 @@ class CensusReport:
         return (self.res_tokens, self.prio_tokens, self.push_tokens)
 
 
-def ctrl_is_valid(msg: Ctrl, receiver_state, is_root: bool, q: int) -> bool:
-    if q == receiver_state.succ and msg.c == receiver_state.myc:
-        return True
-    return (not is_root) and q == 0 and msg.c != receiver_state.myc
-
-
 _SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
 _NO_PROCESS = (0, False, 0, (), (), False, 0, False)
 
@@ -62,6 +57,8 @@ class Tally:
     controller's slot, or 2(n-1) on the root's wrap channel (slot 0), where
     it has passed every other channel; the root's holdings there are picked
     into PT on that arrival, so a traversal never counts them as passed.
+    ``statics`` holds each process's slots by channel, its slots but 0 in
+    ascending order, its degree and whether it is the root.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -81,6 +78,9 @@ class Tally:
         self.behind = [0, 0, 0]
         self.off = self.counted_res = self.counted_prio = 0
         self.census = CensusReport(0, 0, 0, 0)
+        self.census_key = (0, 0, 0, 0)
+        self.statics = {pid: (pos, sorted(t for t in pos if t), len(pos), pid == topo.root)
+                        for pid, pos in self.ring.slot.items()}
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(t, m, 1)
@@ -129,15 +129,13 @@ class Tally:
         counted_prio = False
         if self.key is not None:
             c, t_c = self.key
-            pos = self.ring.slot[pid]
+            pos, inner, degree, is_root = self.statics[pid]
             # the root's wrap channel (slot 0) is never passed mid-traversal
-            visits = 0
-            for t in pos:
-                visits += 0 < t < t_c
-            if pid == self.topo.root:
-                off = st.myc != c or st.succ != visits % len(pos) or st.reset
+            visits = bisect_left(inner, t_c)
+            if is_root:
+                off = st.myc != c or st.succ != visits % degree or st.reset
             elif visits:
-                off = st.myc != c or st.succ != visits % len(pos)
+                off = st.myc != c or st.succ != visits % degree
             else:
                 off = st.myc == c
             for e in rset:
@@ -171,7 +169,7 @@ class Tally:
         self.counted_res += counted_res - old[6]
         self.counted_prio += counted_prio - old[7]
 
-    def violations(self, cfg) -> list[str]:
+    def violations(self, cfg) -> tuple[str, ...]:
         """The safety violations of ``cfg``, in the order of a walk over the
         channels against the ring direction, the wrap channel first, and then
         over the processes."""
@@ -198,11 +196,11 @@ class Tally:
                 out += part[4]
         if self.in_use > self.ell:
             out.append(f"{self.in_use} > ell units in use")
-        return out
+        return tuple(out)
 
 
 def step_checks(tally: Tally, cfg, moves: Iterable,
-                procs: Iterable) -> tuple[CensusReport, bool, list[str]]:
+                procs: Iterable) -> tuple[CensusReport, bool, tuple[str, ...]]:
     """Census, legitimacy verdict, and safety scan for one snapshot.
 
     ``moves`` lists, in the order they happened since the configuration
@@ -224,8 +222,9 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
 
     - census: ell resource tokens, one priority token, one pusher;
     - no safety violation;
-    - exactly one control message, valid for its receiver (``ctrl_is_valid``),
-      not a reset, and the root not in reset mode;
+    - exactly one control message, valid for its receiver (arriving from
+      Succ with the adopted counter, or at a non-root from its parent with a
+      new counter), not a reset, and the root not in reset mode;
     - canonical traversal state, with c the controller's counter and
       ``visits`` the number of a process's channels the controller has
       passed in this traversal: the root, and every non-root with
@@ -251,9 +250,11 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     n_ctrl = ctrl = 0
     for c_slot, ctrls in tally.ctrls.items():
         pid, q = ring.keys[c_slot]
+        st = states[pid]
         for cm in ctrls:
             n_ctrl += 1
-            ctrl += ctrl_is_valid(cm, states[pid], pid == root, q)
+            ctrl += ((q == st.succ and cm.c == st.myc)
+                     or (q == 0 and pid != root and cm.c != st.myc))
     key = None
     if n_ctrl == ctrl == 1:
         key = (cm.c, c_slot or len(ring.keys))
@@ -278,10 +279,10 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
 
     res, prio, push = tally.tokens
     census = tally.census
-    if (census.res_tokens, census.prio_tokens, census.push_tokens,
-            census.ctrl_tokens) != (res, prio, push, ctrl):
+    if tally.census_key != (res, prio, push, ctrl):
+        tally.census_key = (res, prio, push, ctrl)
         census = tally.census = CensusReport(res, prio, push, ctrl)
-    violations = []
+    violations = ()
     if tally.bad or res != len(tally.copies) or tally.in_use > tally.ell:
         violations = tally.violations(cfg)
     if (key is None or tally.off or violations or cm.r

@@ -136,9 +136,11 @@ class TraversalEnd:
     new_reset: bool  # reset decision for the traversal about to start
 
 
-@dataclass
+@dataclass(slots=True)
 class HandlerOutput:
-    sends: list[tuple[int, Message]] = field(default_factory=list)
+    """Read only: ``local_actions`` hands every caller one shared no-op output."""
+
+    sends: list[tuple[int, Message]] | tuple = field(default_factory=list)
     entered_cs: bool = False
     restart_timer: bool = False
     traversal_end: TraversalEnd | None = None
@@ -300,6 +302,9 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
 # Local actions and the root timeout
 # --------------------------------------------------------------------------
 
+_NO_ACTIONS = HandlerOutput(sends=())
+
+
 def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutput:
     """The guard/action block run after every handled message and whenever
     a request arrives or the critical section ends (``cs_done``).
@@ -307,16 +312,24 @@ def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutp
     In order: enter the critical section once enough tokens are reserved
     (the caller then starts it), or else release all tokens if it is done;
     then pass the priority token on unless an unsatisfied request justifies
-    keeping it.  A section granted in a pass is never released in it.
+    keeping it.  A section granted in a pass is never released in it.  The
+    guards are read once (entering or releasing leaves the priority guard as
+    it was); when none holds, the shared ``_NO_ACTIONS`` output is returned.
     """
+    satisfied = len(st.rset) >= st.need
+    enter = st.state == REQ and satisfied
+    release = st.state == IN and cs_done
+    pass_prio = st.prio is not None and (st.state != REQ or satisfied)
+    if not (enter or release or pass_prio):
+        return _NO_ACTIONS
     out = HandlerOutput()
-    if st.state == REQ and len(st.rset) >= st.need:
+    if enter:
         st.state = IN
         out.entered_cs = True
-    elif st.state == IN and cs_done:
+    elif release:
         _release_all(st, p, out)
         st.state = OUT
-    if st.prio is not None and (st.state != REQ or len(st.rset) >= st.need):
+    if pass_prio:
         if p.is_root and st.prio == p.delta - 1:
             st.sprio = min(st.sprio + 1, 2)
         out.sends.append((forward_channel(st.prio, p.delta), PrioT()))
@@ -337,11 +350,10 @@ def counter_modulus(n: int, cmax: int) -> int:
     return 2 * (n - 1) * (cmax + 1) + 1
 
 
+_HANDLERS = {ResT: handle_res_t, PushT: handle_push_t, PrioT: handle_prio_t}
+
+
 def dispatch(st: ProcessState, q: int, msg: Message, p: ProcParams) -> HandlerOutput:
-    if isinstance(msg, ResT):
-        return handle_res_t(st, q, msg, p)
-    if isinstance(msg, PushT):
-        return handle_push_t(st, q, msg, p)
-    if isinstance(msg, PrioT):
-        return handle_prio_t(st, q, msg, p)
-    return handle_ctrl(st, q, msg, p)
+    """Run the handler of ``msg``'s class; a control message falls through
+    to ``handle_ctrl``."""
+    return _HANDLERS.get(msg.__class__, handle_ctrl)(st, q, msg, p)

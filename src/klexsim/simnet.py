@@ -15,7 +15,6 @@ inside their declared domains, at most k reserved tokens per process.
 
 from __future__ import annotations
 
-import copy
 import random
 from bisect import bisect_left, insort
 from collections import deque
@@ -103,9 +102,15 @@ class Configuration:
     busy: list[int] | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "Configuration":
-        nxt = copy.deepcopy(self)
-        nxt.busy = None
-        return nxt
+        """An independent copy: its own process states, ``rset`` lists,
+        channel deques and application dicts; messages are immutable and
+        shared.  ``busy`` is left to be indexed afresh."""
+        return Configuration(
+            {pid: replace(s, rset=list(s.rset)) for pid, s in self.states.items()},
+            {key: deque(q) for key, q in self.channels.items()},
+            AppState(dict(self.app.remaining), dict(self.app.armed_duration)),
+            self.step, self.timer, self.next_uid,
+        )
 
     def fingerprint(self, order: Iterable[str]) -> tuple:
         """Protocol-visible identity of the configuration (monitor-only token
@@ -129,6 +134,7 @@ class Configuration:
 
 
 Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
+_NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
 
 
 @dataclass(slots=True)
@@ -145,7 +151,7 @@ class StepRecord:
     requests: tuple[tuple[str, int], ...]
     transitions: tuple[tuple[str, str, str], ...]
     traversal_end: TraversalEnd | None
-    violations: list[str]
+    violations: tuple[str, ...]
     timeout_fired: bool
 
 
@@ -155,7 +161,7 @@ class Trace:
     initial_census: monitor.CensusReport
     initial_legit: bool
     initial_requests: list[tuple[str, int]]
-    initial_violations: list[str] = field(default_factory=list)
+    initial_violations: tuple[str, ...] = ()
     ended: str = "budget"  # budget | quiescent | stopped | replay-exhausted
     final: Configuration | None = None
 
@@ -176,23 +182,34 @@ class Trace:
 class RoundRobinPolicy:
     """Cycles through the ring's channel slots plus the timeout slot; each
     step services the next enabled slot.  Every persistently enabled event
-    is served within one rotation, which is the fairness window."""
+    is served within one rotation, which is the fairness window.
+
+    ``enabled`` must list choices from ``slots`` in ascending slot order, as
+    ``Simulator.enabled_events`` does: the next enabled slot is then the
+    first choice past the last one served, or else ``enabled[0]``."""
 
     name = "rr"
 
     def __init__(self) -> None:
         self._idx = -1
+        self._slots: list[Choice] | None = None
+        self._index: dict[Choice, int] = {}
 
     def choose(self, enabled: list[Choice], slots: list[Choice]) -> Choice | None:
         if not enabled:
             return None
-        enabled_set = set(enabled)
-        for off in range(1, len(slots) + 1):
-            i = (self._idx + off) % len(slots)
-            if slots[i] in enabled_set:
+        if slots is not self._slots:
+            self._slots = slots
+            self._index = {c: i for i, c in enumerate(slots)}
+        index = self._index
+        last = self._idx
+        for c in enabled:
+            i = index[c]
+            if i > last:
                 self._idx = i
-                return slots[i]
-        return None
+                return c
+        self._idx = index[enabled[0]]
+        return enabled[0]
 
 
 class RandomPolicy:
@@ -412,7 +429,8 @@ class Simulator:
         return cfg.busy
 
     def enabled_events(self, cfg: Configuration) -> list[Choice]:
-        """Enabled events in ring-slot order: a delivery on every non-empty
+        """Enabled events in ascending slot order of ``self.slots`` (which
+        ``RoundRobinPolicy`` relies on): a delivery on every non-empty
         channel (read from ``Configuration.busy``), then the timeout."""
         slots = self.slots
         enabled: list[Choice] = [slots[i] for i in self._busy(cfg)]
@@ -425,15 +443,15 @@ class Simulator:
         rendered = []
         dest = self.topo.ring.dest[sender]
         for out_ch, msg in sends:
-            if isinstance(msg, ResT) and msg.uid < 0:
-                msg = replace(msg, uid=self._take_uid(cfg))
+            if msg.__class__ is ResT and msg.uid < 0:
+                msg = ResT(self._take_uid(cfg))
             t = dest[out_ch]
             queue = cfg.channels[self.channel_keys[t]]
             if not queue:
                 insort(self._busy(cfg), t)
             queue.append(msg)
             moves.append((t, msg, 1))
-            rendered.append(f"{out_ch}:{msg}")
+            rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return rendered
 
     def _local_pass(self, cfg: Configuration, pid: str, lines: list, entries: list,
@@ -487,8 +505,9 @@ class Simulator:
                     f"msg=request{{need={ev.need}}} ch=- sends=[]"
                 )
         woken.update(cfg.app.tick())
-        for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
-            self._local_pass(cfg, pid, lines, entries, transitions, moves)
+        if woken:
+            for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
+                self._local_pass(cfg, pid, lines, entries, transitions, moves)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
         restart = False
@@ -504,15 +523,16 @@ class Simulator:
                     del busy[bisect_left(busy, t)]
                 moves.append((t, msg, -1))
                 out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
-                event = f"event=deliver msg={msg} ch={ch}"
+                sends = ",".join(self._enqueue(cfg, pid, out.sends, moves))
+                lines.append(f"step={step} proc={pid} event=deliver msg="
+                             f"{_NAMES.get(msg.__class__) or msg} ch={ch} sends=[{sends}]")
             else:
                 pid = self.topo.root
                 out = on_timeout_root(cfg.states[pid], self.pp[pid])
-                event = "event=timeout msg=- ch=-"
+                sends = ",".join(self._enqueue(cfg, pid, out.sends, moves))
+                lines.append(f"step={step} proc={pid} event=timeout msg=- ch=- sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            sends = self._enqueue(cfg, pid, out.sends, moves)
-            lines.append(f"step={step} proc={pid} {event} sends=[{','.join(sends)}]")
             self._local_pass(cfg, pid, lines, entries, transitions, moves)
             woken.add(pid)
 
@@ -533,11 +553,9 @@ class Simulator:
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
-        """False only when nothing can ever happen again: channels drained,
-        the timer disabled, no critical section running down, and the
-        workload out of events."""
-        if self.params.timeout is not None:
-            return True  # the timer will eventually fire
+        """With the timer disabled, False only when nothing can ever happen
+        again: channels drained, no critical section running down, and the
+        workload out of events.  (An enabled timer always fires again.)"""
         if self._busy(cfg):
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
@@ -574,16 +592,20 @@ class Simulator:
             initial_violations=violations0,
             final=cfg,
         )
+        replay = isinstance(policy, ReplayPolicy)
+        timed = self.params.timeout is not None
+        dirty = self.topo.process_ids
+        append = trace.records.append
         for _ in range(budget):
-            if isinstance(policy, ReplayPolicy) and policy.exhausted():
+            if replay and policy.exhausted():
                 trace.ended = "replay-exhausted"
                 return trace
-            if not self._anything_pending(cfg, workload):
+            if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload,
-                                    () if trace.records else self.topo.process_ids, tally)
-            trace.records.append(rec)
+            rec = self.execute_step(cfg, policy, workload, dirty, tally)
+            dirty = ()
+            append(rec)
             if observer is not None:
                 observer(cfg, rec)
             if stop is not None and stop(trace.records, cfg):

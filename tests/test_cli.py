@@ -98,6 +98,11 @@ class TestValidation:
         assert err.startswith("error: replay line 1: ")
         assert "Traceback" not in err
 
+    def test_replay_without_replay_policy_is_usage_error(self, star_file, capsys):
+        argv = ["--topology", str(star_file), "--replay", "/nonexistent", "--budget", "50"]
+        assert main(argv) == USAGE
+        assert capsys.readouterr().err == "error: --replay needs --policy replay\n"
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):

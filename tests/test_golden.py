@@ -44,7 +44,7 @@ def sha(text: str) -> str:
 def monitor_text(trace) -> str:
     rows = [(trace.initial_census, trace.initial_legit, trace.initial_violations)]
     rows += [(rec.census, rec.legit, rec.violations) for rec in trace.records]
-    return "".join(f"{c.species()} {c.ctrl_tokens} {int(ok)} {v}\n" for c, ok, v in rows)
+    return "".join(f"{c.species()} {c.ctrl_tokens} {int(ok)} {list(v)}\n" for c, ok, v in rows)
 
 
 def summary(trace) -> tuple:

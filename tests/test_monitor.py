@@ -231,7 +231,7 @@ class TestLegitimacy:
             if not mutate(sim, cfg, ckey, visited):
                 continue
             applied += 1
-            assert sim.check(cfg) == (census, False, [])
+            assert sim.check(cfg) == (census, False, ())
         assert applied >= 10
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,14 @@ from klexsim.protocol import (
     OUT,
     REQ,
     Ctrl,
+    HandlerOutput,
     PrioT,
     ProcessState,
     ProcParams,
     PushT,
     Reserved,
     ResT,
+    _release_all,
     counter_modulus,
     dispatch,
     handle_ctrl_nonroot,
@@ -24,6 +27,7 @@ from klexsim.protocol import (
     local_actions,
     on_timeout_root,
 )
+from klexsim.topology import forward_channel
 
 M = counter_modulus(5, 2)  # big enough for the unit cases
 
@@ -267,7 +271,7 @@ class TestLocalActions:
     def test_prio_kept_while_request_unsatisfied(self):
         st_ = ProcessState(state=REQ, need=2, rset=[Reserved(0)], prio=0)
         out = local_actions(st_, params(delta=2), False)
-        assert out.sends == []
+        assert out.sends == ()
         assert st_.prio == 0
 
     def test_fresh_entry_not_released_same_pass(self):
@@ -282,6 +286,62 @@ class TestLocalActions:
         out = local_actions(st_, params(is_root=True, delta=2), True)
         assert st_.stoken == 1 and st_.sprio == 1
         assert kinds(out.sends) == [(0, "ResT"), (0, "PrioT")]
+
+
+def full_guard_local_actions(st_: ProcessState, p: ProcParams, cs_done: bool):
+    """Reference local-action pass: every guard evaluated after the action
+    before it; returns (sends, entered_cs)."""
+    out = HandlerOutput()
+    if st_.state == REQ and len(st_.rset) >= st_.need:
+        st_.state = IN
+        out.entered_cs = True
+    elif st_.state == IN and cs_done:
+        _release_all(st_, p, out)
+        st_.state = OUT
+    if st_.prio is not None and (st_.state != REQ or len(st_.rset) >= st_.need):
+        if p.is_root and st_.prio == p.delta - 1:
+            st_.sprio = min(st_.sprio + 1, 2)
+        out.sends.append((forward_channel(st_.prio, p.delta), PrioT()))
+        st_.prio = None
+    return out.sends, out.entered_cs
+
+
+class TestLocalActionsNoOp:
+    def test_matches_full_guard_evaluation(self):
+        shared = local_actions(ProcessState(), params(delta=2), False)
+        pristine = ((), False, False, None)
+        no_ops = 0
+        for state, prio, held, need, cs_done, is_root in itertools.product(
+                (OUT, REQ, IN), (None, 0, 1), range(3), range(3), (False, True),
+                (False, True)):
+            rset = [Reserved(i % 2, i) for i in range(held)]
+            st_ = ProcessState(state=state, prio=prio, rset=rset, need=need,
+                               sprio=1 if is_root else 0)
+            ref = copy.deepcopy(st_)
+            p = params(is_root=is_root, delta=2)
+            out = local_actions(st_, p, cs_done)
+            assert (list(out.sends), out.entered_cs) == full_guard_local_actions(ref, p, cs_done)
+            assert st_ == ref
+            if out is shared:
+                no_ops += 1
+                assert not out.sends and not out.entered_cs
+            assert (shared.sends, shared.entered_cs, shared.restart_timer,
+                    shared.traversal_end) == pristine
+        assert no_ops > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_dispatch_routes_by_message_class(is_root, data):
+    handlers = {ResT: handle_res_t, PushT: handle_push_t, PrioT: handle_prio_t,
+                Ctrl: handle_ctrl_root if is_root else handle_ctrl_nonroot}
+    s = data.draw(arbitrary_state(is_root))
+    msg = data.draw(arbitrary_message())
+    q = data.draw(st.integers(0, DELTA - 1))
+    p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    ref = copy.deepcopy(s)
+    assert dispatch(s, q, msg, p) == handlers[type(msg)](ref, q, msg, p)
+    assert s == ref
 
 
 class TestTimeout:

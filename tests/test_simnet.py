@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 
@@ -277,6 +278,82 @@ class TestPolicies:
         assert len(trace.records) == 2
 
 
+class FullScanRoundRobin:
+    """Reference round robin: walks every slot from the one after the last
+    served until it meets an enabled one."""
+
+    def __init__(self) -> None:
+        self._idx = -1
+
+    def choose(self, enabled, slots):
+        if not enabled:
+            return None
+        enabled_set = set(enabled)
+        for off in range(1, len(slots) + 1):
+            i = (self._idx + off) % len(slots)
+            if slots[i] in enabled_set:
+                self._idx = i
+                return slots[i]
+        return None
+
+
+class TestRoundRobinMatchesFullScan:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_choices(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator(random_tree(seed, 2 + seed), SimParams(1, 1, 1, None))
+        slots = sim.slots
+        for with_timeout in (False, True):
+            rr, ref = RoundRobinPolicy(), FullScanRoundRobin()
+            candidates = slots if with_timeout else slots[:-1]
+            density = rng.random()
+            for _ in range(500):
+                enabled = [c for c in candidates if rng.random() < density]
+                assert rr.choose(enabled, slots) == ref.choose(enabled, slots)
+                assert rr._idx == ref._idx
+
+
+class TestClone:
+    """``Configuration.clone`` copies everything a step may change."""
+
+    def configurations(self):
+        for seed in range(200):
+            n, cmax = 2 + seed % 11, seed % 4
+            topo = random_tree(seed, n)
+            sim = Simulator(topo, SimParams(k=2, ell=3, cmax=cmax, timeout=None))
+            cfg = sim.inject_arbitrary(seed)
+            for pid in topo.process_ids:
+                if cfg.states[pid].state == REQ:
+                    cfg.app.armed_duration[pid] = 1 + seed % 3
+            cfg.step, cfg.timer = seed, seed % 7
+            yield topo, cfg
+
+    def test_equals_deepcopy(self):
+        running = 0
+        for _, cfg in self.configurations():
+            running += any(left > 0 for left in cfg.app.remaining.values())
+            assert cfg.clone() == copy.deepcopy(cfg)
+        assert running > 100
+
+    def test_mutating_the_clone_leaves_the_original(self):
+        mutations = (
+            lambda c, pid, key: setattr(c.states[pid], "myc", c.states[pid].myc + 1),
+            lambda c, pid, key: c.states[pid].rset.append(Reserved(0, 10**6)),
+            lambda c, pid, key: c.channels[key].append(PushT()),
+            lambda c, pid, key: c.app.remaining.__setitem__(pid, 9),
+            lambda c, pid, key: c.app.armed_duration.__setitem__(pid, 9),
+        )
+        for topo, cfg in self.configurations():
+            before = cfg.fingerprint(topo.process_ids)
+            pid = topo.process_ids[cfg.step % topo.n]
+            key = topo.ring.keys[cfg.step % len(topo.ring.keys)]
+            for mutate in mutations:
+                nxt = cfg.clone()
+                mutate(nxt, pid, key)
+                assert nxt.fingerprint(topo.process_ids) != before
+                assert cfg.fingerprint(topo.process_ids) == before
+
+
 class TestWorkloadIntegration:
     def test_request_satisfied_in_idle_system(self):
         sim = make_sim(timeout=None)
@@ -480,7 +557,7 @@ class TestStepRecordFootprint:
             assert not hasattr(rec, "__dict__")
             for name in ("lines", "entries", "requests", "transitions"):
                 assert type(getattr(rec, name)) is tuple, name
-            assert type(rec.violations) is list
+            assert type(rec.violations) is tuple
         assert any(rec.entries for rec in trace.records)
 
     def test_tracked_objects_per_step(self):
@@ -494,7 +571,7 @@ class TestStepRecordFootprint:
         per_step = (len(gc.get_objects()) - before) / len(trace.records)
         assert len(trace.records) == 2000
         assert any(rec.traversal_end for rec in trace.records)
-        assert per_step <= 2.1
+        assert per_step <= 1.1
 
 
 class TestRootHoldingsAtTheWrap:
