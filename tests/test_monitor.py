@@ -1,8 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from klexsim.appmodel import RandomWorkload
 from klexsim.monitor import (
     LivenessScenario,
     check_fairness,
@@ -17,7 +19,14 @@ from klexsim.monitor import (
     waiting_time_bound,
 )
 from klexsim.protocol import IN, REQ, Ctrl, PrioT, PushT, Reserved, ResT
-from klexsim.simnet import RoundRobinPolicy, SimParams, Simulator
+from klexsim.simnet import (
+    RandomPolicy,
+    RoundRobinPolicy,
+    SimParams,
+    Simulator,
+    default_timeout,
+    traversal_allowance,
+)
 from klexsim.topology import parse_topology, random_tree, virtual_ring
 
 STAR = parse_topology("n 3 root r\nr: a b\na: r\nb: r\n")
@@ -463,3 +472,122 @@ class TestReport:
         assert "stabilization step: 0" in text
         assert "safety: pass" in text
         assert "census timeline:" in text
+
+
+def reference_legit(sim, cfg):
+    """Legitimacy by the clauses of ``step_checks``' docstring, read off a
+    plain walk of ``virtual_ring`` and every process: nothing is kept from
+    one configuration to the next, and nothing of ``monitor.Tally`` is used."""
+    topo, k, ell = sim.topo, sim.params.k, sim.params.ell
+    ring = [(pos.process, pos.in_channel) for pos in virtual_ring(topo)]
+    states = cfg.states
+    root = states[topo.root]
+
+    # census and safety
+    tokens = {ResT: 0, PrioT: 0, PushT: 0}
+    uids = []
+    ctrls = []
+    for t, key in enumerate(ring):
+        for i, m in enumerate(cfg.channels[key]):
+            if isinstance(m, Ctrl):
+                ctrls.append((t, i, m))
+            else:
+                tokens[type(m)] += 1
+                if isinstance(m, ResT):
+                    uids.append(m.uid)
+    in_use = 0
+    for st in states.values():
+        held = len(st.rset)
+        tokens[ResT] += held
+        tokens[PrioT] += st.prio is not None
+        uids += [e.uid for e in st.rset]
+        if st.state == IN:
+            in_use += held
+            if held > k:
+                return False
+        if not 0 <= st.myc < sim.modulus or held > k:
+            return False
+        if st.stoken > ell + 1 or st.spush > 2 or st.sprio > 2:
+            return False
+    if len(set(uids)) != len(uids) or in_use > ell:
+        return False
+    if (tokens[ResT], tokens[PrioT], tokens[PushT]) != (ell, 1, 1):
+        return False
+
+    # one valid control message, no reset
+    if len(ctrls) != 1:
+        return False
+    t, i, cm = ctrls[0]
+    pid, q = ring[t]
+    st = states[pid]
+    valid = (q == st.succ and cm.c == st.myc) or (
+        pid != topo.root and q == 0 and cm.c != st.myc)
+    if not valid or cm.r or root.reset:
+        return False
+
+    # canonical traversal state: the wrap channel is the controller's last
+    # place, so the channels passed are those at ring positions 1 .. place-1
+    passed = ring[1:t or len(ring)]
+    visits = Counter(p for p, _ in passed)
+    for pid in topo.process_ids:
+        st = states[pid]
+        if pid == topo.root or visits[pid]:
+            if st.myc != cm.c or st.succ != visits[pid] % topo.degree(pid):
+                return False
+        elif st.myc == cm.c:
+            return False
+
+    # running counts: tokens in passed channels, behind the controller in
+    # its own channel, and held on a passed channel
+    passed = set(passed)
+    counted = {ResT: 0, PrioT: 0, PushT: 0}
+    behind = list(cfg.channels[ring[t]])[i + 1:]
+    for m in behind + [m for key in passed for m in cfg.channels[key]]:
+        counted[type(m)] += 1
+    for pid in topo.process_ids:
+        st = states[pid]
+        counted[ResT] += sum(1 for e in st.rset if (pid, e.channel) in passed)
+        counted[PrioT] += st.prio is not None and (pid, st.prio) in passed
+    return (cm.pt + root.stoken, cm.ppr + root.sprio, root.spush) == (
+        counted[ResT], counted[PrioT], counted[PushT])
+
+
+class TestLegitimacyReference:
+    """``rec.legit``, which ``run`` counts from what each step touched,
+    equals ``reference_legit`` at every configuration of seeded runs."""
+
+    def check_run(self, sim, cfg0, policy, budget, workload=None):
+        seen = []
+
+        def observe(cfg, rec):
+            assert rec.legit == reference_legit(sim, cfg), rec.step
+            seen.append(rec.legit)
+
+        trace = sim.run(cfg0, policy, budget, workload=workload, observer=observe)
+        assert trace.initial_legit == reference_legit(sim, cfg0)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_arbitrary_start(self, seed):
+        n, cmax, ell = 2 + seed % 9, seed % 4, 1 + seed % 4
+        topo = random_tree(900 + seed, n)
+        allowance = traversal_allowance(topo, ell, cmax)
+        sim = Simulator(topo, SimParams(k=1 + seed % ell, ell=ell, cmax=cmax,
+                                        timeout=3 * allowance))
+        policy = RoundRobinPolicy() if seed % 2 else RandomPolicy(seed)
+        self.check_run(sim, sim.inject_arbitrary(seed), policy, 10 * allowance)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_canonical_start_with_requests(self, seed):
+        topo = random_tree(9000 + seed, 2 + seed % 10)
+        ell = 1 + seed % 3
+        k = 1 + seed % ell
+        allowance = traversal_allowance(topo, ell, 1)
+        sim = Simulator(topo, SimParams(k=k, ell=ell, cmax=1,
+                                        timeout=default_timeout(topo, ell, 1)))
+        workload = RandomWorkload(topo.process_ids, k, seed, rate=0.08,
+                                  last_step=8 * allowance)
+        policy = RoundRobinPolicy() if seed % 2 else RandomPolicy(seed)
+        seen = self.check_run(sim, sim.initial_configuration(), policy,
+                              10 * allowance, workload)
+        assert all(seen)
