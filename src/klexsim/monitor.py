@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .protocol import IN, OUT, REQ, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Exact global token counts for one configuration snapshot.
 
     Resource/priority counts include both free tokens (in channels) and
@@ -39,51 +38,63 @@ class CensusReport:
 
 
 _SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
-_NO_PROCESS = (0, False, 0, (), (), False, 0, False)
+_NO_PROCESS = ((), None, 0, (), False)
 
 
 class Tally:
     """What ``step_checks`` keeps from one configuration to the next in a run:
-    the token counts of every channel and the part of every process in the
-    census, the safety scan and the traversal clauses, with their sums.  It
-    counts channels by ring slot (``topology.Ring``) and starts from the
-    channels of ``cfg``; its first ``step_checks`` must name every process.
+    the token counts of every ring slot (``topology.Ring``) and the part of
+    every process in the census, the safety scan and the traversal clauses,
+    with their sums.  Every resource and priority token is counted once, at
+    its slot: a free token at its channel's, a held one at the slot of the
+    channel it arrived on.  The simulator calls ``move`` as it takes a
+    message from a channel or puts one in; a tally starts from the channels
+    of ``cfg``, and its first ``step_checks`` must name every process.
 
-    A process's part is (held resource tokens, holds the priority token,
-    units in use, reserved uids, violations, off the canonical traversal
-    state, held resource tokens and priority token the traversal has
-    counted).  The traversal fields are taken for ``key``, the (counter,
-    place) of the controller, and only while there is one.  The place is the
-    controller's slot, or 2(n-1) on the root's wrap channel (slot 0), where
-    it has passed every other channel; the root's holdings there are picked
-    into PT on that arrival, so a traversal never counts them as passed.
-    ``statics`` holds each process's slots by channel, its slots but 0 in
-    ascending order, its degree and whether it is the root.
+    A process's part is (its RSet, its Prio, units in use, violations, off
+    the canonical traversal state).  The last is taken for ``key``, the
+    (counter, place) of the controller, and only while there is one.  The
+    place is the controller's slot, or 2(n-1) on the root's wrap channel
+    (slot 0), where it has passed every other channel; the root's holdings
+    there are picked into PT on that arrival, so a traversal never counts
+    them as passed.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
         self.topo, self.ring = topo, topo.ring
         self.k, self.ell, self.modulus = k, ell, modulus
         self.tokens = [0, 0, 0]  # resource, priority, pusher tokens, held included
-        self.counts = [[0, 0, 0] for _ in self.ring.keys]  # per slot
+        self.counts = [[0, 0, 0] for _ in self.ring.keys]  # per slot, held included
         self.ctrls: dict = {}  # slot -> its control messages, front first
         self.after: dict = {}  # slot -> tokens behind its last control message
         self.copies: dict[int, int] = {}  # resource uid -> copies
         self.procs: dict = {}
-        self.bad: dict = {}  # process -> its violations
+        self.n_bad = 0  # processes with violations
         self.in_use = 0
         self.key: tuple[int, int] | None = None
-        # for ``key``: tokens in the channels before the controller's place,
-        # processes off the canonical state, held tokens already counted
+        # for ``key``: tokens at the slots before the controller's place,
+        # processes off the canonical state
         self.behind = [0, 0, 0]
-        self.off = self.counted_res = self.counted_prio = 0
+        self.off = 0
         self.census = CensusReport(0, 0, 0, 0)
-        self.census_key = (0, 0, 0, 0)
-        self.statics = {pid: (pos, sorted(t for t in pos if t), len(pos), pid == topo.root)
-                        for pid, pos in self.ring.slot.items()}
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(t, m, 1)
+
+    def _count(self, t: int, i: int, token, sign: int) -> None:
+        """Count a token of species i (``token`` gives a resource's uid) in
+        (sign 1) or out of (sign -1) slot t."""
+        if not i:
+            copies = self.copies
+            left = copies.get(token.uid, 0) + sign
+            if left:
+                copies[token.uid] = left
+            else:
+                del copies[token.uid]
+        self.counts[t][i] += sign
+        self.tokens[i] += sign
+        if self.key is not None and 0 < t < self.key[1]:
+            self.behind[i] += sign
 
     def move(self, t: int, m, sign: int) -> None:
         """Count message m into (sign 1, put at the back) or out of (sign -1,
@@ -99,19 +110,9 @@ class Tally:
                 if not ctrls:
                     del self.ctrls[t], self.after[t]
             return
-        if not i:
-            copies = self.copies
-            left = copies.get(m.uid, 0) + sign
-            if left:
-                copies[m.uid] = left
-            else:
-                del copies[m.uid]
-        self.counts[t][i] += sign
-        self.tokens[i] += sign
+        self._count(t, i, m, sign)
         if sign > 0 and t in self.after:
             self.after[t][i] += 1
-        if self.key is not None and 0 < t < self.key[1]:
-            self.behind[i] += sign
 
     def process(self, pid, st) -> None:
         """Count one process's part again, for the current ``key``."""
@@ -124,62 +125,48 @@ class Tally:
             viol += (f"{pid} counter {st.myc} outside domain",)
         if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
+        pos = self.ring.slot[pid]
         off = False
-        counted_res = 0
-        counted_prio = False
         if self.key is not None:
             c, t_c = self.key
-            pos, inner, degree, is_root = self.statics[pid]
-            # the root's wrap channel (slot 0) is never passed mid-traversal
-            visits = bisect_left(inner, t_c)
-            if is_root:
-                off = st.myc != c or st.succ != visits % degree or st.reset
-            elif visits:
-                off = st.myc != c or st.succ != visits % degree
+            # a process's slots ascend with its labels, but the root's wrap
+            # channel (slot 0) is its last label and never passed
+            is_root = pid == self.topo.root
+            visits = bisect_left(pos, t_c, 0, len(pos) - is_root)
+            if is_root or visits:
+                off = (st.myc != c or st.succ != visits % len(pos)
+                       or is_root and st.reset)
             else:
                 off = st.myc == c
-            for e in rset:
-                counted_res += 0 < pos[e.channel] < t_c
-            counted_prio = st.prio is not None and 0 < pos[st.prio] < t_c
-        new = (held, st.prio is not None, held if st.state == IN else 0,
-               tuple([e.uid for e in rset]) if rset else (), viol,
-               off, counted_res, counted_prio)
+        new = (tuple(rset), st.prio, held if st.state == IN else 0, viol, off)
         old = self.procs.get(pid, _NO_PROCESS)
         if new == old:
             return
         self.procs[pid] = new
-        if old[3] != new[3]:
-            copies = self.copies
-            for uid in old[3]:
-                left = copies[uid] - 1
-                if left:
-                    copies[uid] = left
-                else:
-                    del copies[uid]
-            for uid in new[3]:
-                copies[uid] = copies.get(uid, 0) + 1
-        self.tokens[0] += held - old[0]
-        self.tokens[1] += new[1] - old[1]
+        count = self._count
+        if old[0] != new[0]:
+            for e in old[0]:
+                count(pos[e.channel], 0, e, -1)
+            for e in rset:
+                count(pos[e.channel], 0, e, 1)
+        if old[1] != new[1]:
+            if old[1] is not None:
+                count(pos[old[1]], 1, None, -1)
+            if new[1] is not None:
+                count(pos[new[1]], 1, None, 1)
         self.in_use += new[2] - old[2]
-        if viol:
-            self.bad[pid] = viol
-        elif old[4]:
-            del self.bad[pid]
-        self.off += off - old[5]
-        self.counted_res += counted_res - old[6]
-        self.counted_prio += counted_prio - old[7]
+        self.n_bad += bool(viol) - bool(old[3])
+        self.off += off - old[4]
 
     def violations(self, cfg) -> tuple[str, ...]:
-        """The safety violations of ``cfg``, in the order of a walk over the
-        channels against the ring direction, the wrap channel first, and then
-        over the processes."""
+        """The safety violations of ``cfg``: units represented twice, found by
+        a walk over the channels against the ring direction, the wrap channel
+        first, and then over the processes, each with its own violations."""
         ring = self.ring
-        if self.tokens[0] == len(self.copies):  # no unit represented twice
-            out = [v for pid in sorted(self.bad, key=ring.order.__getitem__)
-                   for v in self.bad[pid]]
-        else:
-            seen: set[int] = set()
-            out = []
+        seen: set[int] | None = None
+        out = []
+        if self.tokens[0] != len(self.copies):  # some unit represented twice
+            seen = set()
             for key in ring.keys[:1] + ring.keys[:0:-1]:
                 for m in cfg.channels[key]:
                     if isinstance(m, ResT):
@@ -187,32 +174,33 @@ class Tally:
                             out.append(f"resource unit {m.uid} duplicated "
                                        f"(channel {key[0]}:{key[1]})")
                         seen.add(m.uid)
-            for pid in self.topo.process_ids:
-                part = self.procs.get(pid, _NO_PROCESS)
-                for uid in part[3]:
-                    if uid in seen:
-                        out.append(f"resource unit {uid} duplicated (RSet of {pid})")
-                    seen.add(uid)
-                out += part[4]
+        for pid in self.topo.process_ids:
+            rset, _, _, viol, _ = self.procs.get(pid, _NO_PROCESS)
+            if seen is not None:
+                for e in rset:
+                    if e.uid in seen:
+                        out.append(f"resource unit {e.uid} duplicated (RSet of {pid})")
+                    seen.add(e.uid)
+            out += viol
         if self.in_use > self.ell:
             out.append(f"{self.in_use} > ell units in use")
         return tuple(out)
 
 
-def step_checks(tally: Tally, cfg, moves: Iterable,
+def step_checks(tally: Tally, cfg,
                 procs: Iterable) -> tuple[CensusReport, bool, tuple[str, ...]]:
     """Census, legitimacy verdict, and safety scan for one snapshot.
 
-    ``moves`` lists, in the order they happened since the configuration
-    ``tally`` last counted, the messages taken from the front of a channel
-    or put at its back, as (ring slot, message, -1 or 1); ``procs`` names
-    the processes whose state may have changed (every process, the first
-    time a tally is checked).  Only those are counted again.  The
-    traversal fields of every process are counted again when the
-    controller's place does not follow from the last one: on a wrap (the
-    counter changes), a jump, a move backwards, or when a single valid
-    control message appears.  A move to the next channel adds the channel
-    it left, and counts again the process that channel leads to.
+    ``tally`` has already counted every message moved since the
+    configuration it last checked (``Tally.move``); ``procs`` names the
+    processes whose state may have changed (every process, the first time a
+    tally is checked).  Only those are counted again, their held tokens at
+    the slots they arrived on.  The traversal fields of every process are
+    counted again when the controller's place does not follow from the last
+    one: on a wrap (the counter changes), a jump, a move backwards, or when
+    a single valid control message appears.  A move to the next channel
+    adds the slot it left, and counts again the process that channel leads
+    to.
 
     Safety violations reported: a unit represented twice (duplicate
     identity tag), more than k units held by a process in its critical
@@ -233,9 +221,10 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     - running counts (counter flushing): ``Ctrl.pt + SToken``,
       ``Ctrl.ppr + SPrio`` and ``SPush`` equal the resource, priority and
       pusher tokens the traversal has already counted: those behind the
-      controller in its own channel or in a channel it has passed, and those
-      held on a passed channel (never on the root's wrap channel, whose
-      holdings the controller counts when it arrives there).
+      controller in its own channel, and those at a slot it has passed, in
+      the channel or held by a process that took them from it (never the
+      root's wrap channel, whose holdings the controller counts when it
+      arrives there).
 
     The traversal clauses are what make the predicate closed under
     execution; a merely nominal census can still carry inflated counts
@@ -244,8 +233,6 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     ring = tally.ring
     root = tally.topo.root
     states = cfg.states
-    for t, m, sign in moves:
-        tally.move(t, m, sign)
 
     n_ctrl = ctrl = 0
     for c_slot, ctrls in tally.ctrls.items():
@@ -279,11 +266,10 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
 
     res, prio, push = tally.tokens
     census = tally.census
-    if tally.census_key != (res, prio, push, ctrl):
-        tally.census_key = (res, prio, push, ctrl)
+    if census != (res, prio, push, ctrl):
         census = tally.census = CensusReport(res, prio, push, ctrl)
     violations = ()
-    if tally.bad or res != len(tally.copies) or tally.in_use > tally.ell:
+    if tally.n_bad or res != len(tally.copies) or tally.in_use > tally.ell:
         violations = tally.violations(cfg)
     if (key is None or tally.off or violations or cm.r
             or (res, prio, push) != (tally.ell, 1, 1)):
@@ -292,8 +278,8 @@ def step_checks(tally: Tally, cfg, moves: Iterable,
     b = tally.behind
     after = tally.after[c_slot]
     legit = (
-        cm.pt + rs.stoken == b[0] + after[0] + tally.counted_res
-        and cm.ppr + rs.sprio == b[1] + after[1] + tally.counted_prio
+        cm.pt + rs.stoken == b[0] + after[0]
+        and cm.ppr + rs.sprio == b[1] + after[1]
         and rs.spush == b[2] + after[2]
     )
     return census, legit, violations

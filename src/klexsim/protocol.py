@@ -120,7 +120,6 @@ class ProcParams:
 
     is_root: bool
     delta: int  # number of channels at this process
-    k: int
     ell: int
     counter_modulus: int  # myc domain size, 2(n-1)(C_MAX+1)+1
 

@@ -125,11 +125,7 @@ class Configuration:
             ))
         chans = []
         for key in sorted(self.channels):
-            msgs = tuple(
-                (str(m) if not isinstance(m, ResT) else "ResT")
-                for m in self.channels[key]
-            )
-            chans.append((key, msgs))
+            chans.append((key, tuple(str(m) for m in self.channels[key])))
         return (tuple(procs), tuple(chans))
 
 
@@ -299,7 +295,6 @@ class Simulator:
             pid: ProcParams(
                 is_root=(pid == topo.root),
                 delta=topo.degree(pid),
-                k=params.k,
                 ell=params.ell,
                 counter_modulus=self.modulus,
             )
@@ -314,9 +309,9 @@ class Simulator:
         """A tally of ``cfg``'s channels; see ``monitor.Tally``."""
         return monitor.Tally(self.topo, self.params.k, self.params.ell, self.modulus, cfg)
 
-    def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, list[str]]:
+    def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, tuple[str, ...]]:
         """(census, legitimacy, safety violations) of ``cfg``, counted from scratch."""
-        return monitor.step_checks(self.tally(cfg), cfg, (), self.topo.process_ids)
+        return monitor.step_checks(self.tally(cfg), cfg, self.topo.process_ids)
 
     # -- configuration builders --------------------------------------------
 
@@ -439,7 +434,7 @@ class Simulator:
         return enabled
 
     def _enqueue(self, cfg: Configuration, sender: str,
-                 sends: list[tuple[int, Message]], moves: list) -> list[str]:
+                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> list[str]:
         rendered = []
         dest = self.topo.ring.dest[sender]
         for out_ch, msg in sends:
@@ -450,12 +445,12 @@ class Simulator:
             if not queue:
                 insort(self._busy(cfg), t)
             queue.append(msg)
-            moves.append((t, msg, 1))
+            tally.move(t, msg, 1)
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return rendered
 
     def _local_pass(self, cfg: Configuration, pid: str, lines: list, entries: list,
-                    transitions: list, moves: list) -> None:
+                    transitions: list, tally: monitor.Tally) -> None:
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
@@ -465,7 +460,7 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, pid, out.sends, moves)
+            sends = self._enqueue(cfg, pid, out.sends, tally)
             lines.append(
                 f"step={cfg.step} proc={pid} event=local msg=actions ch=- "
                 f"sends=[{','.join(sends)}]"
@@ -478,8 +473,10 @@ class Simulator:
         each process that requested, finished its section or is ``dirty``,
         in ``process_ids`` order), then the event ``policy`` chooses, then
         the checks of the configuration produced, counted into ``tally``
-        from what the step touched: the messages it took from or put into
-        a channel, and the processes it woke or delivered to.  ``dirty``
+        from what the step touched: each message is counted out of or into
+        its channel's slot as the step takes or puts it, and the processes
+        the step woke or delivered to are counted again at the end, their
+        held tokens at the slots they arrived on.  ``dirty``
         processes may have true guards already, as only a start no step
         produced can.
 
@@ -492,7 +489,6 @@ class Simulator:
         entries: list[str] = []
         requests: list[tuple[str, int]] = []
         transitions: list[tuple[str, str, str]] = []
-        moves: list[tuple[int, Message, int]] = []
         woken = set(dirty)
         if workload is not None:
             due = workload.due(step, cfg.states)
@@ -507,7 +503,7 @@ class Simulator:
         woken.update(cfg.app.tick())
         if woken:
             for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
-                self._local_pass(cfg, pid, lines, entries, transitions, moves)
+                self._local_pass(cfg, pid, lines, entries, transitions, tally)
 
         choice = policy.choose(self.enabled_events(cfg), self.slots)
         restart = False
@@ -521,24 +517,24 @@ class Simulator:
                 if not queue:
                     busy = self._busy(cfg)
                     del busy[bisect_left(busy, t)]
-                moves.append((t, msg, -1))
+                tally.move(t, msg, -1)
                 out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
-                sends = ",".join(self._enqueue(cfg, pid, out.sends, moves))
+                sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
                 lines.append(f"step={step} proc={pid} event=deliver msg="
                              f"{_NAMES.get(msg.__class__) or msg} ch={ch} sends=[{sends}]")
             else:
                 pid = self.topo.root
                 out = on_timeout_root(cfg.states[pid], self.pp[pid])
-                sends = ",".join(self._enqueue(cfg, pid, out.sends, moves))
+                sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
                 lines.append(f"step={step} proc={pid} event=timeout msg=- ch=- sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            self._local_pass(cfg, pid, lines, entries, transitions, moves)
+            self._local_pass(cfg, pid, lines, entries, transitions, tally)
             woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
-        census, legit, violations = monitor.step_checks(tally, cfg, moves, woken)
+        census, legit, violations = monitor.step_checks(tally, cfg, woken)
         return StepRecord(step, tuple(lines), census, legit, tuple(entries),
                           tuple(requests), tuple(transitions), traversal_end,
                           violations, choice == (TIMEOUT,))
@@ -579,7 +575,7 @@ class Simulator:
         """
         cfg = cfg0.clone()
         tally = self.tally(cfg)
-        census0, legit0, violations0 = monitor.step_checks(tally, cfg, (), self.topo.process_ids)
+        census0, legit0, violations0 = monitor.step_checks(tally, cfg, self.topo.process_ids)
         trace = Trace(
             records=[],
             initial_census=census0,

@@ -539,15 +539,15 @@ def reference_legit(sim, cfg):
 
     # running counts: tokens in passed channels, behind the controller in
     # its own channel, and held on a passed channel
-    passed = set(passed)
+    passed_keys = set(passed)
     counted = {ResT: 0, PrioT: 0, PushT: 0}
     behind = list(cfg.channels[ring[t]])[i + 1:]
-    for m in behind + [m for key in passed for m in cfg.channels[key]]:
+    for m in behind + [m for key in passed_keys for m in cfg.channels[key]]:
         counted[type(m)] += 1
     for pid in topo.process_ids:
         st = states[pid]
-        counted[ResT] += sum(1 for e in st.rset if (pid, e.channel) in passed)
-        counted[PrioT] += st.prio is not None and (pid, st.prio) in passed
+        counted[ResT] += sum(1 for e in st.rset if (pid, e.channel) in passed_keys)
+        counted[PrioT] += st.prio is not None and (pid, st.prio) in passed_keys
     return (cm.pt + root.stoken, cm.ppr + root.sprio, root.spush) == (
         counted[ResT], counted[PrioT], counted[PushT])
 

@@ -32,8 +32,8 @@ from klexsim.topology import forward_channel
 M = counter_modulus(5, 2)  # big enough for the unit cases
 
 
-def params(is_root=False, delta=2, k=3, ell=3, modulus=M):
-    return ProcParams(is_root=is_root, delta=delta, k=k, ell=ell, counter_modulus=modulus)
+def params(is_root=False, delta=2, ell=3, modulus=M):
+    return ProcParams(is_root=is_root, delta=delta, ell=ell, counter_modulus=modulus)
 
 
 def kinds(sends):
@@ -338,7 +338,7 @@ def test_dispatch_routes_by_message_class(is_root, data):
     s = data.draw(arbitrary_state(is_root))
     msg = data.draw(arbitrary_message())
     q = data.draw(st.integers(0, DELTA - 1))
-    p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
     ref = copy.deepcopy(s)
     assert dispatch(s, q, msg, p) == handlers[type(msg)](ref, q, msg, p)
     assert s == ref
@@ -414,7 +414,7 @@ def test_handlers_total_and_saturating(is_root, data):
     s = data.draw(arbitrary_state(is_root))
     msg = data.draw(arbitrary_message())
     q = data.draw(st.integers(0, DELTA - 1))
-    p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
     out = dispatch(s, q, msg, p)
     assert s.stoken <= ELL + 1
     assert s.spush <= 2 and s.sprio <= 2
@@ -435,7 +435,7 @@ def test_resource_conservation(is_root, data):
         s.reset = False  # a resetting root deliberately consumes tokens
     msg = data.draw(st.sampled_from([ResT(), PushT()]))
     q = data.draw(st.integers(0, DELTA - 1))
-    p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
     before = len(s.rset) + (1 if isinstance(msg, ResT) else 0)
     out = dispatch(s, q, msg, p)
     assert res_count(s, out.sends) == before
@@ -446,7 +446,7 @@ def test_resource_conservation(is_root, data):
 def test_local_actions_conserve_resources(is_root, data):
     s = data.draw(arbitrary_state(is_root))
     release = data.draw(st.booleans())
-    p = ProcParams(is_root=is_root, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
     before = len(s.rset)
     out = local_actions(s, p, release)
     assert res_count(s, out.sends) == before
@@ -464,6 +464,6 @@ def test_priority_shield(data):
         s.need -= 1
     before = list(s.rset)
     q = data.draw(st.integers(0, DELTA - 1))
-    p = ProcParams(is_root=False, delta=DELTA, k=K, ell=ELL, counter_modulus=MOD)
+    p = ProcParams(is_root=False, delta=DELTA, ell=ELL, counter_modulus=MOD)
     handle_push_t(s, q, PushT(), p)
     assert s.rset == before

@@ -175,6 +175,19 @@ class TestRing:
                     assert ring.keys[ring.dest[p][out]] == (q, t.channel_to(q, p))
             assert [ring.order[p] for p in t.process_ids] == list(range(n))
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_slots_ascend_with_labels(self, n):
+        # what ``monitor.Tally`` bisects on: a process's slots ascend with
+        # its channel labels, except the root's wrap channel, slot 0, which
+        # is its last label
+        for seed in (n, 1000 + n):
+            t = random_tree(seed, n)
+            for p, pos in t.ring.slot.items():
+                if p == t.root:
+                    assert pos[-1] == 0
+                    pos = pos[:-1]
+                assert pos == sorted(pos) and 0 not in pos
+
     def test_ring_walked_once_per_topology(self, monkeypatch):
         walks = []
         real = topology.virtual_ring
