@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .protocol import OUT, REQ, ProcessState
+from .topology import content_lines
 
 INF = math.inf
 DEFAULT_CS_STEPS = 1  # length of a critical section entered with no armed request
@@ -195,10 +196,7 @@ def parse_scenario(text: str, k: int) -> Workload:
     """Parse a scenario file: one ``req <step> <process> <need> <duration|inf>``
     per line; blank lines and ``#`` comments allowed."""
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "req":
             raise ScenarioError(f"line {lineno}: expected 'req <step> <process> <need> <duration|inf>'")

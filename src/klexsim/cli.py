@@ -2,8 +2,8 @@
 figure regressions.
 
 Exit codes: 0 pass, 1 violation, 2 inconclusive (budget ran out before a
-verdict), 64 usage error.  The CLI is a thin shell over the library; every
-run is reproducible from its flags.
+verdict), 64 usage error; ``judge`` decides the first three.  The CLI is a
+thin shell over the library; every run is reproducible from its flags.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import monitor, scenarios
@@ -31,6 +31,7 @@ from .simnet import (
 from .topology import TreeTopology, parse_topology
 
 PASS, VIOLATION, INCONCLUSIVE, USAGE = 0, 1, 2, 64
+VERDICT_WORDS = {PASS: "pass", VIOLATION: "violation", INCONCLUSIVE: "inconclusive"}
 
 
 class UsageError(ValueError):
@@ -95,6 +96,40 @@ def make_policy(cfg: RunConfig, seed: int):
     return ReplayPolicy(choices)
 
 
+def judge(trace: Trace) -> tuple[int, int | None, int, monitor.SafetyVerdict,
+                                  monitor.FairnessVerdict]:
+    """The verdicts of one run and the exit status they give, the one rule for
+    single runs and campaigns alike: VIOLATION on a safety violation after
+    stabilization, a closure regression (a legitimate configuration followed
+    by one that is not) or a definite starvation; INCONCLUSIVE when the run
+    never stabilizes or requests are still outstanding at the budget; PASS
+    otherwise.  Returns (status, stabilization time, closure regressions,
+    safety, fairness)."""
+    stab = monitor.stabilization_time(trace)
+    regressions = monitor.closure_regressions(trace)
+    safety = monitor.check_safety(trace, stab)
+    fairness = monitor.check_fairness(trace)
+    starved = not fairness.passed and not fairness.inconclusive
+    if not safety.passed or regressions or starved:
+        status = VIOLATION
+    elif stab is None or fairness.inconclusive:
+        status = INCONCLUSIVE
+    else:
+        status = PASS
+    return status, stab, regressions, safety, fairness
+
+
+def write_out(out_dir: str | None, files: dict[str, str]) -> None:
+    """Write each named text into ``out_dir``, created if missing; nothing
+    when no directory is given."""
+    if out_dir is None:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
 def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     """Run one simulation; returns (exit status, report text, trace)."""
     cfg.validate()
@@ -113,23 +148,10 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     trace = sim.run(initial, make_policy(cfg, cfg.seed), cfg.effective_budget(),
                     workload=workload)
 
-    stab = monitor.stabilization_time(trace)
-    safety = monitor.check_safety(trace, stab)
-    fairness = monitor.check_fairness(trace)
-    report = monitor.render_report(trace, cfg.topology, cfg.ell, stab, safety, fairness)
-
-    if not safety.passed or (not fairness.passed and not fairness.inconclusive):
-        status = VIOLATION
-    elif stab is None or fairness.inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = PASS
-
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trace.txt").write_text(trace.text())
-        (out / "report.txt").write_text(report)
+    status, stab, regressions, safety, fairness = judge(trace)
+    report = monitor.render_report(trace, cfg.topology, cfg.ell, stab, regressions,
+                                   safety, fairness)
+    write_out(cfg.out_dir, {"trace.txt": trace.text(), "report.txt": report})
     return status, report, trace
 
 
@@ -137,7 +159,6 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
 class CampaignResult:
     status: int
     report: str
-    stabilization_steps: list[int] = field(default_factory=list)
 
 
 def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
@@ -153,27 +174,19 @@ def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
     budget = cfg.effective_budget()
     stabs: list[int] = []
     lines: list[str] = []
-    failures = inconclusive = 0
+    statuses: list[int] = []
     max_wait: int | None = None
     for seed in range(cfg.seed, cfg.seed + seeds):
         trace = sim.run(sim.inject_arbitrary(seed), make_policy(cfg, seed), budget)
-        stab = monitor.stabilization_time(trace)
-        regressions = monitor.closure_regressions(trace)
-        safety = monitor.check_safety(trace, stab)
-        fairness = monitor.check_fairness(trace)
+        status, stab, regressions, _, fairness = judge(trace)
         if fairness.max_waiting is not None:
             max_wait = max(max_wait or 0, fairness.max_waiting)
-        verdict = "pass"
-        if not safety.passed or regressions:
-            verdict = "violation"
-            failures += 1
-        elif stab is None:
-            verdict = "inconclusive"
-            inconclusive += 1
-        else:
+        if status == PASS:
             stabs.append(stab)
+        statuses.append(status)
         lines.append(f"seed={seed} stabilization={stab} regressions={regressions} "
-                     f"verdict={verdict}")
+                     f"verdict={VERDICT_WORDS[status]}")
+    failures, inconclusive = statuses.count(VIOLATION), statuses.count(INCONCLUSIVE)
     status = (VIOLATION if failures else
               INCONCLUSIVE if inconclusive else PASS)
     summary = [
@@ -190,11 +203,8 @@ def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
         summary.append(f"max observed waiting: {max_wait} (bound {bound}, "
                        f"ratio {max_wait / bound:.3f})")
     report = "\n".join(summary + lines) + "\n"
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "campaign.txt").write_text(report)
-    return CampaignResult(status, report, stabs)
+    write_out(cfg.out_dir, {"campaign.txt": report})
+    return CampaignResult(status, report)
 
 
 def run_figure(name: str) -> tuple[int, str]:

@@ -310,13 +310,6 @@ def stabilization_time(trace) -> int | None:
     return last_bad + 1
 
 
-def first_legitimate(trace) -> int | None:
-    for i, ok in enumerate(legit_series(trace)):
-        if ok:
-            return i
-    return None
-
-
 def closure_regressions(trace) -> int:
     """Number of legitimate -> non-legitimate transitions; zero in a correct
     run (legitimacy is an attractor)."""
@@ -347,7 +340,7 @@ def check_safety(trace, stabilization=_NOT_GIVEN) -> SafetyVerdict:
     pre: list[str] = []
     post: list[str] = []
     bucket0 = post if cutoff <= 0 else pre
-    bucket0.extend(getattr(trace, "initial_violations", []))
+    bucket0.extend(trace.initial_violations)
     for i, rec in enumerate(trace.records):
         config_index = i + 1  # record i describes configuration i+1
         bucket = post if config_index >= cutoff else pre
@@ -525,15 +518,14 @@ def traversal_observations(trace) -> list[TraversalObservation]:
 # --------------------------------------------------------------------------
 
 def render_report(trace, topo: TreeTopology, ell: int, stab: int | None,
-                  safety: SafetyVerdict, fairness: FairnessVerdict,
-                  sample_every: int = 0) -> str:
+                  regressions: int, safety: SafetyVerdict,
+                  fairness: FairnessVerdict) -> str:
     """Structured text summary of one run, given its verdicts: stabilization
-    step, per-request waits, violation list, and an optional sampled census
-    timeline."""
+    step, closure regressions, per-request waits and the violation list."""
     lines = []
     lines.append(f"steps executed: {len(trace.records)} (ended: {trace.ended})")
     lines.append(f"stabilization step: {'never' if stab is None else stab}")
-    lines.append(f"closure regressions: {closure_regressions(trace)}")
+    lines.append(f"closure regressions: {regressions}")
     final = trace.records[-1].census if trace.records else trace.initial_census
     lines.append(
         f"final census: res={final.res_tokens} prio={final.prio_tokens} "
@@ -556,13 +548,4 @@ def render_report(trace, topo: TreeTopology, ell: int, stab: int | None,
                          f"waited={r.waiting}")
     for r in fairness.starvations:
         lines.append(f"  outstanding: {r.process} requested {r.need} at step {r.step_requested}")
-    if sample_every > 0:
-        lines.append("census timeline:")
-        for i, rec in enumerate(trace.records):
-            if i % sample_every == 0:
-                c = rec.census
-                lines.append(
-                    f"  step={rec.step} res={c.res_tokens} prio={c.prio_tokens} "
-                    f"push={c.push_tokens} ctrl={c.ctrl_tokens} legit={int(rec.legit)}"
-                )
     return "\n".join(lines) + "\n"

@@ -41,7 +41,7 @@ from .protocol import (
     local_actions,
     on_timeout_root,
 )
-from .topology import TreeTopology
+from .topology import TreeTopology, content_lines
 
 ChannelKey = tuple[str, int]  # (receiver, receive-channel label)
 
@@ -251,10 +251,7 @@ def parse_replay(text: str) -> list[Choice]:
     """Replay file: one choice per line, ``deliver <proc> <ch>`` / ``timeout``
     / ``skip``; blank lines and # comments allowed."""
     choices: list[Choice] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == DELIVER and len(parts) == 3 and parts[2].isdecimal():
             choices.append((DELIVER, parts[1], int(parts[2])))

@@ -12,18 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 
 class TopologyError(ValueError):
     """A topology description is malformed or is not an oriented tree."""
 
 
-@dataclass(frozen=True)
-class RingPosition:
-    """One stop on the virtual ring: a process and the channel a token arrives on."""
-
-    process: str
-    in_channel: int
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for every line of an input file
+    that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -130,20 +132,21 @@ def next_channel(topo: TreeTopology, p: str, in_channel: int) -> int:
     return forward_channel(in_channel, d)
 
 
-def virtual_ring(topo: TreeTopology) -> list[RingPosition]:
-    """The full token circulation cycle, starting at (root, degree(root)-1).
+def virtual_ring(topo: TreeTopology) -> list[tuple[str, int]]:
+    """The full token circulation cycle as channel keys (process, the channel
+    a token arrives on), starting at (root, degree(root)-1).
 
     Applying "receive on i, forward on (i+1) mod degree" repeatedly from the
     start position yields each directed tree edge exactly once, so the cycle
     has length 2(n-1).
     """
-    start = RingPosition(topo.root, topo.degree(topo.root) - 1)
+    start = (topo.root, topo.degree(topo.root) - 1)
     ring = [start]
     pos = start
     while True:
-        out = next_channel(topo, pos.process, pos.in_channel)
-        q = topo.endpoint(pos.process, out)
-        pos = RingPosition(q, topo.channel_to(q, pos.process))
+        p, in_channel = pos
+        q = topo.endpoint(p, next_channel(topo, p, in_channel))
+        pos = (q, topo.channel_to(q, p))
         if pos == start:
             break
         ring.append(pos)
@@ -165,7 +168,7 @@ class Ring:
 
     def __init__(self, topo: TreeTopology):
         self.neighbors = topo.neighbors  # not topo: the topology caches its ring
-        self.keys = tuple((pos.process, pos.in_channel) for pos in virtual_ring(topo))
+        self.keys = tuple(virtual_ring(topo))
         self.order = {p: i for i, p in enumerate(topo.process_ids)}
 
     @cached_property
@@ -220,30 +223,30 @@ def parse_topology(text: str) -> TreeTopology:
     One line per process; neighbor position = channel label, and a non-root
     line must name its parent at position 0.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    lines = content_lines(text)
+    lineno, header_line = next(lines, (0, ""))
+    if not header_line:
         raise TopologyError("empty topology description")
 
-    header = lines[0].split()
+    header = header_line.split()
     if len(header) != 4 or header[0] != "n" or header[2] != "root":
-        raise TopologyError("header must be 'n <count> root <id>'")
+        raise TopologyError(f"line {lineno}: header must be 'n <count> root <id>'")
     try:
         count = int(header[1])
     except ValueError:
-        raise TopologyError(f"bad process count {header[1]!r}") from None
+        raise TopologyError(f"line {lineno}: bad process count {header[1]!r}") from None
     root = header[3]
 
     neighbors: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
-    for ln in lines[1:]:
+    for lineno, ln in lines:
         if ":" not in ln:
-            raise TopologyError(f"bad process line {ln!r}")
+            raise TopologyError(f"line {lineno}: bad process line {ln!r}")
         pid, _, rest = ln.partition(":")
         pid = pid.strip()
         nbrs = rest.split()
         if pid in neighbors:
-            raise TopologyError(f"duplicate line for process {pid!r}")
+            raise TopologyError(f"line {lineno}: duplicate line for process {pid!r}")
         neighbors[pid] = tuple(nbrs)
         order.append(pid)
 

@@ -5,12 +5,16 @@ from klexsim.cli import (
     INCONCLUSIVE,
     PASS,
     USAGE,
+    VIOLATION,
     RunConfig,
     UsageError,
+    build_simulator,
+    judge,
     main,
     run_campaign,
     run_once,
 )
+from klexsim.simnet import RoundRobinPolicy
 from klexsim.topology import parse_topology
 
 STAR_TEXT = "n 3 root r\nr: a b\na: r\nb: r\n"
@@ -52,6 +56,12 @@ class TestValidation:
         f = tmp_path / "bad.topo"
         f.write_text("n 2 root r\nr: a\na: r x\n")
         assert main(["--topology", str(f)]) == USAGE
+
+    def test_malformed_topology_line_is_named(self, tmp_path, capsys):
+        f = tmp_path / "bad.topo"
+        f.write_text("n 3 root r\n# a comment\n\nr: a b\na r\nb: r\n")
+        assert main(["--topology", str(f)]) == USAGE
+        assert capsys.readouterr().err == "error: line 5: bad process line 'a r'\n"
 
     @pytest.mark.parametrize("flag", ["--topology", "--scenario", "--out"])
     def test_unusable_path_is_usage_error(self, flag, star_file, tmp_path, capsys):
@@ -185,6 +195,30 @@ class TestRunOnce:
         status, _, _ = run_once(cfg)
         assert status == INCONCLUSIVE
         assert calls == [None]
+
+
+class TestJudge:
+    """``judge`` is the one rule from a run's verdicts to its exit status."""
+
+    @staticmethod
+    def canonical_trace():
+        sim = build_simulator(RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2))
+        return sim.run(sim.initial_configuration(), RoundRobinPolicy(), 200)
+
+    def test_canonical_run_passes(self):
+        status, stab, regressions, safety, fairness = judge(self.canonical_trace())
+        assert (status, stab, regressions) == (PASS, 0, 0)
+        assert safety.passed and fairness.passed
+
+    def test_closure_regression_is_a_violation(self):
+        # legit -> illegit -> legit: the run still stabilizes, safely, so
+        # only the regression makes it fail
+        trace = self.canonical_trace()
+        mid = len(trace.records) // 2
+        trace.records[mid].legit = False
+        status, stab, regressions, safety, _ = judge(trace)
+        assert (status, stab, regressions) == (VIOLATION, mid + 2, 1)
+        assert safety.passed
 
 
 class TestReplayPolicy:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from klexsim import topology
 from klexsim.simnet import RoundRobinPolicy, SimParams, Simulator
 from klexsim.topology import (
-    RingPosition,
     TopologyError,
     TreeTopology,
     forward_channel,
@@ -78,9 +77,9 @@ def euler_tour_edges(topo: TreeTopology) -> list[tuple[str, str]]:
 def ring_edges(topo: TreeTopology) -> list[tuple[str, str]]:
     """Directed edges traversed by the ring: each position's forwarding hop."""
     edges = []
-    for pos in virtual_ring(topo):
-        out = next_channel(topo, pos.process, pos.in_channel)
-        edges.append((pos.process, topo.endpoint(pos.process, out)))
+    for p, in_channel in virtual_ring(topo):
+        out = next_channel(topo, p, in_channel)
+        edges.append((p, topo.endpoint(p, out)))
     return edges
 
 
@@ -127,7 +126,7 @@ class TestVirtualRing:
 
     def test_starts_at_root_last_channel(self):
         topo = parse_topology(STAR)
-        assert virtual_ring(topo)[0] == RingPosition("r", 1)
+        assert virtual_ring(topo)[0] == ("r", 1)
 
     def test_eight_node_tree_against_euler_oracle(self):
         # Values frozen from the independent recursive enumeration.
@@ -135,7 +134,7 @@ class TestVirtualRing:
         ring = virtual_ring(t)
         assert len(ring) == 14
         for p in t.process_ids:
-            assert sum(1 for pos in ring if pos.process == p) == t.degree(p)
+            assert sum(1 for q, _ in ring if q == p) == t.degree(p)
         assert ring_edges(t) == euler_tour_edges(t)
 
     @settings(max_examples=60, deadline=None)
@@ -163,8 +162,7 @@ class TestRing:
             t = random_tree(seed, n)
             ring = t.ring
             L = 2 * (n - 1)
-            assert ring.keys == tuple((pos.process, pos.in_channel)
-                                      for pos in virtual_ring(t))
+            assert ring.keys == tuple(virtual_ring(t))
             assert ring.keys[0] == (t.root, t.degree(t.root) - 1)
             for slot, (p, ch) in enumerate(ring.keys):
                 assert ring.slot[p][ch] == slot
