@@ -142,7 +142,8 @@ class AppState:
     """Per-process critical-section bookkeeping.
 
     ``remaining`` is the live countdown: positive exactly while the process
-    is in its critical section.  ``armed_duration`` holds the duration of
+    is in its critical section; the tick that finishes a section deletes
+    its entry.  ``armed_duration`` holds the duration of
     the pending request, consumed when the protocol grants entry.  Entries
     with no armed request (possible from an arbitrary initial state) run
     for ``DEFAULT_CS_STEPS`` steps so they always terminate.
@@ -159,14 +160,20 @@ class AppState:
 
     def tick(self) -> list[str]:
         """Advance every running critical section one step; return the
-        processes whose section just finished."""
+        processes whose section just finished.  Their entries are deleted
+        (a missing entry reads as 0), so a tick walks only running or
+        pinned sections."""
         done = []
-        for pid, left in self.remaining.items():
+        remaining = self.remaining
+        for pid, left in remaining.items():
             if left == INF or left <= 0:
                 continue
-            self.remaining[pid] = left - 1
-            if left - 1 == 0:
+            if left == 1:
                 done.append(pid)
+            else:
+                remaining[pid] = left - 1
+        for pid in done:
+            del remaining[pid]
         return done
 
 

@@ -133,14 +133,29 @@ Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
 _NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
 
 
+def _render(step: int, body: str) -> list[str]:
+    """A step's trace lines: ``step={step} `` before each line of ``body``."""
+    if not body:
+        return []
+    prefix = f"step={step} "
+    return [prefix + line for line in body.split("\n")]
+
+
 @dataclass(slots=True)
 class StepRecord:
     """One executed step, built once when the step ends.  The event fields
     are tuples (the shared ``()`` when empty) and there is no ``__dict__``,
-    so a long trace leaves the garbage collector little to walk."""
+    so a long trace leaves the garbage collector little to walk.
+
+    ``body`` is the step's trace lines joined by newlines, without their
+    ``step={step} `` prefix (``""`` for an idle step), one ``str`` per
+    distinct body in a run.  Dropping the prefix is sound because every
+    line of a step carries that step's number: ``execute_step`` renders
+    them all before it advances ``cfg.step``.  ``lines`` renders the
+    prefix again."""
 
     step: int
-    lines: tuple[str, ...]
+    body: str
     census: monitor.CensusReport
     legit: bool
     entries: tuple[str, ...]
@@ -149,6 +164,10 @@ class StepRecord:
     traversal_end: TraversalEnd | None
     violations: tuple[str, ...]
     timeout_fired: bool
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return tuple(_render(self.step, self.body))
 
 
 @dataclass
@@ -164,11 +183,12 @@ class Trace:
     def lines(self) -> list[str]:
         out = []
         for rec in self.records:
-            out.extend(rec.lines)
+            out.extend(_render(rec.step, rec.body))
         return out
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        lines = self.lines()
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 # --------------------------------------------------------------------------
@@ -458,13 +478,12 @@ class Simulator:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
             sends = self._enqueue(cfg, pid, out.sends, tally)
-            lines.append(
-                f"step={cfg.step} proc={pid} event=local msg=actions ch=- "
-                f"sends=[{','.join(sends)}]"
-            )
+            lines.append(f"proc={pid} event=local msg=actions ch=- "
+                         f"sends=[{','.join(sends)}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
-                     dirty: Iterable[str], tally: monitor.Tally) -> StepRecord:
+                     dirty: Iterable[str], tally: monitor.Tally,
+                     bodies: dict[str, str]) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
@@ -480,6 +499,8 @@ class Simulator:
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it.  A choice
         of None or ``skip`` is an idle step: only the timers advance.
+        The record's body is interned in ``bodies``, the caller's table of
+        the bodies seen so far, so equal bodies share one ``str``.
         """
         step = cfg.step
         lines: list[str] = []
@@ -493,10 +514,8 @@ class Simulator:
             for ev in due:
                 requests.append((ev.process, ev.need))
                 transitions.append((ev.process, OUT, REQ))
-                lines.append(
-                    f"step={step} proc={ev.process} event=local "
-                    f"msg=request{{need={ev.need}}} ch=- sends=[]"
-                )
+                lines.append(f"proc={ev.process} event=local "
+                             f"msg=request{{need={ev.need}}} ch=- sends=[]")
         woken.update(cfg.app.tick())
         if woken:
             for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
@@ -517,13 +536,13 @@ class Simulator:
                 tally.move(t, msg, -1)
                 out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
                 sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
-                lines.append(f"step={step} proc={pid} event=deliver msg="
+                lines.append(f"proc={pid} event=deliver msg="
                              f"{_NAMES.get(msg.__class__) or msg} ch={ch} sends=[{sends}]")
             else:
                 pid = self.topo.root
                 out = on_timeout_root(cfg.states[pid], self.pp[pid])
                 sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
-                lines.append(f"step={step} proc={pid} event=timeout msg=- ch=- sends=[{sends}]")
+                lines.append(f"proc={pid} event=timeout msg=- ch=- sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
             self._local_pass(cfg, pid, lines, entries, transitions, tally)
@@ -532,7 +551,9 @@ class Simulator:
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
         census, legit, violations = monitor.step_checks(tally, cfg, woken)
-        return StepRecord(step, tuple(lines), census, legit, tuple(entries),
+        body = "\n".join(lines)
+        body = bodies.setdefault(body, body)
+        return StepRecord(step, body, census, legit, tuple(entries),
                           tuple(requests), tuple(transitions), traversal_end,
                           violations, choice == (TIMEOUT,))
 
@@ -542,7 +563,7 @@ class Simulator:
         must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
-                          self.tally(nxt))
+                          self.tally(nxt), {})
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -588,6 +609,7 @@ class Simulator:
         replay = isinstance(policy, ReplayPolicy)
         timed = self.params.timeout is not None
         dirty = self.topo.process_ids
+        bodies: dict[str, str] = {}  # lives for this run only
         append = trace.records.append
         for _ in range(budget):
             if replay and policy.exhausted():
@@ -596,7 +618,7 @@ class Simulator:
             if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload, dirty, tally)
+            rec = self.execute_step(cfg, policy, workload, dirty, tally, bodies)
             dirty = ()
             append(rec)
             if observer is not None:

@@ -151,6 +151,12 @@ class TestRunOnce:
         assert "event=deliver" in trace
         assert (out_dir / "report.txt").exists()
 
+    def test_zero_budget_writes_an_empty_trace(self, star_file, tmp_path):
+        out_dir = tmp_path / "artifacts"
+        main(["--topology", str(star_file), "--budget", "0", "--out", str(out_dir)])
+        assert (out_dir / "trace.txt").read_text() == ""
+        assert (out_dir / "report.txt").exists()
+
     def test_tight_budget_is_inconclusive(self, star_file, capsys):
         # arbitrary fault with almost no budget cannot stabilize
         code = main(["--topology", str(star_file), "--k", "2", "--ell", "3",

@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +380,21 @@ class TestWorkloadIntegration:
                      for (pid, a, b) in r.transitions if pid == "a" and b == OUT)
         assert exit_ == enter + 1
 
+    def test_finished_sections_leave_remaining(self):
+        sim = canonical_sim(random_tree(5, 6))
+        wl = RandomWorkload(sim.topo.process_ids, k=2, seed=5, rate=0.3, max_duration=4)
+        seen = []
+
+        def observe(cfg, rec):
+            seen.append(len(cfg.app.remaining))
+            for pid, left in cfg.app.remaining.items():
+                assert left > 0, (rec.step, pid, left)
+                assert cfg.states[pid].state == IN, (rec.step, pid)
+
+        trace = sim.run(sim.initial_configuration(), RandomPolicy(5), 1500, wl, observer=observe)
+        assert sum(len(rec.entries) for rec in trace.records) > 50
+        assert max(seen) > 0
+
 
 class RecordingPolicy:
     """Delegates to ``inner`` and records every choice, idle steps as skip."""
@@ -560,6 +576,30 @@ class TestStepRecordFootprint:
             assert type(rec.violations) is tuple
         assert any(rec.entries for rec in trace.records)
 
+    def test_retained_bytes_per_step(self):
+        sim = canonical_sim(random_tree(4, 4))
+        sim.run(sim.initial_configuration(), RoundRobinPolicy(), 10)  # warm caches
+        cfg0 = sim.initial_configuration()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = sim.run(cfg0, RoundRobinPolicy(), 2000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 2000
+        assert retained / len(trace.records) <= 200
+
+    def test_equal_bodies_share_one_string(self):
+        sim = canonical_sim(random_tree(4, 4))
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 2000)
+        first: dict[str, str] = {}
+        for rec in trace.records:
+            assert first.setdefault(rec.body, rec.body) is rec.body
+        assert len(first) < len(trace.records) // 10
+
     def test_tracked_objects_per_step(self):
         sim = canonical_sim(random_tree(4, 4))
         sim.run(sim.initial_configuration(), RoundRobinPolicy(), 10)  # warm caches
@@ -572,6 +612,39 @@ class TestStepRecordFootprint:
         assert len(trace.records) == 2000
         assert any(rec.traversal_end for rec in trace.records)
         assert per_step <= 1.1
+
+
+class TestStepLines:
+    """A record keeps its lines as a body without the ``step=N `` prefix;
+    ``rec.lines`` and the trace text render it again."""
+
+    def test_idle_steps_render_no_line(self):
+        sim = make_sim(timeout=2)
+        trace = sim.run(sim.empty_configuration(), ReplayPolicy([(SKIP,), (SKIP,)]), 5)
+        assert [rec.step for rec in trace.records] == [0, 1]
+        assert all(rec.body == "" and rec.lines == () for rec in trace.records)
+        assert trace.lines() == [] and trace.text() == ""
+
+    def test_idle_steps_among_busy_ones(self):
+        sim = make_sim(timeout=2)
+        trace = sim.run(sim.empty_configuration(),
+                        ReplayPolicy([(SKIP,), (SKIP,), (TIMEOUT,), (SKIP,)]), 5)
+        assert [rec.lines == () for rec in trace.records] == [True, True, False, True]
+        assert [line.split()[0] for line in trace.lines()] == ["step=2"]
+        assert trace.text() == "\n".join(trace.records[2].lines) + "\n"
+
+    def test_delivery_local_pass_and_request(self):
+        sim = make_sim()
+        wl = Workload([WorkloadEvent(5, "r", 1, 2)], 2)
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 6, wl)
+        rec = trace.records[5]
+        assert rec.lines == (
+            "step=5 proc=r event=local msg=request{need=1} ch=- sends=[]",
+            "step=5 proc=r event=deliver msg=ResT ch=0 sends=[]",
+            "step=5 proc=r event=local msg=actions ch=- sends=[]",
+        )
+        assert trace.text().endswith("\n".join(rec.lines) + "\n")
+        assert trace.lines() == [line for r in trace.records for line in r.lines]
 
 
 class TestRootHoldingsAtTheWrap:
