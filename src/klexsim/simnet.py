@@ -609,7 +609,7 @@ class Simulator:
         replay = isinstance(policy, ReplayPolicy)
         timed = self.params.timeout is not None
         dirty = self.topo.process_ids
-        bodies: dict[str, str] = {}  # lives for this run only
+        bodies: dict[str, str] = {}  # per run: a campaign keeps its simulators
         append = trace.records.append
         for _ in range(budget):
             if replay and policy.exhausted():

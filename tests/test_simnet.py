@@ -563,7 +563,8 @@ class TestTallyMatchesScratch:
 
 class TestStepRecordFootprint:
     """A record is built once, slotted, with tuple event fields, so a long
-    trace holds few objects the garbage collector has to walk."""
+    trace holds few objects the garbage collector has to walk; its lines
+    are one body string that equal steps of a run share."""
 
     def test_slotted_with_tuple_fields(self):
         sim = make_sim()
