@@ -255,10 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         if args.figure is not None:
-            ignored = [flag for flag, value in (
-                ("--topology", args.topology), ("--scenario", args.scenario),
-                ("--replay", args.replay), ("--out", args.out),
-                ("--campaign", args.campaign)) if value is not None]
+            defaults = vars(parser.parse_args([]))
+            ignored = [f"--{name}" for name, value in vars(args).items()
+                       if name != "figure" and value != defaults[name]]
             if ignored:
                 raise UsageError(f"--figure runs a built-in scenario; it takes no "
                                  f"{', '.join(ignored)}")

@@ -1,7 +1,10 @@
 """Global oracles: token census, legitimacy, safety/fairness/liveness verdicts.
 
-Everything here is a pure function over configuration snapshots or run
-traces; nothing feeds back into the protocol.  Resource tokens carry a
+The verdicts over run traces are pure functions.  The per-step checks are
+not: ``Tally`` keeps counts from one configuration to the next, which the
+simulator updates through ``Tally.move`` as messages leave and enter
+channels and ``step_checks`` updates for the processes a step changed.
+Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
 """
@@ -484,32 +487,25 @@ def traversal_observations(trace) -> list[TraversalObservation]:
     or as a timeout retransmission).
     """
     out = []
-    prev_wrap: int | None = None
+    before = trace.initial_census
+    clean = False  # no window is open before the first wrap
     for i, rec in enumerate(trace.records):
-        if rec.traversal_end is None:
-            continue
         te = rec.traversal_end
-        before = trace.records[i - 1].census if i > 0 else trace.initial_census
-        clean = prev_wrap is not None
-        if clean:
-            for j in range(prev_wrap + 1, i):
-                r = trace.records[j]
-                if r.census.ctrl_tokens != 1 or r.timeout_fired:
-                    clean = False
-                    break
-            if trace.records[prev_wrap].census.ctrl_tokens != 1:
-                clean = False
-        out.append(TraversalObservation(
-            record_index=i,
-            res_total=te.res_total,
-            prio_total=te.prio_total,
-            push_total=te.push_total,
-            arriving_r=te.arriving_r,
-            new_reset=te.new_reset,
-            census_before=before,
-            clean=clean,
-        ))
-        prev_wrap = i
+        if te is not None:
+            out.append(TraversalObservation(
+                record_index=i,
+                res_total=te.res_total,
+                prio_total=te.prio_total,
+                push_total=te.push_total,
+                arriving_r=te.arriving_r,
+                new_reset=te.new_reset,
+                census_before=before,
+                clean=clean,
+            ))
+            clean = rec.census.ctrl_tokens == 1
+        elif rec.census.ctrl_tokens != 1 or rec.timeout_fired:
+            clean = False
+        before = rec.census
     return out
 
 

@@ -16,7 +16,7 @@ inside their declared domains, at most k reserved tokens per process.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -200,32 +200,21 @@ class RoundRobinPolicy:
     step services the next enabled slot.  Every persistently enabled event
     is served within one rotation, which is the fairness window.
 
-    ``enabled`` must list choices from ``slots`` in ascending slot order, as
-    ``Simulator.enabled_events`` does: the next enabled slot is then the
-    first choice past the last one served, or else ``enabled[0]``."""
+    ``enabled`` must be ascending slots, as ``Simulator.enabled_events``
+    returns them: the next enabled slot is then the first one past the last
+    one served, or else ``enabled[0]``."""
 
     name = "rr"
 
     def __init__(self) -> None:
         self._idx = -1
-        self._slots: list[Choice] | None = None
-        self._index: dict[Choice, int] = {}
 
-    def choose(self, enabled: list[Choice], slots: list[Choice]) -> Choice | None:
+    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
         if not enabled:
             return None
-        if slots is not self._slots:
-            self._slots = slots
-            self._index = {c: i for i, c in enumerate(slots)}
-        index = self._index
-        last = self._idx
-        for c in enabled:
-            i = index[c]
-            if i > last:
-                self._idx = i
-                return c
-        self._idx = index[enabled[0]]
-        return enabled[0]
+        i = bisect_right(enabled, self._idx)
+        self._idx = enabled[i] if i < len(enabled) else enabled[0]
+        return self._idx
 
 
 class RandomPolicy:
@@ -236,15 +225,16 @@ class RandomPolicy:
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
 
-    def choose(self, enabled: list[Choice], slots: list[Choice]) -> Choice | None:
+    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
         if not enabled:
             return None
         return enabled[self._rng.randrange(len(enabled))]
 
 
 class ReplayPolicy:
-    """Replays an explicit list of scheduler choices; ``skip`` burns a step
-    without delivering, which is how replays line up with CS countdowns."""
+    """Replays an explicit list of scheduler choices, mapped to slots through
+    ``slots``; ``skip`` is an idle step, which is how replays line up with
+    CS countdowns."""
 
     name = "replay"
 
@@ -255,16 +245,17 @@ class ReplayPolicy:
     def exhausted(self) -> bool:
         return self._idx >= len(self.choices)
 
-    def choose(self, enabled: list[Choice], slots: list[Choice]) -> Choice | None:
+    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
         if self.exhausted():
             return None
         choice = self.choices[self._idx]
         self._idx += 1
-        if choice[0] == SKIP:
-            return choice
-        if choice not in enabled:
+        if choice == (SKIP,):
+            return None
+        t = slots.index(choice) if choice in slots else None
+        if t not in enabled:
             raise SchedulerError(f"replay names disabled event {choice}")
-        return choice
+        return t
 
 
 def parse_replay(text: str) -> list[Choice]:
@@ -318,6 +309,7 @@ class Simulator:
             for pid in topo.process_ids
         }
         self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
+        # slot -> choice: the ring slots' deliveries, then the timeout
         self.slots: list[Choice] = [
             (DELIVER, pid, ch) for pid, ch in self.channel_keys
         ] + [(TIMEOUT,)]
@@ -351,8 +343,7 @@ class Simulator:
         q = cfg.channels[self.channel_keys[self.topo.ring.dest[self.topo.root][0]]]
         q.append(PrioT())
         for _ in range(self.params.ell):
-            q.append(ResT(uid=cfg.next_uid))
-            cfg.next_uid += 1
+            q.append(ResT(uid=self._take_uid(cfg)))
         q.append(PushT())
         q.append(Ctrl(0, False, 0, 0))
         return cfg
@@ -388,8 +379,8 @@ class Simulator:
                 s.spush = rng.randint(0, 2)
                 s.sprio = rng.randint(0, 2)
                 s.reset = rng.random() < 0.25
-            if s.state == IN:
-                cfg.app.remaining[pid] = rng.randint(0, 3)
+            if s.state == IN and (left := rng.randint(0, 3)):
+                cfg.app.remaining[pid] = left  # only positive countdowns are kept
 
         for key in self.channel_keys:
             for _ in range(rng.randint(0, cmax)):
@@ -418,8 +409,7 @@ class Simulator:
             q = cfg.channels[key]
             for i, m in enumerate(q):
                 if isinstance(m, ResT) and m.uid < 0:
-                    q[i] = ResT(uid=cfg.next_uid)
-                    cfg.next_uid += 1
+                    q[i] = ResT(uid=self._take_uid(cfg))
         for pid in self.topo.process_ids:
             s = cfg.states[pid]
             s.rset = [
@@ -440,14 +430,14 @@ class Simulator:
             cfg.busy = [i for i, key in enumerate(self.channel_keys) if cfg.channels[key]]
         return cfg.busy
 
-    def enabled_events(self, cfg: Configuration) -> list[Choice]:
-        """Enabled events in ascending slot order of ``self.slots`` (which
-        ``RoundRobinPolicy`` relies on): a delivery on every non-empty
-        channel (read from ``Configuration.busy``), then the timeout."""
-        slots = self.slots
-        enabled: list[Choice] = [slots[i] for i in self._busy(cfg)]
+    def enabled_events(self, cfg: Configuration) -> list[int]:
+        """The enabled events as ascending slots, which ``RoundRobinPolicy``
+        relies on: a copy of ``Configuration.busy`` (the non-empty channels),
+        then ``len(self.channel_keys)`` when the timeout is ready.  Slot ``t``
+        is the event ``self.slots[t]``."""
+        enabled = list(self._busy(cfg))
         if timeout_ready(cfg, self.params.timeout):
-            enabled.append((TIMEOUT,))
+            enabled.append(len(self.channel_keys))
         return enabled
 
     def _enqueue(self, cfg: Configuration, sender: str,
@@ -497,8 +487,8 @@ class Simulator:
         produced can.
 
         The application phase can enable deliveries (a finished critical
-        section releases tokens), so the policy chooses after it.  A choice
-        of None or ``skip`` is an idle step: only the timers advance.
+        section releases tokens), so the policy chooses after it: a slot of
+        ``enabled_events``, or None for an idle step (only the timers advance).
         The record's body is interned in ``bodies``, the caller's table of
         the bodies seen so far, so equal bodies share one ``str``.
         """
@@ -521,28 +511,30 @@ class Simulator:
             for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
                 self._local_pass(cfg, pid, lines, entries, transitions, tally)
 
-        choice = policy.choose(self.enabled_events(cfg), self.slots)
+        t = policy.choose(self.enabled_events(cfg), self.slots)
+        timeout_fired = t == len(self.channel_keys)
         restart = False
         traversal_end = None
-        if choice is not None and choice[0] != SKIP:
-            if choice[0] == DELIVER:
-                _, pid, ch = choice
-                t = self.topo.ring.slot[pid][ch]
+        if t is not None:
+            pid, ch = (self.topo.root, "-") if timeout_fired else self.channel_keys[t]
+            st = cfg.states[pid]
+            old = st.state
+            if timeout_fired:
+                event, name = "timeout", "-"
+                out = on_timeout_root(st, self.pp[pid])
+            else:
                 queue = cfg.channels[(pid, ch)]
                 msg = queue.popleft()
                 if not queue:
                     busy = self._busy(cfg)
                     del busy[bisect_left(busy, t)]
                 tally.move(t, msg, -1)
-                out = dispatch(cfg.states[pid], ch, msg, self.pp[pid])
-                sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
-                lines.append(f"proc={pid} event=deliver msg="
-                             f"{_NAMES.get(msg.__class__) or msg} ch={ch} sends=[{sends}]")
-            else:
-                pid = self.topo.root
-                out = on_timeout_root(cfg.states[pid], self.pp[pid])
-                sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
-                lines.append(f"proc={pid} event=timeout msg=- ch=- sends=[{sends}]")
+                event, name = "deliver", _NAMES.get(msg.__class__) or msg
+                out = dispatch(st, ch, msg, self.pp[pid])
+            if st.state != old:
+                transitions.append((pid, old, st.state))
+            sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
+            lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
             self._local_pass(cfg, pid, lines, entries, transitions, tally)
@@ -555,7 +547,7 @@ class Simulator:
         body = bodies.setdefault(body, body)
         return StepRecord(step, body, census, legit, tuple(entries),
                           tuple(requests), tuple(transitions), traversal_end,
-                          violations, choice == (TIMEOUT,))
+                          violations, timeout_fired)
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the
@@ -574,9 +566,7 @@ class Simulator:
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
             return True
-        if workload is not None and not workload.exhausted(cfg.step):
-            return True
-        return False
+        return workload is not None and not workload.exhausted(cfg.step)
 
     def run(self, cfg0: Configuration, policy, budget: int, workload=None,
             stop: Callable[[list[StepRecord], Configuration], bool] | None = None,

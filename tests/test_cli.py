@@ -93,6 +93,9 @@ class TestValidation:
     @pytest.mark.parametrize("flag, value", [
         ("--topology", "/nonexistent"), ("--scenario", "/nonexistent"),
         ("--replay", "/nonexistent"), ("--out", "/nonexistent"), ("--campaign", "3"),
+        ("--k", "5"), ("--ell", "2"), ("--cmax", "0"), ("--seed", "9"),
+        ("--policy", "rand"), ("--budget", "3"), ("--timeout", "7"),
+        ("--fault", "arbitrary"),
     ])
     def test_figure_with_run_flag_is_usage_error(self, flag, value, capsys):
         assert main(["--figure", "fig2-deadlock", flag, value]) == USAGE

@@ -139,7 +139,7 @@ def step_chain(seed: int, steps: int) -> str:
     h = hashlib.sha256()
     for _ in range(steps):
         enabled = sim.enabled_events(cfg)
-        choice = enabled[rng.randrange(len(enabled))] if enabled else (SKIP,)
+        choice = sim.slots[enabled[rng.randrange(len(enabled))]] if enabled else (SKIP,)
         nxt = sim.step(cfg, choice, workload)
         uids = [[m.uid for m in q if hasattr(m, "uid")] for q in nxt.channels.values()]
         h.update(repr((choice, nxt.step, nxt.timer, nxt.next_uid, uids,

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from klexsim import simnet
 from klexsim.appmodel import RandomWorkload
 from klexsim.monitor import (
+    CensusReport,
     LivenessScenario,
     check_fairness,
     check_kl_liveness,
@@ -17,7 +19,7 @@ from klexsim.monitor import (
     traversal_observations,
     waiting_time_bound,
 )
-from klexsim.protocol import IN, REQ, Ctrl, PrioT, PushT, Reserved, ResT
+from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT, TraversalEnd
 from klexsim.simnet import (
     RandomPolicy,
     RoundRobinPolicy,
@@ -301,6 +303,26 @@ class TestTraversalCounting:
         obs = traversal_observations(trace)
         assert all(o.clean for o in obs[1:])  # first tour has no observed start
 
+    def test_clean_window_on_hand_built_trace(self):
+        te = TraversalEnd(0, 0, 0, False, False)
+
+        def rec(ctrl, wrap=False, timeout=False):
+            return SimpleNamespace(census=CensusReport(0, 0, 0, ctrl),
+                                   traversal_end=te if wrap else None, timeout_fired=timeout)
+
+        trace = SimpleNamespace(initial_census=CensusReport(0, 0, 0, 0), records=[
+            rec(1, wrap=True),  # 0: no window before the first wrap
+            rec(1), rec(1, wrap=True),  # 2: one valid controller throughout
+            rec(1, timeout=True), rec(1, wrap=True),  # 4: the timeout fired
+            rec(1), rec(2), rec(1, wrap=True),  # 7: a second valid controller
+            rec(0, wrap=True),  # 8: nothing between two wraps
+            rec(1), rec(1, wrap=True),  # 10: the window opened with none valid
+        ])
+        obs = traversal_observations(trace)
+        assert [(o.record_index, o.clean) for o in obs] == [
+            (0, False), (2, True), (4, False), (7, False), (8, True), (10, False)]
+        assert [o.census_before.ctrl_tokens for o in obs] == [0, 1, 1, 2, 1, 1]
+
 
 class TestSafety:
     def test_hand_built_overuse_fails(self):
@@ -330,6 +352,27 @@ class TestSafety:
         sim = make_sim()
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 500)
         assert check_safety(trace).passed
+
+    def test_state_change_by_a_handler_is_checked(self, monkeypatch):
+        # a delivery handler that takes an idle process straight into its
+        # critical section: the step must record Out->In, not only the
+        # local pass's In->Out that follows
+        dispatch = simnet.dispatch
+
+        def forcing_dispatch(st, ch, msg, pp):
+            out = dispatch(st, ch, msg, pp)
+            if st.state == OUT:
+                st.state = IN
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", forcing_dispatch)
+        sim = make_sim()
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 20)
+        assert [t[1:] for t in trace.records[0].transitions] == [(OUT, IN), (IN, OUT)]
+        verdict = check_safety(trace)
+        assert not verdict.passed
+        assert any(f"forbidden transition {OUT}->{IN}" in v
+                   for v in verdict.post_stabilization)
 
 
 class TestFairnessChecker:

@@ -228,6 +228,16 @@ class TestInjection:
                 return
         pytest.fail("no seed among 0..49 produced an excess of resource tokens")
 
+    def test_countdowns_positive_from_arbitrary_starts(self):
+        # a countdown of 0 drawn for a process in In would outlive its
+        # section: the process leaves at once and a tick skips the entry
+        for seed in range(50):
+            sim = Simulator(random_tree(seed, 4), SimParams(k=2, ell=3, cmax=1, timeout=30))
+            cfg0 = sim.inject_arbitrary(seed)
+            assert_countdowns_running(cfg0, -1)
+            sim.run(cfg0, RandomPolicy(seed), 50,
+                    observer=lambda cfg, rec: assert_countdowns_running(cfg, rec.step))
+
     def test_uids_all_distinct(self):
         sim = make_sim(cmax=3)
         cfg = sim.inject_arbitrary(23)
@@ -268,8 +278,9 @@ class TestPolicies:
     def test_replay_disabled_event_is_error(self):
         sim = make_sim()
         cfg = sim.empty_configuration()
-        with pytest.raises(SchedulerError):
-            sim.run(cfg, ReplayPolicy([(DELIVER, "a", 0)]), 5)
+        for choice in ((DELIVER, "a", 0), (DELIVER, "a", 7), (DELIVER, "zz", 0), (TIMEOUT,)):
+            with pytest.raises(SchedulerError, match="disabled event"):
+                sim.run(cfg, ReplayPolicy([choice]), 5)
 
     def test_replay_exhaustion_ends_run(self):
         sim = make_sim()
@@ -292,9 +303,9 @@ class FullScanRoundRobin:
         enabled_set = set(enabled)
         for off in range(1, len(slots) + 1):
             i = (self._idx + off) % len(slots)
-            if slots[i] in enabled_set:
+            if i in enabled_set:
                 self._idx = i
-                return slots[i]
+                return i
         return None
 
 
@@ -306,10 +317,10 @@ class TestRoundRobinMatchesFullScan:
         slots = sim.slots
         for with_timeout in (False, True):
             rr, ref = RoundRobinPolicy(), FullScanRoundRobin()
-            candidates = slots if with_timeout else slots[:-1]
+            candidates = range(len(slots) if with_timeout else len(slots) - 1)
             density = rng.random()
             for _ in range(500):
-                enabled = [c for c in candidates if rng.random() < density]
+                enabled = [t for t in candidates if rng.random() < density]
                 assert rr.choose(enabled, slots) == ref.choose(enabled, slots)
                 assert rr._idx == ref._idx
 
@@ -355,6 +366,13 @@ class TestClone:
                 assert cfg.fingerprint(topo.process_ids) == before
 
 
+def assert_countdowns_running(cfg, step):
+    """Every ``remaining`` entry is a positive countdown of a process in In."""
+    for pid, left in cfg.app.remaining.items():
+        assert left > 0, (step, pid, left)
+        assert cfg.states[pid].state == IN, (step, pid)
+
+
 class TestWorkloadIntegration:
     def test_request_satisfied_in_idle_system(self):
         sim = make_sim(timeout=None)
@@ -387,9 +405,7 @@ class TestWorkloadIntegration:
 
         def observe(cfg, rec):
             seen.append(len(cfg.app.remaining))
-            for pid, left in cfg.app.remaining.items():
-                assert left > 0, (rec.step, pid, left)
-                assert cfg.states[pid].state == IN, (rec.step, pid)
+            assert_countdowns_running(cfg, rec.step)
 
         trace = sim.run(sim.initial_configuration(), RandomPolicy(5), 1500, wl, observer=observe)
         assert sum(len(rec.entries) for rec in trace.records) > 50
@@ -404,9 +420,9 @@ class RecordingPolicy:
         self.choices = []
 
     def choose(self, enabled, slots):
-        choice = self.inner.choose(enabled, slots)
-        self.choices.append((SKIP,) if choice is None else choice)
-        return choice
+        t = self.inner.choose(enabled, slots)
+        self.choices.append((SKIP,) if t is None else slots[t])
+        return t
 
 
 class TestWokenOnlySweep:
@@ -454,10 +470,12 @@ class TestWokenOnlySweep:
 
 
 def scan_enabled(sim, cfg):
-    """``enabled_events`` by looking at every channel, as the index must give."""
-    enabled = [(DELIVER, pid, ch) for pid, ch in sim.channel_keys if cfg.channels[(pid, ch)]]
+    """``enabled_events`` by looking at every channel, as the index must give:
+    the ring slots of the non-empty channels, ascending, then the timeout's."""
+    ring = sim.topo.ring
+    enabled = sorted(ring.slot[pid][ch] for (pid, ch), q in cfg.channels.items() if q)
     if timeout_ready(cfg, sim.params.timeout):
-        enabled.append((TIMEOUT,))
+        enabled.append(len(sim.channel_keys))
     return enabled
 
 
