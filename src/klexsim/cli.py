@@ -9,7 +9,6 @@ thin shell over the library; every run is reproducible from its flags.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,29 +39,28 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One run's flags: each field is the ``klexsim`` flag of the same name,
+    with its only default.  ``Simulator`` checks k, ell, cmax and timeout."""
+
     topology: TreeTopology
     k: int = 1
     ell: int = 1
     cmax: int = 1
     seed: int = 0
     policy: str = "rr"
-    replay_path: str | None = None
+    replay: str | None = None  # path of a replay file
     budget: int | None = None  # None: 50 controller-traversal allowances
     timeout: int | None = None  # None: the default generous threshold
     fault: str = "none"
-    scenario_path: str | None = None
-    out_dir: str | None = None
+    scenario: str | None = None  # path of a scenario file
+    out: str | None = None  # directory for the trace and report
 
     def validate(self) -> None:
-        try:
-            SimParams(self.k, self.ell, self.cmax, self.timeout).validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         if self.policy not in ("rr", "rand", "replay"):
             raise UsageError(f"policy must be rr, rand or replay, not {self.policy!r}")
-        if self.policy == "replay" and not self.replay_path:
+        if self.policy == "replay" and not self.replay:
             raise UsageError("policy replay requires --replay PATH")
-        if self.replay_path and self.policy != "replay":
+        if self.replay and self.policy != "replay":
             raise UsageError("--replay needs --policy replay")
         if self.fault not in ("none", "arbitrary"):
             raise UsageError(f"fault must be none or arbitrary, not {self.fault!r}")
@@ -92,7 +90,7 @@ def make_policy(cfg: RunConfig, seed: int):
         return RoundRobinPolicy()
     if cfg.policy == "rand":
         return RandomPolicy(seed)
-    choices = parse_replay(Path(cfg.replay_path).read_text())
+    choices = parse_replay(Path(cfg.replay).read_text())
     return ReplayPolicy(choices)
 
 
@@ -135,8 +133,8 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     cfg.validate()
     sim = build_simulator(cfg)
     workload = None
-    if cfg.scenario_path is not None:
-        workload = parse_scenario(Path(cfg.scenario_path).read_text(), cfg.k)
+    if cfg.scenario is not None:
+        workload = parse_scenario(Path(cfg.scenario).read_text(), cfg.k)
         unknown = sorted({ev.process for ev in workload.events}
                          - set(cfg.topology.process_ids))
         if unknown:
@@ -151,24 +149,26 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     status, stab, regressions, safety, fairness = judge(trace)
     report = monitor.render_report(trace, cfg.topology, cfg.ell, stab, regressions,
                                    safety, fairness)
-    write_out(cfg.out_dir, {"trace.txt": trace.text(), "report.txt": report})
+    write_out(cfg.out, {"trace.txt": trace.text(), "report.txt": report})
     return status, report, trace
 
 
-@dataclass
-class CampaignResult:
-    status: int
-    report: str
+def exact_median(values: list[int]) -> str:
+    """The median of ``values`` as exact decimal text: ``508`` or ``508.5``."""
+    s = sorted(values)
+    twice = s[(len(s) - 1) // 2] + s[len(s) // 2]
+    return f"{twice // 2}.5" if twice % 2 else str(twice // 2)
 
 
-def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
+def run_campaign(cfg: RunConfig, seeds: int) -> tuple[int, str]:
     """Seeded convergence campaign over arbitrary initial configurations:
     every seed must stabilize within budget, keep legitimacy from then on,
-    and stay safe after stabilization."""
+    and stay safe after stabilization.  ``cfg.fault`` is not read: every
+    seed starts from ``inject_arbitrary``.  Returns (exit status, report)."""
     cfg.validate()
     if seeds < 1:
         raise UsageError("campaign needs at least one seed")
-    if cfg.scenario_path is not None:
+    if cfg.scenario is not None:
         raise UsageError("a campaign runs without requests; it takes no scenario")
     sim = build_simulator(cfg)
     budget = cfg.effective_budget()
@@ -195,16 +195,16 @@ def run_campaign(cfg: RunConfig, seeds: int) -> CampaignResult:
     ]
     if stabs:
         summary.append(
-            "stabilization steps: min=%d median=%d max=%d (budget %d)"
-            % (min(stabs), statistics.median(stabs), max(stabs), budget)
+            f"stabilization steps: min={min(stabs)} median={exact_median(stabs)} "
+            f"max={max(stabs)} (budget {budget})"
         )
     bound = monitor.waiting_time_bound(cfg.topology.n, cfg.ell)
     if max_wait is not None:
         summary.append(f"max observed waiting: {max_wait} (bound {bound}, "
                        f"ratio {max_wait / bound:.3f})")
     report = "\n".join(summary + lines) + "\n"
-    write_out(cfg.out_dir, {"campaign.txt": report})
-    return CampaignResult(status, report)
+    write_out(cfg.out, {"campaign.txt": report})
+    return status, report
 
 
 def run_figure(name: str) -> tuple[int, str]:
@@ -221,23 +221,26 @@ def run_figure(name: str) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags, without defaults: ``vars(parse_args())`` holds exactly the
+    flags given, and ``RunConfig`` supplies the rest."""
     p = argparse.ArgumentParser(
         prog="klexsim",
         description="Simulate self-stabilizing k-out-of-l exclusion on an "
                     "oriented tree and check its correctness properties.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--topology", metavar="PATH", help="topology description file")
     p.add_argument("--scenario", metavar="PATH", help="request workload file")
-    p.add_argument("--k", type=int, default=1, help="max units per request")
-    p.add_argument("--ell", type=int, default=1, help="total resource units")
-    p.add_argument("--cmax", type=int, default=1,
+    p.add_argument("--k", type=int, help="max units per request")
+    p.add_argument("--ell", type=int, help="total resource units")
+    p.add_argument("--cmax", type=int,
                    help="bound on arbitrary initial messages per channel")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=["rr", "rand", "replay"], default="rr")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--policy", choices=["rr", "rand", "replay"])
     p.add_argument("--replay", metavar="PATH", help="scheduler choices to replay")
     p.add_argument("--budget", type=int, help="max scheduler steps")
     p.add_argument("--timeout", type=int, help="root timeout threshold in steps")
-    p.add_argument("--fault", choices=["none", "arbitrary"], default="none")
+    p.add_argument("--fault", choices=["none", "arbitrary"])
     p.add_argument("--out", metavar="DIR", help="write trace and report here")
     p.add_argument("--figure", metavar="NAME",
                    help="run a built-in regression scenario: "
@@ -248,45 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        if args.figure is not None:
-            defaults = vars(parser.parse_args([]))
-            ignored = [f"--{name}" for name, value in vars(args).items()
-                       if name != "figure" and value != defaults[name]]
-            if ignored:
-                raise UsageError(f"--figure runs a built-in scenario; it takes no "
-                                 f"{', '.join(ignored)}")
-            status, text = run_figure(args.figure)
-            print(text, end="")
-            return status
-
-        if args.topology is None:
+        figure = flags.pop("figure", None)
+        if figure is not None and flags:
+            raise UsageError(f"--figure runs a built-in scenario; it takes no "
+                             f"{', '.join('--' + name for name in flags)}")
+        campaign = flags.pop("campaign", None)
+        if campaign is not None and "fault" in flags:
+            raise UsageError("a campaign starts every seed from an arbitrary "
+                             "configuration; it takes no --fault")
+        if figure is not None:
+            status, report = run_figure(figure)
+        elif "topology" not in flags:
             raise UsageError("--topology is required unless --figure is used")
-        topo = parse_topology(Path(args.topology).read_text())
-        cfg = RunConfig(
-            topology=topo,
-            k=args.k,
-            ell=args.ell,
-            cmax=args.cmax,
-            seed=args.seed,
-            policy=args.policy,
-            replay_path=args.replay,
-            budget=args.budget,
-            timeout=args.timeout,
-            fault=args.fault,
-            scenario_path=args.scenario,
-            out_dir=args.out,
-        )
-        if args.campaign is not None:
-            result = run_campaign(cfg, args.campaign)
-            print(result.report, end="")
-            return result.status
-        status, report, _ = run_once(cfg)
+        else:
+            cfg = RunConfig(parse_topology(Path(flags.pop("topology")).read_text()), **flags)
+            status, report = (run_campaign(cfg, campaign) if campaign is not None
+                              else run_once(cfg)[:2])
         print(report, end="")
         return status
     except (ValueError, SchedulerError, OSError) as exc:  # ValueError: usage, topology, scenario

@@ -199,13 +199,12 @@ def run_livelock_figure() -> FigureResult:
     # to an earlier configuration while a's request stays unsatisfied
     sim = livelock_simulator(timeout=None)
     fingerprints: list[tuple] = []
-    order = sim.topo.process_ids
     trace = sim.run(
         livelock_config(sim, with_priority=False),
         ReplayPolicy(livelock_replay(LIVELOCK_CYCLES)),
         LIVELOCK_CYCLES * CYCLE,
         workload=livelock_workload(),
-        observer=lambda cfg, rec: fingerprints.append(cfg.fingerprint(order)),
+        observer=lambda cfg, rec: fingerprints.append(cfg.fingerprint()),
     )
     a_entered = any("a" in rec.entries for rec in trace.records)
     cycle_found = None

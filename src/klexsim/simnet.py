@@ -112,12 +112,11 @@ class Configuration:
             self.step, self.timer, self.next_uid,
         )
 
-    def fingerprint(self, order: Iterable[str]) -> tuple:
+    def fingerprint(self) -> tuple:
         """Protocol-visible identity of the configuration (monitor-only token
         uids excluded), used for cycle detection."""
         procs = []
-        for pid in order:
-            s = self.states[pid]
+        for pid, s in self.states.items():
             procs.append((
                 pid, s.myc, s.succ, tuple(e.channel for e in s.rset), s.need,
                 s.state, s.prio, s.stoken, s.spush, s.sprio, s.reset,

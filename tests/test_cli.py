@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from klexsim import monitor
@@ -9,6 +11,7 @@ from klexsim.cli import (
     RunConfig,
     UsageError,
     build_simulator,
+    exact_median,
     judge,
     main,
     run_campaign,
@@ -96,11 +99,28 @@ class TestValidation:
         ("--k", "5"), ("--ell", "2"), ("--cmax", "0"), ("--seed", "9"),
         ("--policy", "rand"), ("--budget", "3"), ("--timeout", "7"),
         ("--fault", "arbitrary"),
+        # a flag given at its default value is still a flag given
+        ("--k", "1"), ("--ell", "1"), ("--cmax", "1"), ("--seed", "0"),
+        ("--policy", "rr"), ("--fault", "none"),
     ])
     def test_figure_with_run_flag_is_usage_error(self, flag, value, capsys):
         assert main(["--figure", "fig2-deadlock", flag, value]) == USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("fault", ["none", "arbitrary"])
+    def test_campaign_with_fault_is_usage_error(self, fault, star_file, capsys):
+        argv = ["--topology", str(star_file), "--k", "1", "--ell", "2",
+                "--campaign", "3", "--fault", fault]
+        assert main(argv) == USAGE
+        assert capsys.readouterr() == ("", "error: a campaign starts every seed from an "
+                                       "arbitrary configuration; it takes no --fault\n")
+
+    def test_help_names_every_flag(self, capsys):
+        assert main(["--help"]) == PASS
+        out = capsys.readouterr().out
+        names = [f.name for f in dataclasses.fields(RunConfig)] + ["figure", "campaign"]
+        assert [name for name in names if f"--{name}" not in out] == []
 
     def test_non_integer_replay_channel_is_usage_error(self, star_file, tmp_path, capsys):
         f = tmp_path / "bad.replay"
@@ -177,6 +197,23 @@ class TestRunOnce:
         assert cli_code == lib_code
         assert cli_out == lib_report
 
+    def test_library_replay_scenario_and_out_agree_with_cli(
+            self, star_file, scenario_file, tmp_path, capsys):
+        replay = tmp_path / "steps.rpl"
+        replay.write_text("deliver a 0\ndeliver a 0\nskip\ndeliver a 0\n")
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        cli_code = main(["--topology", str(star_file), "--k", "2", "--ell", "3",
+                         "--policy", "replay", "--replay", str(replay),
+                         "--scenario", str(scenario_file), "--out", str(cli_dir)])
+        cli_out = capsys.readouterr().out
+        cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=2, ell=3, policy="replay",
+                        replay=str(replay), scenario=str(scenario_file), out=str(lib_dir))
+        lib_code, lib_report, _ = run_once(cfg)
+        assert (lib_code, lib_report) == (cli_code, cli_out)
+        for name in ("trace.txt", "report.txt"):
+            assert (lib_dir / name).read_text() == (cli_dir / name).read_text()
+        assert "ended: replay-exhausted" in lib_report
+
     def test_each_verdict_computed_once(self, monkeypatch):
         names = ("stabilization_time", "check_safety", "check_fairness",
                  "collect_requests")
@@ -250,6 +287,18 @@ class TestCampaign:
         assert code == PASS
         assert "10 seeds, 10 stabilized" in out
         assert "max=" in out
+
+    def test_half_integer_median_printed_exactly(self, star_file, capsys):
+        # stabilization times 515 487 510 506 507 511: median (507 + 510) / 2
+        argv = ["--topology", str(star_file), "--k", "1", "--ell", "2", "--campaign", "6"]
+        assert main(argv) == PASS
+        out = capsys.readouterr().out
+        assert "stabilization steps: min=487 median=508.5 max=515 (budget 1200)\n" in out
+
+    def test_exact_median_has_no_exponent(self):
+        assert exact_median([5, 1, 3]) == "3"
+        assert exact_median([2, 4]) == "3"
+        assert exact_median([10**7, 10**7 + 3]) == "10000001.5"
 
     def test_determinism_across_runs(self, star_file, capsys):
         argv = ["--topology", str(star_file), "--k", "2", "--ell", "3",

@@ -143,7 +143,7 @@ def step_chain(seed: int, steps: int) -> str:
         nxt = sim.step(cfg, choice, workload)
         uids = [[m.uid for m in q if hasattr(m, "uid")] for q in nxt.channels.values()]
         h.update(repr((choice, nxt.step, nxt.timer, nxt.next_uid, uids,
-                       nxt.fingerprint(topo.process_ids))).encode())
+                       nxt.fingerprint())).encode())
         cfg = nxt
     return h.hexdigest()
 

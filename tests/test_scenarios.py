@@ -40,14 +40,13 @@ class TestDeadlockFigure:
 class TestLivelockFigure:
     def test_replay_cycles_exactly(self):
         sim = livelock_simulator(timeout=None)
-        order = sim.topo.process_ids
         fps = []
         trace = sim.run(
             livelock_config(sim, with_priority=False),
             ReplayPolicy(livelock_replay(3)),
             24,
             workload=livelock_workload(),
-            observer=lambda cfg, rec: fps.append(cfg.fingerprint(order)),
+            observer=lambda cfg, rec: fps.append(cfg.fingerprint()),
         )
         assert len(fps) == 24
         assert fps[7] == fps[15] == fps[23]

@@ -184,14 +184,14 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         sim = make_sim()
         c1, c2 = sim.inject_arbitrary(1), sim.inject_arbitrary(2)
-        assert c1.fingerprint(STAR.process_ids) != c2.fingerprint(STAR.process_ids)
+        assert c1.fingerprint() != c2.fingerprint()
 
     def test_zero_budget_returns_initial(self):
         sim = make_sim()
         cfg = sim.initial_configuration()
         trace = sim.run(cfg, RoundRobinPolicy(), 0)
         assert trace.records == []
-        assert trace.final.fingerprint(STAR.process_ids) == cfg.fingerprint(STAR.process_ids)
+        assert trace.final.fingerprint() == cfg.fingerprint()
 
 
 class TestInjection:
@@ -356,14 +356,14 @@ class TestClone:
             lambda c, pid, key: c.app.armed_duration.__setitem__(pid, 9),
         )
         for topo, cfg in self.configurations():
-            before = cfg.fingerprint(topo.process_ids)
+            before = cfg.fingerprint()
             pid = topo.process_ids[cfg.step % topo.n]
             key = topo.ring.keys[cfg.step % len(topo.ring.keys)]
             for mutate in mutations:
                 nxt = cfg.clone()
                 mutate(nxt, pid, key)
-                assert nxt.fingerprint(topo.process_ids) != before
-                assert cfg.fingerprint(topo.process_ids) == before
+                assert nxt.fingerprint() != before
+                assert cfg.fingerprint() == before
 
 
 def assert_countdowns_running(cfg, step):
@@ -436,14 +436,14 @@ class TestWokenOnlySweep:
         from_run = []
         trace = sim.run(cfg0, policy, steps, workload=make_workload(),
                         observer=lambda cfg, rec: from_run.append(
-                            (cfg.fingerprint(order), cfg.timer, sorted(rec.entries))))
+                            (cfg.fingerprint(), cfg.timer, sorted(rec.entries))))
         assert len(from_run) == steps
         cfg, workload, from_step = cfg0, make_workload(), []
         for choice in policy.choices:
             nxt = sim.step(cfg, choice, workload)
             entered = sorted(pid for pid in order if nxt.states[pid].state == IN
                              and cfg.states[pid].state != IN)
-            from_step.append((nxt.fingerprint(order), nxt.timer, entered))
+            from_step.append((nxt.fingerprint(), nxt.timer, entered))
             cfg = nxt
         assert from_step == from_run
         return trace
