@@ -164,12 +164,15 @@ def run_campaign(cfg: RunConfig, seeds: int) -> tuple[int, str]:
     """Seeded convergence campaign over arbitrary initial configurations:
     every seed must stabilize within budget, keep legitimacy from then on,
     and stay safe after stabilization.  ``cfg.fault`` is not read: every
-    seed starts from ``inject_arbitrary``.  Returns (exit status, report)."""
+    seed starts from ``inject_arbitrary``, so a replay policy, which fits
+    one start, is refused.  Returns (exit status, report)."""
     cfg.validate()
     if seeds < 1:
         raise UsageError("campaign needs at least one seed")
     if cfg.scenario is not None:
         raise UsageError("a campaign runs without requests; it takes no scenario")
+    if cfg.policy == "replay":
+        raise UsageError("a replay fits one start; a campaign takes no --policy replay")
     sim = build_simulator(cfg)
     budget = cfg.effective_budget()
     stabs: list[int] = []

@@ -344,13 +344,13 @@ def check_safety(trace, stabilization=_NOT_GIVEN) -> SafetyVerdict:
     post: list[str] = []
     bucket0 = post if cutoff <= 0 else pre
     bucket0.extend(trace.initial_violations)
-    for i, rec in enumerate(trace.records):
-        config_index = i + 1  # record i describes configuration i+1
-        bucket = post if config_index >= cutoff else pre
+    post_from = trace.first_step - 1 + cutoff  # step first_step + i made configuration i+1
+    for step, rec in enumerate(trace.records, trace.first_step):
+        bucket = post if step >= post_from else pre
         bucket.extend(rec.violations)
         for pid, old, new in rec.transitions:
             if (old, new) not in ALLOWED_TRANSITIONS:
-                post.append(f"{pid}: forbidden transition {old}->{new} at step {rec.step}")
+                post.append(f"{pid}: forbidden transition {old}->{new} at step {step}")
     return SafetyVerdict(passed=not post, pre_stabilization=pre, post_stabilization=post)
 
 
@@ -371,16 +371,16 @@ def collect_requests(trace) -> list[RequestRecord]:
     requests = [RequestRecord(pid, -1, need) for pid, need in trace.initial_requests]
     pending = {req.process: [(req, 0)] for req in requests}
     count = 0  # entries in the steps already passed
-    for rec in trace.records:
+    for step, rec in enumerate(trace.records, trace.first_step):
         through = count + len(rec.entries)
         for pid, need in rec.requests:
-            req = RequestRecord(pid, rec.step, need)
+            req = RequestRecord(pid, step, need)
             requests.append(req)
             pending.setdefault(pid, []).append((req, through))
         for pid in rec.entries:
             for req, base in pending.pop(pid, ()):
-                req.step_entered = rec.step
-                req.waiting = through - base - 1 if req.step_requested < rec.step else 0
+                req.step_entered = step
+                req.waiting = through - base - 1 if req.step_requested < step else 0
         count = through
     return requests
 

@@ -19,7 +19,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import monitor
 from .appmodel import AppState, apply_workload
@@ -132,28 +132,20 @@ Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
 _NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
 
 
-def _render(step: int, body: str) -> list[str]:
-    """A step's trace lines: ``step={step} `` before each line of ``body``."""
-    if not body:
-        return []
-    prefix = f"step={step} "
-    return [prefix + line for line in body.split("\n")]
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """One executed step, built once when the step ends.  The event fields
-    are tuples (the shared ``()`` when empty) and there is no ``__dict__``,
-    so a long trace leaves the garbage collector little to walk.
+    """The outcome of one executed step: its trace lines, the checks of the
+    configuration it produced and its events.  A run builds one record per
+    distinct outcome and equal steps share it, so a record holds no step
+    number: record ``i`` of a ``Trace`` is step ``first_step + i``.  The
+    event fields are tuples (the shared ``()`` when empty).
 
     ``body`` is the step's trace lines joined by newlines, without their
-    ``step={step} `` prefix (``""`` for an idle step), one ``str`` per
-    distinct body in a run.  Dropping the prefix is sound because every
-    line of a step carries that step's number: ``execute_step`` renders
-    them all before it advances ``cfg.step``.  ``lines`` renders the
-    prefix again."""
+    ``step={step} `` prefix (``""`` for an idle step).  Dropping the prefix
+    is sound because every line of a step carries that step's number:
+    ``execute_step`` renders them all before it advances ``cfg.step``.
+    ``Trace.lines`` renders the prefix again."""
 
-    step: int
     body: str
     census: monitor.CensusReport
     legit: bool
@@ -164,14 +156,11 @@ class StepRecord:
     violations: tuple[str, ...]
     timeout_fired: bool
 
-    @property
-    def lines(self) -> tuple[str, ...]:
-        return tuple(_render(self.step, self.body))
-
 
 @dataclass
 class Trace:
     records: list[StepRecord]
+    first_step: int  # the step number of ``records[0]``: the start's ``cfg.step``
     initial_census: monitor.CensusReport
     initial_legit: bool
     initial_requests: list[tuple[str, int]]
@@ -179,15 +168,17 @@ class Trace:
     ended: str = "budget"  # budget | quiescent | stopped | replay-exhausted
     final: Configuration | None = None
 
-    def lines(self) -> list[str]:
-        out = []
-        for rec in self.records:
-            out.extend(_render(rec.step, rec.body))
-        return out
+    def lines(self) -> Iterator[str]:
+        """The trace lines, one at a time: each line of a record's body
+        after the ``step={step} `` prefix of its position."""
+        for step, rec in enumerate(self.records, self.first_step):
+            if rec.body:
+                prefix = f"step={step} "
+                for line in rec.body.split("\n"):
+                    yield prefix + line
 
     def text(self) -> str:
-        lines = self.lines()
-        return "\n".join(lines) + "\n" if lines else ""
+        return "".join(line + "\n" for line in self.lines())
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +242,10 @@ class ReplayPolicy:
         self._idx += 1
         if choice == (SKIP,):
             return None
-        t = slots.index(choice) if choice in slots else None
+        try:
+            t = slots.index(choice)
+        except ValueError:
+            t = None
         if t not in enabled:
             raise SchedulerError(f"replay names disabled event {choice}")
         return t
@@ -472,7 +466,7 @@ class Simulator:
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
-                     bodies: dict[str, str]) -> StepRecord:
+                     outcomes: dict[tuple, StepRecord]) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
@@ -488,17 +482,17 @@ class Simulator:
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
         ``enabled_events``, or None for an idle step (only the timers advance).
-        The record's body is interned in ``bodies``, the caller's table of
-        the bodies seen so far, so equal bodies share one ``str``.
+        The step's record is looked up in ``outcomes``, the caller's table
+        of the records built so far keyed by their fields, and built only
+        when no equal one is there, so equal steps share one record.
         """
-        step = cfg.step
         lines: list[str] = []
         entries: list[str] = []
         requests: list[tuple[str, int]] = []
         transitions: list[tuple[str, str, str]] = []
         woken = set(dirty)
         if workload is not None:
-            due = workload.due(step, cfg.states)
+            due = workload.due(cfg.step, cfg.states)
             woken.update(apply_workload(due, cfg.app, cfg.states))
             for ev in due:
                 requests.append((ev.process, ev.need))
@@ -542,11 +536,12 @@ class Simulator:
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
         census, legit, violations = monitor.step_checks(tally, cfg, woken)
-        body = "\n".join(lines)
-        body = bodies.setdefault(body, body)
-        return StepRecord(step, body, census, legit, tuple(entries),
-                          tuple(requests), tuple(transitions), traversal_end,
-                          violations, timeout_fired)
+        key = ("\n".join(lines), census, legit, tuple(entries), tuple(requests),
+               tuple(transitions), traversal_end, violations, timeout_fired)
+        rec = outcomes.get(key)
+        if rec is None:
+            rec = outcomes[key] = StepRecord(*key)
+        return rec
 
     def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the
@@ -577,14 +572,18 @@ class Simulator:
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration
-        the step produced.  Ends early on quiescence (nothing can ever
-        happen again), on a replay running dry, or when ``stop`` says so.
+        the step produced; equal steps share one record, and record ``i`` is
+        step ``cfg0.step + i``.  ``observer(cfg, rec)`` sees each step's
+        record after it, when the step's number is ``cfg.step - 1``.  Ends
+        early on quiescence (nothing can ever happen again), on a replay
+        running dry, or when ``stop`` says so.
         """
         cfg = cfg0.clone()
         tally = self.tally(cfg)
         census0, legit0, violations0 = monitor.step_checks(tally, cfg, self.topo.process_ids)
         trace = Trace(
             records=[],
+            first_step=cfg.step,
             initial_census=census0,
             initial_legit=legit0,
             initial_requests=[
@@ -598,7 +597,7 @@ class Simulator:
         replay = isinstance(policy, ReplayPolicy)
         timed = self.params.timeout is not None
         dirty = self.topo.process_ids
-        bodies: dict[str, str] = {}  # per run: a campaign keeps its simulators
+        outcomes: dict[tuple, StepRecord] = {}  # per run: a campaign keeps its simulators
         append = trace.records.append
         for _ in range(budget):
             if replay and policy.exhausted():
@@ -607,7 +606,7 @@ class Simulator:
             if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload, dirty, tally, bodies)
+            rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes)
             dirty = ()
             append(rec)
             if observer is not None:

@@ -116,6 +116,20 @@ class TestValidation:
         assert capsys.readouterr() == ("", "error: a campaign starts every seed from an "
                                        "arbitrary configuration; it takes no --fault\n")
 
+    def test_campaign_with_replay_is_usage_error(self, star_file, tmp_path, capsys):
+        # the replay names channels the first arbitrary starts leave empty;
+        # it is refused before any seed runs, whatever the file holds
+        f = tmp_path / "two.rpl"
+        f.write_text("deliver a 0\ndeliver b 0\n")
+        argv = ["--topology", str(star_file), "--k", "1", "--ell", "2",
+                "--campaign", "3", "--policy", "replay", "--replay", str(f)]
+        assert main(argv) == USAGE
+        assert capsys.readouterr() == ("", "error: a replay fits one start; a campaign "
+                                       "takes no --policy replay\n")
+        cfg = RunConfig(parse_topology(STAR_TEXT), policy="replay", replay="/nonexistent")
+        with pytest.raises(UsageError, match="a replay fits one start"):
+            run_campaign(cfg, 3)
+
     def test_help_names_every_flag(self, capsys):
         assert main(["--help"]) == PASS
         out = capsys.readouterr().out
@@ -261,7 +275,7 @@ class TestJudge:
         # only the regression makes it fail
         trace = self.canonical_trace()
         mid = len(trace.records) // 2
-        trace.records[mid].legit = False
+        trace.records[mid] = dataclasses.replace(trace.records[mid], legit=False)
         status, stab, regressions, safety, _ = judge(trace)
         assert (status, stab, regressions) == (VIOLATION, mid + 2, 1)
         assert safety.passed

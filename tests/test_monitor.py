@@ -398,15 +398,15 @@ class TestFairnessChecker:
         assert not verdict.passed and verdict.inconclusive
 
     def test_request_pairing_on_hand_built_trace(self):
-        def rec(step, requests, entries):
-            return SimpleNamespace(step=step, requests=requests, entries=entries)
+        def rec(requests, entries):
+            return SimpleNamespace(requests=requests, entries=entries)
 
-        trace = SimpleNamespace(initial_requests=[("a", 1)], records=[
-            rec(0, [("b", 1)], ["c", "b"]),  # b entered in its request's step
-            rec(1, [("c", 2)], ["d"]),  # d's entry is in c's request step
-            rec(2, [], ["b"]),
-            rec(3, [("d", 1)], ["a", "c"]),  # c entry at 3, not its earlier one
-            rec(4, [], ["e"]),
+        trace = SimpleNamespace(initial_requests=[("a", 1)], first_step=0, records=[
+            rec([("b", 1)], ["c", "b"]),  # step 0: b entered in its request's step
+            rec([("c", 2)], ["d"]),  # step 1: d's entry is in c's request step
+            rec([], ["b"]),  # step 2
+            rec([("d", 1)], ["a", "c"]),  # step 3: c entry at 3, not its earlier one
+            rec([], ["e"]),  # step 4
         ])
         got = [(r.process, r.step_requested, r.need, r.step_entered, r.waiting)
                for r in collect_requests(trace)]
@@ -491,10 +491,10 @@ class TestPusherCirculation:
         sim = make_sim(timeout=None)
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 3000)
         push_steps = {pid: [] for pid in STAR.process_ids}
-        for rec in trace.records:
-            for line in rec.lines:
-                if "event=deliver msg=PushT" in line:
-                    push_steps[line.split("proc=")[1].split()[0]].append(rec.step)
+        for line in trace.lines():
+            if "event=deliver msg=PushT" in line:
+                step = int(line.split()[0][len("step="):])
+                push_steps[line.split("proc=")[1].split()[0]].append(step)
         ring = 2 * (STAR.n - 1)
         window = 2 * ring * (3 + 4)  # ring length times maximal queueing
         for pid, steps in push_steps.items():
@@ -601,7 +601,7 @@ class TestLegitimacyReference:
         seen = []
 
         def observe(cfg, rec):
-            assert rec.legit == reference_legit(sim, cfg), rec.step
+            assert rec.legit == reference_legit(sim, cfg), cfg.step - 1
             seen.append(rec.legit)
 
         trace = sim.run(cfg0, policy, budget, workload=workload, observer=observe)

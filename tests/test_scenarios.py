@@ -63,10 +63,11 @@ class TestLivelockFigure:
             RoundRobinPolicy(),
             3000,
             workload=livelock_workload(),
-            observer=lambda cfg, rec: prio_steps.append(rec.step)
+            observer=lambda cfg, rec: prio_steps.append(cfg.step - 1)
             if cfg.states["a"].prio is not None else None,
         )
-        a_entry = next((rec.step for rec in trace.records if "a" in rec.entries), None)
+        a_entry = next((step for step, rec in enumerate(trace.records, trace.first_step)
+                        if "a" in rec.entries), None)
         assert a_entry is not None
         # a held the priority token while waiting, which is what shielded
         # its hoard from the pusher

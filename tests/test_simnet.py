@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klexsim import scenarios
+from klexsim import scenarios, simnet
 from klexsim.appmodel import RandomWorkload, Workload, WorkloadEvent
-from klexsim.monitor import stabilization_time
+from klexsim.monitor import check_safety, collect_requests, stabilization_time
 from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT
 from klexsim.simnet import (
     DELIVER,
@@ -136,7 +137,8 @@ class TestTimeout:
         sim = make_sim(timeout=5)
         cfg = sim.empty_configuration()
         trace = sim.run(cfg, RoundRobinPolicy(), 6)
-        fired = [rec.step for rec in trace.records if rec.timeout_fired]
+        fired = [step for step, rec in enumerate(trace.records, trace.first_step)
+                 if rec.timeout_fired]
         assert fired == [5]  # timer reaches 5 after five idle steps
         ctrl = trace.final.channels[("a", 0)][0]
         assert ctrl == Ctrl(0, False, 0, 0)
@@ -236,7 +238,7 @@ class TestInjection:
             cfg0 = sim.inject_arbitrary(seed)
             assert_countdowns_running(cfg0, -1)
             sim.run(cfg0, RandomPolicy(seed), 50,
-                    observer=lambda cfg, rec: assert_countdowns_running(cfg, rec.step))
+                    observer=lambda cfg, rec: assert_countdowns_running(cfg, cfg.step - 1))
 
     def test_uids_all_distinct(self):
         sim = make_sim(cmax=3)
@@ -258,11 +260,10 @@ class TestPolicies:
         # process must appear as a deliver target regularly
         window = (2 * (STAR.n - 1) + 1) * (3 + 3)
         steps_by_proc = {pid: [] for pid in STAR.process_ids}
-        for rec in trace.records:
-            for line in rec.lines:
-                if "event=deliver" in line:
-                    proc = line.split("proc=")[1].split()[0]
-                    steps_by_proc[proc].append(rec.step)
+        for line in trace.lines():
+            if "event=deliver" in line:
+                proc = line.split("proc=")[1].split()[0]
+                steps_by_proc[proc].append(int(line.split()[0][len("step="):]))
         for pid, steps in steps_by_proc.items():
             assert steps, f"{pid} never scheduled"
             gaps = [b - a for a, b in zip(steps, steps[1:])]
@@ -379,12 +380,13 @@ class TestWorkloadIntegration:
         cfg = sim.initial_configuration()
         wl = Workload([WorkloadEvent(2, "b", 2, 3)], k=2)
         trace = sim.run(cfg, RoundRobinPolicy(), 200, workload=wl)
-        entered = [rec.step for rec in trace.records if "b" in rec.entries]
+        steps = list(enumerate(trace.records, trace.first_step))
+        entered = [step for step, rec in steps if "b" in rec.entries]
         assert entered, "request never satisfied"
         # satisfied within one ring circulation's worth of deliveries
         assert entered[0] <= 2 + 4 * (3 + 3)
         # and the critical section ends after its three-step duration
-        exits = [rec.step for rec in trace.records
+        exits = [step for step, rec in steps
                  for (pid, a, b) in rec.transitions if pid == "b" and b == OUT]
         assert exits and exits[0] == entered[0] + 3
 
@@ -393,8 +395,9 @@ class TestWorkloadIntegration:
         cfg = sim.initial_configuration()
         wl = Workload([WorkloadEvent(0, "a", 1, 1)], k=2)
         trace = sim.run(cfg, RoundRobinPolicy(), 100, workload=wl)
-        enter = next(r.step for r in trace.records if "a" in r.entries)
-        exit_ = next(r.step for r in trace.records
+        steps = list(enumerate(trace.records, trace.first_step))
+        enter = next(step for step, r in steps if "a" in r.entries)
+        exit_ = next(step for step, r in steps
                      for (pid, a, b) in r.transitions if pid == "a" and b == OUT)
         assert exit_ == enter + 1
 
@@ -405,7 +408,7 @@ class TestWorkloadIntegration:
 
         def observe(cfg, rec):
             seen.append(len(cfg.app.remaining))
-            assert_countdowns_running(cfg, rec.step)
+            assert_countdowns_running(cfg, cfg.step - 1)
 
         trace = sim.run(sim.initial_configuration(), RandomPolicy(5), 1500, wl, observer=observe)
         assert sum(len(rec.entries) for rec in trace.records) > 50
@@ -484,8 +487,8 @@ def run_checked(sim, cfg0, policy, budget, workload=None):
     step to ``sim.check`` from scratch, and the indexed ``enabled_events``
     to a scan of every channel."""
     def observe(cfg, rec):
-        assert (rec.census, rec.legit, rec.violations) == sim.check(cfg), rec.step
-        assert sim.enabled_events(cfg) == scan_enabled(sim, cfg), rec.step
+        assert (rec.census, rec.legit, rec.violations) == sim.check(cfg), cfg.step - 1
+        assert sim.enabled_events(cfg) == scan_enabled(sim, cfg), cfg.step - 1
 
     trace = sim.run(cfg0, policy, budget, workload=workload, observer=observe)
     assert (trace.initial_census, trace.initial_legit,
@@ -574,15 +577,16 @@ class TestTallyMatchesScratch:
         mid.channels[("a", 0)].appendleft(Ctrl(mid.states["a"].myc, False, 0, 0))
         assert sim.check(mid)[0].ctrl_tokens == 1
         trace = run_checked(sim, mid, ReplayPolicy([(DELIVER, "a", 0)]), 1)
-        assert trace.records[0].lines[0].endswith("sends=[0:Ctrl{c=%d,r=0,pt=0,ppr=0}]"
-                                                  % mid.states["a"].myc)
+        assert next(trace.lines()).endswith("sends=[0:Ctrl{c=%d,r=0,pt=0,ppr=0}]"
+                                            % mid.states["a"].myc)
         run_checked(sim, mid, RoundRobinPolicy(), 400)
 
 
 class TestStepRecordFootprint:
-    """A record is built once, slotted, with tuple event fields, so a long
-    trace holds few objects the garbage collector has to walk; its lines
-    are one body string that equal steps of a run share."""
+    """A record is a step's outcome, frozen, slotted, with tuple event
+    fields, and equal steps of a run share one record, so a long trace
+    holds a list slot per step and few objects the garbage collector has to
+    walk; a record's step number is its position in the trace."""
 
     def test_slotted_with_tuple_fields(self):
         sim = make_sim()
@@ -590,10 +594,64 @@ class TestStepRecordFootprint:
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 30, workload)
         for rec in trace.records:
             assert not hasattr(rec, "__dict__")
-            for name in ("lines", "entries", "requests", "transitions"):
+            for name in ("entries", "requests", "transitions"):
                 assert type(getattr(rec, name)) is tuple, name
             assert type(rec.violations) is tuple
         assert any(rec.entries for rec in trace.records)
+
+    def test_equal_outcomes_share_one_record(self):
+        sim = canonical_sim(random_tree(4, 4))
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 60_000)
+        first: dict = {}
+        for rec in trace.records:
+            assert first.setdefault(rec, rec) is rec
+        assert len(trace.records) == 60_000
+        assert len(first) == len({id(rec) for rec in trace.records}) == 96
+
+    def test_record_is_frozen(self):
+        sim = make_sim()
+        rec = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1).records[0]
+        for field in dataclasses.fields(rec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field.name, getattr(rec, field.name))
+        assert not hasattr(rec, "step") and not hasattr(rec, "lines")
+
+    def test_run_from_a_later_step_numbers_from_it(self, monkeypatch):
+        # the first delivery takes its idle receiver straight into its
+        # critical section, a forbidden transition at the run's first step
+        dispatch = simnet.dispatch
+        forced = []
+
+        def forcing_dispatch(st, ch, msg, pp):
+            out = dispatch(st, ch, msg, pp)
+            if not forced and st.state == OUT:
+                st.state = IN
+                forced.append(st)
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", forcing_dispatch)
+        sim = make_sim()
+        cfg = sim.initial_configuration()
+        cfg.step = 100
+        wl = Workload([WorkloadEvent(102, "b", 1, 2)], 2)
+        trace = sim.run(cfg, RoundRobinPolicy(), 30, wl)
+        assert trace.first_step == 100
+        lines = list(trace.lines())
+        assert lines[0] == "step=100 proc=a event=deliver msg=PrioT ch=0 sends=[]"
+        assert lines[4] == "step=102 proc=b event=local msg=request{need=1} ch=- sends=[]"
+        assert lines[-1].startswith("step=129 ")
+        got = [(r.process, r.step_requested, r.step_entered, r.waiting)
+               for r in collect_requests(trace)]
+        assert got == [("b", 102, 105, 0)]
+        assert check_safety(trace).post_stabilization == [
+            f"a: forbidden transition {OUT}->{IN} at step 100"]
+
+    def test_trace_lines_stream(self):
+        sim = make_sim()
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 5)
+        lines = trace.lines()
+        assert iter(lines) is lines
+        assert next(lines).startswith("step=0 ")
 
     def test_retained_bytes_per_step(self):
         sim = canonical_sim(random_tree(4, 4))
@@ -609,7 +667,7 @@ class TestStepRecordFootprint:
         finally:
             tracemalloc.stop()
         assert len(trace.records) == 2000
-        assert retained / len(trace.records) <= 200
+        assert retained / len(trace.records) <= 40
 
     def test_equal_bodies_share_one_string(self):
         sim = canonical_sim(random_tree(4, 4))
@@ -630,40 +688,43 @@ class TestStepRecordFootprint:
         per_step = (len(gc.get_objects()) - before) / len(trace.records)
         assert len(trace.records) == 2000
         assert any(rec.traversal_end for rec in trace.records)
-        assert per_step <= 1.1
+        assert per_step <= 0.1
 
 
 class TestStepLines:
     """A record keeps its lines as a body without the ``step=N `` prefix;
-    ``rec.lines`` and the trace text render it again."""
+    ``trace.lines()`` and the trace text render it again, numbered by the
+    record's position."""
 
     def test_idle_steps_render_no_line(self):
         sim = make_sim(timeout=2)
         trace = sim.run(sim.empty_configuration(), ReplayPolicy([(SKIP,), (SKIP,)]), 5)
-        assert [rec.step for rec in trace.records] == [0, 1]
-        assert all(rec.body == "" and rec.lines == () for rec in trace.records)
-        assert trace.lines() == [] and trace.text() == ""
+        assert [step for step, _ in enumerate(trace.records, trace.first_step)] == [0, 1]
+        assert all(rec.body == "" for rec in trace.records)
+        assert list(trace.lines()) == [] and trace.text() == ""
 
     def test_idle_steps_among_busy_ones(self):
         sim = make_sim(timeout=2)
         trace = sim.run(sim.empty_configuration(),
                         ReplayPolicy([(SKIP,), (SKIP,), (TIMEOUT,), (SKIP,)]), 5)
-        assert [rec.lines == () for rec in trace.records] == [True, True, False, True]
+        assert [rec.body == "" for rec in trace.records] == [True, True, False, True]
         assert [line.split()[0] for line in trace.lines()] == ["step=2"]
-        assert trace.text() == "\n".join(trace.records[2].lines) + "\n"
+        assert trace.text() == "step=2 " + trace.records[2].body + "\n"
 
     def test_delivery_local_pass_and_request(self):
         sim = make_sim()
         wl = Workload([WorkloadEvent(5, "r", 1, 2)], 2)
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 6, wl)
-        rec = trace.records[5]
-        assert rec.lines == (
+        lines = [line for line in trace.lines() if line.startswith("step=5 ")]
+        assert lines == [
             "step=5 proc=r event=local msg=request{need=1} ch=- sends=[]",
             "step=5 proc=r event=deliver msg=ResT ch=0 sends=[]",
             "step=5 proc=r event=local msg=actions ch=- sends=[]",
-        )
-        assert trace.text().endswith("\n".join(rec.lines) + "\n")
-        assert trace.lines() == [line for r in trace.records for line in r.lines]
+        ]
+        assert trace.text().endswith("\n".join(lines) + "\n")
+        assert list(trace.lines()) == [
+            f"step={step} {line}" for step, r in enumerate(trace.records, trace.first_step)
+            if r.body for line in r.body.split("\n")]
 
 
 class TestRootHoldingsAtTheWrap:
@@ -692,8 +753,9 @@ class TestRootHoldingsAtTheWrap:
         rec = trace.records[0]
         te = rec.traversal_end
         assert te.res_total == 1 and not te.new_reset
-        assert rec.lines == ("step=0 proc=r event=deliver msg=Ctrl{c=0,r=0,pt=0,ppr=0} "
-                             "ch=1 sends=[0:Ctrl{c=1,r=0,pt=0,ppr=0}]",)
+        assert list(trace.lines()) == [
+            "step=0 proc=r event=deliver msg=Ctrl{c=0,r=0,pt=0,ppr=0} "
+            "ch=1 sends=[0:Ctrl{c=1,r=0,pt=0,ppr=0}]"]
         assert rec.census.res_tokens == 1
         assert trace.initial_legit and rec.legit
 
