@@ -12,6 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from . import monitor, scenarios
 from .appmodel import ScenarioError, parse_scenario
@@ -117,15 +118,16 @@ def judge(trace: Trace) -> tuple[int, int | None, int, monitor.SafetyVerdict,
     return status, stab, regressions, safety, fairness
 
 
-def write_out(out_dir: str | None, files: dict[str, str]) -> None:
-    """Write each named text into ``out_dir``, created if missing; nothing
-    when no directory is given."""
+def write_out(out_dir: str | None, files: dict[str, Iterable[str]]) -> None:
+    """Write each named text, given as its pieces, into ``out_dir``, created
+    if missing; nothing, and no piece drawn, when no directory is given."""
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
+    for name, pieces in files.items():
+        with open(out / name, "w") as f:
+            f.writelines(pieces)
 
 
 def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
@@ -149,7 +151,8 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     status, stab, regressions, safety, fairness = judge(trace)
     report = monitor.render_report(trace, cfg.topology, cfg.ell, stab, regressions,
                                    safety, fairness)
-    write_out(cfg.out, {"trace.txt": trace.text(), "report.txt": report})
+    write_out(cfg.out, {"trace.txt": (line + "\n" for line in trace.lines()),
+                        "report.txt": [report]})
     return status, report, trace
 
 
@@ -206,7 +209,7 @@ def run_campaign(cfg: RunConfig, seeds: int) -> tuple[int, str]:
         summary.append(f"max observed waiting: {max_wait} (bound {bound}, "
                        f"ratio {max_wait / bound:.3f})")
     report = "\n".join(summary + lines) + "\n"
-    write_out(cfg.out, {"campaign.txt": report})
+    write_out(cfg.out, {"campaign.txt": [report]})
     return status, report
 
 

@@ -17,7 +17,7 @@ from klexsim.cli import (
     run_campaign,
     run_once,
 )
-from klexsim.simnet import RoundRobinPolicy
+from klexsim.simnet import RoundRobinPolicy, Trace
 from klexsim.topology import parse_topology
 
 STAR_TEXT = "n 3 root r\nr: a b\na: r\nb: r\n"
@@ -187,6 +187,18 @@ class TestRunOnce:
         trace = (out_dir / "trace.txt").read_text()
         assert "event=deliver" in trace
         assert (out_dir / "report.txt").exists()
+
+    def test_trace_streamed_to_out_only(self, tmp_path, monkeypatch):
+        drawn = []
+        lines = Trace.lines
+        monkeypatch.setattr(Trace, "lines", lambda trace: (
+            drawn.append(line) or line for line in lines(trace)))
+        cfg = RunConfig(parse_topology(STAR_TEXT), k=2, ell=3, budget=300)
+        assert len(run_once(cfg)[2].records) == 300
+        assert drawn == []
+        cfg.out = str(tmp_path / "artifacts")
+        _, _, trace = run_once(cfg)
+        assert drawn and (tmp_path / "artifacts" / "trace.txt").read_text() == trace.text()
 
     def test_zero_budget_writes_an_empty_trace(self, star_file, tmp_path):
         out_dir = tmp_path / "artifacts"
