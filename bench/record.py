@@ -15,7 +15,9 @@ present in either file.  A timed metric's change is marked "within spread"
 when the two recordings' [q1, q3] ranges overlap: recordings made at
 different times are not alternating pairs, so host drift alone can move a
 median that far.  Per-layer metrics are marked as what they are, one traced
-run, with times in raw seconds.
+run, with times in raw seconds.  Last comes one ``<workload>.digest:
+same|DIFFERS`` line per workload in both files: whether the two commits'
+traced runs gave the same output digest.
 """
 
 from __future__ import annotations
@@ -167,6 +169,9 @@ def compare(path_a: str, path_b: str) -> None:
             how = how_a if isinstance(how_a, str) else how_b
         note = f" [{how}]" if how else ""
         print(f"{name}: {_fmt(va)} -> {_fmt(vb)} {ua or ub}{change}{note}")
+    for workload in sorted(a["workloads"].keys() & b["workloads"].keys()):
+        same = a["workloads"][workload]["digest"] == b["workloads"][workload]["digest"]
+        print(f"{workload}.digest: {'same' if same else 'DIFFERS'}")
 
 
 def _fmt(value: float | None) -> str:

@@ -80,6 +80,12 @@ class Tally:
         self.behind = [0, 0, 0]
         self.off = 0
         self.census = CensusReport(0, 0, 0, 0)
+        # pid -> (its slots by label, root flag, how many of them a
+        # traversal passes): the root's wrap channel (slot 0) is its last
+        # label and never passed; every other process's slots ascend
+        root = topo.root
+        self.places = {p: (pos, p == root, len(pos) - (p == root))
+                       for p, pos in self.ring.slot.items()}
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(t, m, 1)
@@ -101,7 +107,9 @@ class Tally:
 
     def move(self, t: int, m, sign: int) -> None:
         """Count message m into (sign 1, put at the back) or out of (sign -1,
-        taken from the front) the channel at slot t."""
+        taken from the front) the channel at slot t.  A step moves every
+        message it delivers or sends through here, so this counts in place
+        what ``_count`` counts."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             if sign > 0:
@@ -113,7 +121,18 @@ class Tally:
                 if not ctrls:
                     del self.ctrls[t], self.after[t]
             return
-        self._count(t, i, m, sign)
+        if not i:
+            copies = self.copies
+            left = copies.get(m.uid, 0) + sign
+            if left:
+                copies[m.uid] = left
+            else:
+                del copies[m.uid]
+        self.counts[t][i] += sign
+        self.tokens[i] += sign
+        key = self.key
+        if key is not None and 0 < t < key[1]:
+            self.behind[i] += sign
         if sign > 0 and t in self.after:
             self.after[t][i] += 1
 
@@ -128,14 +147,11 @@ class Tally:
             viol += (f"{pid} counter {st.myc} outside domain",)
         if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
-        pos = self.ring.slot[pid]
+        pos, is_root, last = self.places[pid]
         off = False
         if self.key is not None:
             c, t_c = self.key
-            # a process's slots ascend with its labels, but the root's wrap
-            # channel (slot 0) is its last label and never passed
-            is_root = pid == self.topo.root
-            visits = bisect_left(pos, t_c, 0, len(pos) - is_root)
+            visits = bisect_left(pos, t_c, 0, last)
             if is_root or visits:
                 off = (st.myc != c or st.succ != visits % len(pos)
                        or is_root and st.reset)
@@ -147,10 +163,17 @@ class Tally:
             return
         self.procs[pid] = new
         count = self._count
-        if old[0] != new[0]:
-            for e in old[0]:
+        was = old[0]
+        if was != new[0]:
+            # only the entries after the longest common prefix changed
+            same = 0
+            for a, b in zip(was, rset):
+                if a is not b and a != b:
+                    break
+                same += 1
+            for e in was[same:]:
                 count(pos[e.channel], 0, e, -1)
-            for e in rset:
+            for e in rset[same:]:
                 count(pos[e.channel], 0, e, 1)
         if old[1] != new[1]:
             if old[1] is not None:
@@ -252,30 +275,33 @@ def step_checks(tally: Tally, cfg,
         # with no key the traversal fields stay as they are: the next key
         # counts every process again
         behind = tally.behind
-        passed = ()
         if key is not None and tally.key == (key[0], key[1] - 1):
-            passed = (key[1] - 1,)
-            procs = {*procs, ring.keys[key[1] - 1][0]}
+            left = key[1] - 1
+            res, prio, push = tally.counts[left]
+            behind[0] += res
+            behind[1] += prio
+            behind[2] += push
+            procs = {*procs, ring.keys[left][0]}
         elif key is not None:
             behind[:] = (0, 0, 0)
-            passed = range(1, key[1])
+            for t in range(1, key[1]):
+                for i, n in enumerate(tally.counts[t]):
+                    behind[i] += n
             procs = tally.topo.process_ids
-        for t in passed:
-            for i, n in enumerate(tally.counts[t]):
-                behind[i] += n
         tally.key = key
     for pid in procs:
         tally.process(pid, states[pid])
 
     res, prio, push = tally.tokens
     census = tally.census
-    if census != (res, prio, push, ctrl):
+    if (census.res_tokens != res or census.prio_tokens != prio
+            or census.push_tokens != push or census.ctrl_tokens != ctrl):
         census = tally.census = CensusReport(res, prio, push, ctrl)
     violations = ()
     if tally.n_bad or res != len(tally.copies) or tally.in_use > tally.ell:
         violations = tally.violations(cfg)
     if (key is None or tally.off or violations or cm.r
-            or (res, prio, push) != (tally.ell, 1, 1)):
+            or res != tally.ell or prio != 1 or push != 1):
         return census, False, violations
     rs = states[root]
     b = tally.behind

@@ -132,7 +132,7 @@ Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
 _NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StepRecord:
     """The outcome of one executed step: its trace lines, the checks of the
     configuration it produced and its events.  A run builds one record per
@@ -144,7 +144,12 @@ class StepRecord:
     ``step={step} `` prefix (``""`` for an idle step).  Dropping the prefix
     is sound because every line of a step carries that step's number:
     ``execute_step`` renders them all before it advances ``cfg.step``.
-    ``Trace.lines`` renders the prefix again."""
+    ``Trace.lines`` renders the prefix again.
+
+    The slots are declared in the class rather than by ``slots=True``,
+    whose replacement class the frozen ``__setattr__`` does not know: it
+    would raise ``TypeError`` for a name that is not a field.  Declared
+    here, every assignment and deletion raises ``FrozenInstanceError``."""
 
     body: str
     census: monitor.CensusReport
@@ -155,6 +160,7 @@ class StepRecord:
     traversal_end: TraversalEnd | None
     violations: tuple[str, ...]
     timeout_fired: bool
+    __slots__ = tuple(__annotations__)
 
 
 @dataclass
@@ -179,6 +185,21 @@ class Trace:
 
     def text(self) -> str:
         return "".join(line + "\n" for line in self.lines())
+
+
+@dataclass
+class SlotBinding:
+    """A configuration bound to ring slots for a run of steps on it, so a
+    step indexes by slot what it would otherwise look up by name.
+    ``queues[t]`` is the channel deque at slot t and ``busy`` is the
+    configuration's own ``busy`` list.  ``at[t]`` is (receiver, receive
+    label, its ``ProcParams``, its ``Ring.dest`` row, the delivery line's
+    text before and after its ``msg=`` field) for the event at slot t: a
+    delivery, or at the last slot the root's timeout."""
+
+    queues: list[deque]
+    busy: list[int]
+    at: list[tuple[str, int | str, ProcParams, list[int], str, str]]
 
 
 # --------------------------------------------------------------------------
@@ -433,23 +454,42 @@ class Simulator:
             enabled.append(len(self.channel_keys))
         return enabled
 
-    def _enqueue(self, cfg: Configuration, sender: str,
-                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> list[str]:
+    def _bind(self, cfg: Configuration) -> SlotBinding:
+        """Bind ``cfg`` to ring slots for a run of steps on it; see
+        ``SlotBinding``.  Built per run, from the run's own clone, so a
+        campaign's unrun simulators hold none of it."""
+        ring = self.topo.ring
+        root = self.topo.root
+        at = [
+            (pid, ch, self.pp[pid], ring.dest[pid],
+             f"proc={pid} event=deliver msg=", f" ch={ch} sends=[")
+            for pid, ch in self.channel_keys
+        ]
+        at.append((root, "-", self.pp[root], ring.dest[root],
+                   f"proc={root} event=timeout msg=", " ch=- sends=["))
+        return SlotBinding([cfg.channels[key] for key in self.channel_keys],
+                           self._busy(cfg), at)
+
+    def _enqueue(self, cfg: Configuration, bound: SlotBinding, dest: list[int],
+                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
+        """Put ``sends`` into their channels, a send on label ``out`` into
+        slot ``dest[out]``; return their rendering for the trace line."""
         rendered = []
-        dest = self.topo.ring.dest[sender]
+        queues, busy = bound.queues, bound.busy
         for out_ch, msg in sends:
             if msg.__class__ is ResT and msg.uid < 0:
                 msg = ResT(self._take_uid(cfg))
             t = dest[out_ch]
-            queue = cfg.channels[self.channel_keys[t]]
+            queue = queues[t]
             if not queue:
-                insort(self._busy(cfg), t)
+                insort(busy, t)
             queue.append(msg)
             tally.move(t, msg, 1)
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
-        return rendered
+        return ",".join(rendered)
 
-    def _local_pass(self, cfg: Configuration, pid: str, lines: list, entries: list,
+    def _local_pass(self, cfg: Configuration, bound: SlotBinding, pid: str,
+                    dest: list[int], lines: list, entries: list,
                     transitions: list, tally: monitor.Tally) -> None:
         st = cfg.states[pid]
         old = st.state
@@ -460,13 +500,13 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, pid, out.sends, tally)
-            lines.append(f"proc={pid} event=local msg=actions ch=- "
-                         f"sends=[{','.join(sends)}]")
+            sends = self._enqueue(cfg, bound, dest, out.sends, tally)
+            lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
-                     outcomes: dict[tuple, StepRecord]) -> StepRecord:
+                     outcomes: dict[tuple, StepRecord],
+                     bound: SlotBinding) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
@@ -477,7 +517,8 @@ class Simulator:
         the step woke or delivered to are counted again at the end, their
         held tokens at the slots they arrived on.  ``dirty``
         processes may have true guards already, as only a start no step
-        produced can.
+        produced can.  ``bound`` is ``cfg`` bound to ring slots
+        (``_bind``); the countdowns are ticked only while a section runs.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
@@ -499,38 +540,41 @@ class Simulator:
                 transitions.append((ev.process, OUT, REQ))
                 lines.append(f"proc={ev.process} event=local "
                              f"msg=request{{need={ev.need}}} ch=- sends=[]")
-        woken.update(cfg.app.tick())
+        if cfg.app.remaining:
+            woken.update(cfg.app.tick())
         if woken:
-            for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
-                self._local_pass(cfg, pid, lines, entries, transitions, tally)
+            ring = self.topo.ring
+            for pid in sorted(woken, key=ring.order.__getitem__):
+                self._local_pass(cfg, bound, pid, ring.dest[pid], lines, entries,
+                                 transitions, tally)
 
         t = policy.choose(self.enabled_events(cfg), self.slots)
         timeout_fired = t == len(self.channel_keys)
         restart = False
         traversal_end = None
         if t is not None:
-            pid, ch = (self.topo.root, "-") if timeout_fired else self.channel_keys[t]
+            pid, ch, pp, dest, head, tail = bound.at[t]
             st = cfg.states[pid]
             old = st.state
             if timeout_fired:
-                event, name = "timeout", "-"
-                out = on_timeout_root(st, self.pp[pid])
+                name = "-"
+                out = on_timeout_root(st, pp)
             else:
-                queue = cfg.channels[(pid, ch)]
+                queue = bound.queues[t]
                 msg = queue.popleft()
                 if not queue:
-                    busy = self._busy(cfg)
+                    busy = bound.busy
                     del busy[bisect_left(busy, t)]
                 tally.move(t, msg, -1)
-                event, name = "deliver", _NAMES.get(msg.__class__) or msg
-                out = dispatch(st, ch, msg, self.pp[pid])
+                name = _NAMES.get(msg.__class__) or str(msg)
+                out = dispatch(st, ch, msg, pp)
             if st.state != old:
                 transitions.append((pid, old, st.state))
-            sends = ",".join(self._enqueue(cfg, pid, out.sends, tally))
-            lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
+            sends = self._enqueue(cfg, bound, dest, out.sends, tally)
+            lines.append(head + name + tail + sends + "]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            self._local_pass(cfg, pid, lines, entries, transitions, tally)
+            self._local_pass(cfg, bound, pid, dest, lines, entries, transitions, tally)
             woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
@@ -549,7 +593,7 @@ class Simulator:
         must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
-                          self.tally(nxt), {})
+                          self.tally(nxt), {}, self._bind(nxt))
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -599,6 +643,7 @@ class Simulator:
         dirty = self.topo.process_ids
         outcomes: dict[tuple, StepRecord] = {}  # per run: a campaign keeps its simulators
         append = trace.records.append
+        bound = self._bind(cfg)
         for _ in range(budget):
             if replay and policy.exhausted():
                 trace.ended = "replay-exhausted"
@@ -606,7 +651,7 @@ class Simulator:
             if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes)
+            rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes, bound)
             dirty = ()
             append(rec)
             if observer is not None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klexsim import scenarios, simnet
+from klexsim import monitor, scenarios, simnet
 from klexsim.appmodel import RandomWorkload, Workload, WorkloadEvent
 from klexsim.monitor import check_safety, collect_requests, stabilization_time
 from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT
@@ -581,6 +581,58 @@ class TestTallyMatchesScratch:
                                             % mid.states["a"].myc)
         run_checked(sim, mid, RoundRobinPolicy(), 400)
 
+    def test_rset_edits_recount_the_changed_tail(self):
+        # a tally counts again only the RSet entries after the longest prefix
+        # the process kept; no run edits an RSet in the middle, so edit it
+        # by hand between checks on one tally
+        sim = canonical_sim(random_tree(3, 6))
+        cfg = sim.initial_configuration()
+        pid = next(p for p in sim.topo.process_ids if sim.topo.degree(p) > 1)
+        free = [m.uid for q in cfg.channels.values() for m in q if isinstance(m, ResT)]
+        st_ = cfg.states[pid]
+        st_.state, st_.need = REQ, 2
+        st_.rset = [Reserved(0, sim._take_uid(cfg)), Reserved(1, sim._take_uid(cfg))]
+        tally = sim.tally(cfg)
+
+        def assert_matches_scratch(procs):
+            checks = monitor.step_checks(tally, cfg, procs)
+            assert checks == sim.check(cfg)
+            fresh = sim.tally(cfg)
+            monitor.step_checks(fresh, cfg, sim.topo.process_ids)
+            assert (tally.counts, tally.tokens, tally.copies) == (
+                fresh.counts, fresh.tokens, fresh.copies)
+            return any("duplicated" in v for v in checks[2])
+
+        assert not assert_matches_scratch(sim.topo.process_ids)
+        edits = [
+            # same channel, a unit that is also free in a channel
+            lambda r: r.__setitem__(0, Reserved(r[0].channel, free[0])),
+            lambda r: r.reverse(),
+            lambda r: r.pop(),
+        ]
+        duplicated = []
+        for edit in edits:
+            edit(st_.rset)
+            duplicated.append(assert_matches_scratch((pid,)))
+        assert duplicated == [True, True, False]
+        assert [e.channel for e in st_.rset] == [1]
+
+
+class TestSetUpFootprint:
+    """A campaign builds all its simulators and starts before it runs any,
+    so set-up builds no per-slot table: the ring's ``slot`` and ``dest``
+    wait for the first run, and a run binds its slots itself."""
+
+    def test_set_up_builds_no_slot_tables(self):
+        topo = random_tree(11, 10)
+        sim = Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=50))
+        sim.inject_arbitrary(3)
+        assert "slot" not in vars(topo.ring) and "dest" not in vars(topo.ring)
+        assert "event=" not in repr(vars(sim))
+        sim.run(sim.inject_arbitrary(3), RoundRobinPolicy(), 5)
+        assert "slot" in vars(topo.ring) and "dest" in vars(topo.ring)
+        assert "event=" not in repr(vars(sim))
+
 
 class TestStepRecordFootprint:
     """A record is a step's outcome, frozen, slotted, with tuple event
@@ -611,10 +663,17 @@ class TestStepRecordFootprint:
     def test_record_is_frozen(self):
         sim = make_sim()
         rec = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1).records[0]
+        body = rec.body
         for field in dataclasses.fields(rec):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rec, field.name, getattr(rec, field.name))
         assert not hasattr(rec, "step") and not hasattr(rec, "lines")
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'step'"):
+            rec.step = 3
+        for name in ("body", "step"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+                delattr(rec, name)
+        assert rec.body is body
 
     def test_run_from_a_later_step_numbers_from_it(self, monkeypatch):
         # the first delivery takes its idle receiver straight into its
