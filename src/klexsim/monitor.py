@@ -277,10 +277,10 @@ def step_checks(tally: Tally, cfg,
         behind = tally.behind
         if key is not None and tally.key == (key[0], key[1] - 1):
             left = key[1] - 1
-            res, prio, push = tally.counts[left]
-            behind[0] += res
-            behind[1] += prio
-            behind[2] += push
+            counts = tally.counts[left]
+            behind[0] += counts[0]
+            behind[1] += counts[1]
+            behind[2] += counts[2]
             procs = {*procs, ring.keys[left][0]}
         elif key is not None:
             behind[:] = (0, 0, 0)

@@ -149,7 +149,8 @@ class StepRecord:
     The slots are declared in the class rather than by ``slots=True``,
     whose replacement class the frozen ``__setattr__`` does not know: it
     would raise ``TypeError`` for a name that is not a field.  Declared
-    here, every assignment and deletion raises ``FrozenInstanceError``."""
+    here, every assignment and deletion raises ``FrozenInstanceError``, so
+    copies and pickles are rebuilt through the constructor."""
 
     body: str
     census: monitor.CensusReport
@@ -161,6 +162,9 @@ class StepRecord:
     violations: tuple[str, ...]
     timeout_fired: bool
     __slots__ = tuple(__annotations__)
+
+    def __reduce__(self):
+        return StepRecord, tuple(getattr(self, name) for name in self.__slots__)
 
 
 @dataclass
@@ -489,8 +493,8 @@ class Simulator:
         return ",".join(rendered)
 
     def _local_pass(self, cfg: Configuration, bound: SlotBinding, pid: str,
-                    dest: list[int], lines: list, entries: list,
-                    transitions: list, tally: monitor.Tally) -> None:
+                    lines: list, entries: list, transitions: list,
+                    tally: monitor.Tally) -> None:
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
@@ -500,7 +504,7 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, bound, dest, out.sends, tally)
+            sends = self._enqueue(cfg, bound, self.topo.ring.dest[pid], out.sends, tally)
             lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
@@ -543,10 +547,8 @@ class Simulator:
         if cfg.app.remaining:
             woken.update(cfg.app.tick())
         if woken:
-            ring = self.topo.ring
-            for pid in sorted(woken, key=ring.order.__getitem__):
-                self._local_pass(cfg, bound, pid, ring.dest[pid], lines, entries,
-                                 transitions, tally)
+            for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
+                self._local_pass(cfg, bound, pid, lines, entries, transitions, tally)
 
         t = policy.choose(self.enabled_events(cfg), self.slots)
         timeout_fired = t == len(self.channel_keys)
@@ -574,7 +576,7 @@ class Simulator:
             lines.append(head + name + tail + sends + "]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            self._local_pass(cfg, bound, pid, dest, lines, entries, transitions, tally)
+            self._local_pass(cfg, bound, pid, lines, entries, transitions, tally)
             woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 import random
 import tracemalloc
 
@@ -674,6 +675,7 @@ class TestStepRecordFootprint:
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
                 delattr(rec, name)
         assert rec.body is body
+        assert copy.deepcopy(rec) == rec == pickle.loads(pickle.dumps(rec))
 
     def test_run_from_a_later_step_numbers_from_it(self, monkeypatch):
         # the first delivery takes its idle receiver straight into its
