@@ -191,7 +191,6 @@ class Trace:
         return "".join(line + "\n" for line in self.lines())
 
 
-@dataclass
 class SlotBinding:
     """A configuration bound to ring slots for a run of steps on it, so a
     step indexes by slot what it would otherwise look up by name.
@@ -199,11 +198,15 @@ class SlotBinding:
     configuration's own ``busy`` list.  ``at[t]`` is (receiver, receive
     label, its ``ProcParams``, its ``Ring.dest`` row, the delivery line's
     text before and after its ``msg=`` field) for the event at slot t: a
-    delivery, or at the last slot the root's timeout."""
+    delivery, or at the last slot the root's timeout.  A plain class: a
+    dataclass would cost every fresh import of klexsim its generated
+    methods."""
 
-    queues: list[deque]
-    busy: list[int]
-    at: list[tuple[str, int | str, ProcParams, list[int], str, str]]
+    __slots__ = ("queues", "busy", "at")
+
+    def __init__(self, queues: list[deque], busy: list[int],
+                 at: list[tuple[str, int | str, ProcParams, list[int], str, str]]):
+        self.queues, self.busy, self.at = queues, busy, at
 
 
 # --------------------------------------------------------------------------
