@@ -80,12 +80,6 @@ class Tally:
         self.behind = [0, 0, 0]
         self.off = 0
         self.census = CensusReport(0, 0, 0, 0)
-        # pid -> (its slots by label, root flag, how many of them a
-        # traversal passes): the root's wrap channel (slot 0) is its last
-        # label and never passed; every other process's slots ascend
-        root = topo.root
-        self.places = {p: (pos, p == root, len(pos) - (p == root))
-                       for p, pos in self.ring.slot.items()}
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(t, m, 1)
@@ -108,8 +102,7 @@ class Tally:
     def move(self, t: int, m, sign: int) -> None:
         """Count message m into (sign 1, put at the back) or out of (sign -1,
         taken from the front) the channel at slot t.  A step moves every
-        message it delivers or sends through here, so this counts in place
-        what ``_count`` counts."""
+        message it delivers or sends through here."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             if sign > 0:
@@ -121,18 +114,7 @@ class Tally:
                 if not ctrls:
                     del self.ctrls[t], self.after[t]
             return
-        if not i:
-            copies = self.copies
-            left = copies.get(m.uid, 0) + sign
-            if left:
-                copies[m.uid] = left
-            else:
-                del copies[m.uid]
-        self.counts[t][i] += sign
-        self.tokens[i] += sign
-        key = self.key
-        if key is not None and 0 < t < key[1]:
-            self.behind[i] += sign
+        self._count(t, i, m, sign)
         if sign > 0 and t in self.after:
             self.after[t][i] += 1
 
@@ -147,7 +129,7 @@ class Tally:
             viol += (f"{pid} counter {st.myc} outside domain",)
         if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
-        pos, is_root, last = self.places[pid]
+        pos, is_root, last = self.ring.places[pid]
         off = False
         if self.key is not None:
             c, t_c = self.key

@@ -74,8 +74,11 @@ class SimParams:
 
 
 def default_timeout(topo: TreeTopology, ell: int, cmax: int) -> int:
-    """Default root timeout: 20 traversal allowances, where one allowance
-    generously covers a full ring circulation with maximal queueing."""
+    """Default root timeout: 20 traversal allowances.  One allowance
+    assumes the controller waits behind at most C_MAX+ell+3 messages at
+    each of the ring's 2(n-1) hops; an arbitrary start can queue more ahead
+    of it, and then the timeout can fire before the controller's first
+    wrap."""
     return 20 * traversal_allowance(topo, ell, cmax)
 
 
@@ -186,27 +189,6 @@ class Trace:
                 prefix = f"step={step} "
                 for line in rec.body.split("\n"):
                     yield prefix + line
-
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
-
-
-class SlotBinding:
-    """A configuration bound to ring slots for a run of steps on it, so a
-    step indexes by slot what it would otherwise look up by name.
-    ``queues[t]`` is the channel deque at slot t and ``busy`` is the
-    configuration's own ``busy`` list.  ``at[t]`` is (receiver, receive
-    label, its ``ProcParams``, its ``Ring.dest`` row, the delivery line's
-    text before and after its ``msg=`` field) for the event at slot t: a
-    delivery, or at the last slot the root's timeout.  A plain class: a
-    dataclass would cost every fresh import of klexsim its generated
-    methods."""
-
-    __slots__ = ("queues", "busy", "at")
-
-    def __init__(self, queues: list[deque], busy: list[int],
-                 at: list[tuple[str, int | str, ProcParams, list[int], str, str]]):
-        self.queues, self.busy, self.at = queues, busy, at
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +316,11 @@ class Simulator:
         self.slots: list[Choice] = [
             (DELIVER, pid, ch) for pid, ch in self.channel_keys
         ] + [(TIMEOUT,)]
+        # slot -> the event's (receiver, receive label, its ProcParams, its
+        # ``Ring.dest`` row), the last slot the root's timeout: topology
+        # only, so built once, by the first run or step (``_queues``), not
+        # here, as a campaign builds all its simulators before it runs any
+        self.rows: list[tuple[str, int | str, ProcParams, list[int]]] | None = None
 
     def tally(self, cfg: Configuration) -> monitor.Tally:
         """A tally of ``cfg``'s channels; see ``monitor.Tally``."""
@@ -461,28 +448,26 @@ class Simulator:
             enabled.append(len(self.channel_keys))
         return enabled
 
-    def _bind(self, cfg: Configuration) -> SlotBinding:
-        """Bind ``cfg`` to ring slots for a run of steps on it; see
-        ``SlotBinding``.  Built per run, from the run's own clone, so a
-        campaign's unrun simulators hold none of it."""
-        ring = self.topo.ring
-        root = self.topo.root
-        at = [
-            (pid, ch, self.pp[pid], ring.dest[pid],
-             f"proc={pid} event=deliver msg=", f" ch={ch} sends=[")
-            for pid, ch in self.channel_keys
-        ]
-        at.append((root, "-", self.pp[root], ring.dest[root],
-                   f"proc={root} event=timeout msg=", " ch=- sends=["))
-        return SlotBinding([cfg.channels[key] for key in self.channel_keys],
-                           self._busy(cfg), at)
+    def _queues(self, cfg: Configuration) -> list[deque]:
+        """``cfg``'s channel deques by slot, for a run of steps on it; its
+        ``busy`` index is built too, as every step keeps it, and on first
+        use the simulator's ``rows``.  (Not a ``cached_property``: it
+        writes to the instance ``__dict__``, which on CPython 3.11 costs
+        every later attribute load on the simulator its specialization.)"""
+        if self.rows is None:
+            dest, pp = self.topo.ring.dest, self.pp
+            root = self.topo.root
+            self.rows = [(pid, ch, pp[pid], dest[pid]) for pid, ch in self.channel_keys]
+            self.rows.append((root, "-", pp[root], dest[root]))
+        self._busy(cfg)
+        return [cfg.channels[key] for key in self.channel_keys]
 
-    def _enqueue(self, cfg: Configuration, bound: SlotBinding, dest: list[int],
+    def _enqueue(self, cfg: Configuration, queues: list[deque], dest: list[int],
                  sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
         slot ``dest[out]``; return their rendering for the trace line."""
         rendered = []
-        queues, busy = bound.queues, bound.busy
+        busy = cfg.busy
         for out_ch, msg in sends:
             if msg.__class__ is ResT and msg.uid < 0:
                 msg = ResT(self._take_uid(cfg))
@@ -495,7 +480,7 @@ class Simulator:
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return ",".join(rendered)
 
-    def _local_pass(self, cfg: Configuration, bound: SlotBinding, pid: str,
+    def _local_pass(self, cfg: Configuration, queues: list[deque], pid: str,
                     lines: list, entries: list, transitions: list,
                     tally: monitor.Tally) -> None:
         st = cfg.states[pid]
@@ -507,13 +492,13 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, bound, self.topo.ring.dest[pid], out.sends, tally)
+            sends = self._enqueue(cfg, queues, self.topo.ring.dest[pid], out.sends, tally)
             lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
                      outcomes: dict[tuple, StepRecord],
-                     bound: SlotBinding) -> StepRecord:
+                     queues: list[deque]) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
@@ -524,8 +509,9 @@ class Simulator:
         the step woke or delivered to are counted again at the end, their
         held tokens at the slots they arrived on.  ``dirty``
         processes may have true guards already, as only a start no step
-        produced can.  ``bound`` is ``cfg`` bound to ring slots
-        (``_bind``); the countdowns are ticked only while a section runs.
+        produced can.  ``queues`` is ``cfg``'s channel deques by slot
+        (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
+        only while a section runs.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
@@ -551,35 +537,35 @@ class Simulator:
             woken.update(cfg.app.tick())
         if woken:
             for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
-                self._local_pass(cfg, bound, pid, lines, entries, transitions, tally)
+                self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
 
         t = policy.choose(self.enabled_events(cfg), self.slots)
         timeout_fired = t == len(self.channel_keys)
         restart = False
         traversal_end = None
         if t is not None:
-            pid, ch, pp, dest, head, tail = bound.at[t]
+            pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
             old = st.state
             if timeout_fired:
-                name = "-"
+                event, name = TIMEOUT, "-"
                 out = on_timeout_root(st, pp)
             else:
-                queue = bound.queues[t]
+                queue = queues[t]
                 msg = queue.popleft()
                 if not queue:
-                    busy = bound.busy
+                    busy = cfg.busy
                     del busy[bisect_left(busy, t)]
                 tally.move(t, msg, -1)
-                name = _NAMES.get(msg.__class__) or str(msg)
+                event, name = DELIVER, _NAMES.get(msg.__class__) or msg
                 out = dispatch(st, ch, msg, pp)
             if st.state != old:
                 transitions.append((pid, old, st.state))
-            sends = self._enqueue(cfg, bound, dest, out.sends, tally)
-            lines.append(head + name + tail + sends + "]")
+            sends = self._enqueue(cfg, queues, dest, out.sends, tally)
+            lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            self._local_pass(cfg, bound, pid, lines, entries, transitions, tally)
+            self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
             woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
@@ -598,7 +584,7 @@ class Simulator:
         must be enabled once the application phase has run, or be ``skip``."""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
-                          self.tally(nxt), {}, self._bind(nxt))
+                          self.tally(nxt), {}, self._queues(nxt))
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
@@ -648,7 +634,7 @@ class Simulator:
         dirty = self.topo.process_ids
         outcomes: dict[tuple, StepRecord] = {}  # per run: a campaign keeps its simulators
         append = trace.records.append
-        bound = self._bind(cfg)
+        queues = self._queues(cfg)
         for _ in range(budget):
             if replay and policy.exhausted():
                 trace.ended = "replay-exhausted"
@@ -656,7 +642,7 @@ class Simulator:
             if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
                 return trace
-            rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes, bound)
+            rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes, queues)
             dirty = ()
             append(rec)
             if observer is not None:

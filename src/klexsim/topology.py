@@ -163,8 +163,11 @@ class Ring:
     channel.  ``slot[p][ch]`` inverts ``keys``; ``dest[p][out]`` is the slot
     a send by p on channel ``out`` enters (slot t+1 mod 2(n-1) for a token
     that arrived at slot t); ``order[p]`` is p's index in ``process_ids``.
-    ``slot`` and ``dest`` are built on first use, as a campaign builds many
-    runs before it runs any."""
+    ``places[p]`` is (``slot[p]``, whether p is the root, how many of those
+    slots a controller traversal passes): the root's wrap channel (slot 0)
+    is its last label and never passed; every other process's slots ascend.
+    ``slot``, ``dest`` and ``places`` are built on first use, as a campaign
+    builds many runs before it runs any."""
 
     def __init__(self, topo: TreeTopology):
         self.neighbors = topo.neighbors  # not topo: the topology caches its ring
@@ -183,6 +186,11 @@ class Ring:
         # ``forward_channel`` sends on channel out what arrived on out-1
         return {p: [(s[out - 1] + 1) % len(self.keys) for out in range(len(s))]
                 for p, s in self.slot.items()}
+
+    @cached_property
+    def places(self) -> dict[str, tuple[list[int], bool, int]]:
+        root = self.keys[0][0]
+        return {p: (pos, p == root, len(pos) - (p == root)) for p, pos in self.slot.items()}
 
 
 def random_tree(seed: int, n: int) -> TreeTopology:

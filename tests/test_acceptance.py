@@ -365,7 +365,7 @@ def test_criterion_9_determinism():
                                       k=sim.params.k, seed=seed, rate=0.03)
             trace = sim.run(sim.inject_arbitrary(seed), policy_for(seed),
                             12 * allowance, workload=workload)
-            texts.append(trace.text())
+            texts.append(list(trace.lines()))
         assert texts[0] == texts[1], f"seed {seed}: traces differ"
         assert texts[0], "trace unexpectedly empty"
     print("\nACCEPTANCE 9 determinism: PASS (identical configurations "

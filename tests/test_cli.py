@@ -198,7 +198,8 @@ class TestRunOnce:
         assert drawn == []
         cfg.out = str(tmp_path / "artifacts")
         _, _, trace = run_once(cfg)
-        assert drawn and (tmp_path / "artifacts" / "trace.txt").read_text() == trace.text()
+        written = (tmp_path / "artifacts" / "trace.txt").read_text()
+        assert drawn and written.endswith("\n") and written.splitlines() == list(trace.lines())
 
     def test_zero_budget_writes_an_empty_trace(self, star_file, tmp_path):
         out_dir = tmp_path / "artifacts"

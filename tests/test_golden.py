@@ -1,9 +1,10 @@
 """Golden trace pins: refactors of the simulator or the monitor must keep
 these seeded runs byte-identical.
 
-Each case pins the sha256 of ``trace.text()`` (every scheduler event and
-local action, in order), the sha256 of the monitor's per-configuration
-output (census, legitimacy, violations), and a verdict summary.  A change
+Each case pins the sha256 of the trace text, ``trace.lines()`` each ended
+by a newline (every scheduler event and local action, in order), the
+sha256 of the monitor's per-configuration output (census, legitimacy,
+violations), and a verdict summary.  A change
 that moves any of them changes behaviour and must say so.  To print fresh
 values after a deliberate behaviour change, run
 ``python tests/test_golden.py``.
@@ -64,7 +65,10 @@ def summary(trace) -> tuple:
 
 
 def pin(trace) -> tuple:
-    return sha(trace.text()), sha(monitor_text(trace)), summary(trace)
+    h = hashlib.sha256()
+    for line in trace.lines():
+        h.update((line + "\n").encode())
+    return h.hexdigest(), sha(monitor_text(trace)), summary(trace)
 
 
 def arbitrary_run(seed: int, policy: str, cmax: int):

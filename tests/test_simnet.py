@@ -182,7 +182,7 @@ class TestDeterminism:
             sim1, sim2 = make_sim(), make_sim()
             t1 = sim1.run(sim1.inject_arbitrary(3), policy_cls(), 300)
             t2 = sim2.run(sim2.inject_arbitrary(3), policy_cls(), 300)
-            assert t1.text() == t2.text()
+            assert list(t1.lines()) == list(t2.lines())
 
     def test_different_seeds_differ(self):
         sim = make_sim()
@@ -621,18 +621,32 @@ class TestTallyMatchesScratch:
 
 class TestSetUpFootprint:
     """A campaign builds all its simulators and starts before it runs any,
-    so set-up builds no per-slot table: the ring's ``slot`` and ``dest``
-    wait for the first run, and a run binds its slots itself."""
+    so set-up builds no per-slot table: the ring's ``slot``, ``dest`` and
+    ``places`` and the simulator's ``rows`` wait for the first run or step,
+    and every later run or step of that simulator reuses them."""
 
     def test_set_up_builds_no_slot_tables(self):
         topo = random_tree(11, 10)
         sim = Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=50))
         sim.inject_arbitrary(3)
-        assert "slot" not in vars(topo.ring) and "dest" not in vars(topo.ring)
-        assert "event=" not in repr(vars(sim))
+        assert not {"slot", "dest", "places"} & set(vars(topo.ring))
+        assert sim.rows is None
         sim.run(sim.inject_arbitrary(3), RoundRobinPolicy(), 5)
-        assert "slot" in vars(topo.ring) and "dest" in vars(topo.ring)
+        assert {"slot", "dest", "places"} <= set(vars(topo.ring))
+        assert len(sim.rows) == len(sim.slots)
         assert "event=" not in repr(vars(sim))
+
+    def test_runs_and_steps_reuse_the_rows(self):
+        sim = make_sim()
+        cfg = sim.initial_configuration()
+        sim.run(cfg, RoundRobinPolicy(), 5)
+        rows = sim.rows
+        sim.run(cfg, RoundRobinPolicy(), 5)
+        assert sim.rows is rows
+        sim.step(cfg, sim.slots[sim.enabled_events(cfg)[0]])
+        assert sim.rows is rows
+        assert rows[-1] == (sim.topo.root, "-", sim.pp[sim.topo.root],
+                            sim.topo.ring.dest[sim.topo.root])
 
 
 class TestStepRecordFootprint:
@@ -754,23 +768,22 @@ class TestStepRecordFootprint:
 
 class TestStepLines:
     """A record keeps its lines as a body without the ``step=N `` prefix;
-    ``trace.lines()`` and the trace text render it again, numbered by the
-    record's position."""
+    ``trace.lines()`` renders it again, numbered by the record's position."""
 
     def test_idle_steps_render_no_line(self):
         sim = make_sim(timeout=2)
         trace = sim.run(sim.empty_configuration(), ReplayPolicy([(SKIP,), (SKIP,)]), 5)
         assert [step for step, _ in enumerate(trace.records, trace.first_step)] == [0, 1]
         assert all(rec.body == "" for rec in trace.records)
-        assert list(trace.lines()) == [] and trace.text() == ""
+        assert list(trace.lines()) == []
 
     def test_idle_steps_among_busy_ones(self):
         sim = make_sim(timeout=2)
         trace = sim.run(sim.empty_configuration(),
                         ReplayPolicy([(SKIP,), (SKIP,), (TIMEOUT,), (SKIP,)]), 5)
         assert [rec.body == "" for rec in trace.records] == [True, True, False, True]
-        assert [line.split()[0] for line in trace.lines()] == ["step=2"]
-        assert trace.text() == "step=2 " + trace.records[2].body + "\n"
+        assert list(trace.lines()) == ["step=2 " + trace.records[2].body]
+        assert trace.records[2].body.startswith("proc=r event=timeout msg=- ch=- sends=[")
 
     def test_delivery_local_pass_and_request(self):
         sim = make_sim()
@@ -782,7 +795,7 @@ class TestStepLines:
             "step=5 proc=r event=deliver msg=ResT ch=0 sends=[]",
             "step=5 proc=r event=local msg=actions ch=- sends=[]",
         ]
-        assert trace.text().endswith("\n".join(lines) + "\n")
+        assert list(trace.lines())[-3:] == lines
         assert list(trace.lines()) == [
             f"step={step} {line}" for step, r in enumerate(trace.records, trace.first_step)
             if r.body for line in r.body.split("\n")]

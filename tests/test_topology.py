@@ -153,8 +153,8 @@ class TestVirtualRing:
 
 class TestRing:
     """``topo.ring`` numbers the virtual ring's channels once for every
-    module: slots, their inverse, each send's destination slot, and the
-    process order."""
+    module: slots, their inverse, each send's destination slot, the
+    process order, and each process's slots as a traversal passes them."""
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_slot_table_follows_the_ring(self, n):
@@ -175,15 +175,18 @@ class TestRing:
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_slots_ascend_with_labels(self, n):
-        # what ``monitor.Tally`` bisects on: a process's slots ascend with
-        # its channel labels, except the root's wrap channel, slot 0, which
-        # is its last label
+        # what ``monitor.Tally`` bisects on, through ``ring.places``: a
+        # process's slots ascend with its channel labels, except the root's
+        # wrap channel, slot 0, which is its last label and never passed
         for seed in (n, 1000 + n):
             t = random_tree(seed, n)
             for p, pos in t.ring.slot.items():
-                if p == t.root:
+                place, is_root, passed = t.ring.places[p]
+                assert place is pos and is_root == (p == t.root)
+                if is_root:
                     assert pos[-1] == 0
                     pos = pos[:-1]
+                assert passed == len(pos)
                 assert pos == sorted(pos) and 0 not in pos
 
     def test_ring_walked_once_per_topology(self, monkeypatch):
