@@ -317,9 +317,10 @@ class Simulator:
             (DELIVER, pid, ch) for pid, ch in self.channel_keys
         ] + [(TIMEOUT,)]
         # slot -> the event's (receiver, receive label, its ProcParams, its
-        # ``Ring.dest`` row), the last slot the root's timeout: topology
-        # only, so built once, by the first run or step (``_queues``), not
-        # here, as a campaign builds all its simulators before it runs any
+        # ``Ring.dest`` row), the last slot the root's timeout: no
+        # configuration enters them, so built once, by the first run or step
+        # (``_queues``), not here, as a campaign builds all its simulators
+        # before it runs any
         self.rows: list[tuple[str, int | str, ProcParams, list[int]]] | None = None
 
     def tally(self, cfg: Configuration) -> monitor.Tally:
