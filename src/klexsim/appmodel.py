@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .protocol import OUT, REQ, ProcessState
-from .topology import content_lines
+from .topology import TreeTopology, content_lines
 
 INF = math.inf
 DEFAULT_CS_STEPS = 1  # length of a critical section entered with no armed request
@@ -199,9 +199,10 @@ def apply_workload(events: list[WorkloadEvent], app: AppState,
     return fired
 
 
-def parse_scenario(text: str, k: int) -> Workload:
+def parse_scenario(text: str, k: int, topo: TreeTopology) -> Workload:
     """Parse a scenario file: one ``req <step> <process> <need> <duration|inf>``
-    per line; blank lines and ``#`` comments allowed."""
+    per line, each naming a process of ``topo``; blank lines and ``#``
+    comments allowed."""
     events = []
     for lineno, line in content_lines(text):
         parts = line.split()
@@ -213,5 +214,12 @@ def parse_scenario(text: str, k: int) -> Workload:
             duration = INF if parts[4] == "inf" else float(int(parts[4]))
         except ValueError:
             raise ScenarioError(f"line {lineno}: bad number in {line!r}") from None
-        events.append(WorkloadEvent(step, parts[2], need, duration))
+        ev = WorkloadEvent(step, parts[2], need, duration)
+        try:
+            ev.check(k)
+        except ScenarioError as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
+        if ev.process not in topo.process_ids:
+            raise ScenarioError(f"line {lineno}: unknown process {ev.process!r}")
+        events.append(ev)
     return Workload(events, k)

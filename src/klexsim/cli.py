@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import monitor, scenarios
-from .appmodel import ScenarioError, parse_scenario
+from .appmodel import parse_scenario
 from .simnet import (
     RandomPolicy,
     ReplayPolicy,
@@ -91,8 +91,7 @@ def make_policy(cfg: RunConfig, seed: int):
         return RoundRobinPolicy()
     if cfg.policy == "rand":
         return RandomPolicy(seed)
-    choices = parse_replay(Path(cfg.replay).read_text())
-    return ReplayPolicy(choices)
+    return ReplayPolicy(parse_replay(Path(cfg.replay).read_text(), cfg.topology))
 
 
 def judge(trace: Trace) -> tuple[int, int | None, int, monitor.SafetyVerdict,
@@ -136,11 +135,7 @@ def run_once(cfg: RunConfig) -> tuple[int, str, Trace]:
     sim = build_simulator(cfg)
     workload = None
     if cfg.scenario is not None:
-        workload = parse_scenario(Path(cfg.scenario).read_text(), cfg.k)
-        unknown = sorted({ev.process for ev in workload.events}
-                         - set(cfg.topology.process_ids))
-        if unknown:
-            raise ScenarioError(f"scenario names unknown processes: {', '.join(unknown)}")
+        workload = parse_scenario(Path(cfg.scenario).read_text(), cfg.k, cfg.topology)
     initial = (
         sim.inject_arbitrary(cfg.seed) if cfg.fault == "arbitrary"
         else sim.initial_configuration()

@@ -28,8 +28,6 @@ from .appmodel import RepeatingWorkload, Workload, WorkloadEvent
 from .monitor import check_fairness
 from .protocol import PrioT, PushT, ResT
 from .simnet import (
-    DELIVER,
-    Choice,
     Configuration,
     ReplayPolicy,
     RoundRobinPolicy,
@@ -177,19 +175,21 @@ def livelock_config(sim: Simulator, with_priority: bool) -> Configuration:
     return cfg
 
 
-def livelock_replay(cycles: int) -> list[Choice]:
-    """The losing interleaving: collect, push around the ring, strip a,
-    recirculate.  One cycle is eight deliveries; requesters re-arm and
-    critical sections expire on the right steps without any skips."""
+def livelock_replay(cycles: int) -> list[int]:
+    """The losing interleaving, as ring slots of the livelock topology:
+    collect, push around the ring, strip a, recirculate.  One cycle is eight
+    deliveries; requesters re-arm and critical sections expire on the right
+    steps without any skips."""
+    slot = parse_topology(LIVELOCK_TOPOLOGY).ring.slot
     one_cycle = [
-        (DELIVER, "r", 0),  # root collects, enters CS
-        (DELIVER, "a", 0),  # a reserves one of the two units it needs
-        (DELIVER, "b", 0),  # b collects, enters CS
-        (DELIVER, "r", 0),  # pusher: root is in CS, passes it to b
-        (DELIVER, "b", 0),  # pusher: b in CS, passes it back to the root
-        (DELIVER, "r", 1),  # pusher: root still in CS, passes it to a
-        (DELIVER, "a", 0),  # pusher strips a; both CS holders are leaving
-        (DELIVER, "r", 1),  # root (now idle) relays b's released unit to a
+        slot["r"][0],  # root collects, enters CS
+        slot["a"][0],  # a reserves one of the two units it needs
+        slot["b"][0],  # b collects, enters CS
+        slot["r"][0],  # pusher: root is in CS, passes it to b
+        slot["b"][0],  # pusher: b in CS, passes it back to the root
+        slot["r"][1],  # pusher: root still in CS, passes it to a
+        slot["a"][0],  # pusher strips a; both CS holders are leaving
+        slot["r"][1],  # root (now idle) relays b's released unit to a
     ]
     return one_cycle * cycles
 

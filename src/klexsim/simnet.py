@@ -19,7 +19,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import monitor
 from .appmodel import AppState, apply_workload
@@ -131,12 +131,10 @@ class Configuration:
         return (tuple(procs), tuple(chans))
 
 
-Choice = tuple  # (DELIVER, pid, channel) | (TIMEOUT,) | (SKIP,)
 _NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """The outcome of one executed step: its trace lines, the checks of the
     configuration it produced and its events.  A run builds one record per
     distinct outcome and equal steps share it, so a record holds no step
@@ -147,13 +145,7 @@ class StepRecord:
     ``step={step} `` prefix (``""`` for an idle step).  Dropping the prefix
     is sound because every line of a step carries that step's number:
     ``execute_step`` renders them all before it advances ``cfg.step``.
-    ``Trace.lines`` renders the prefix again.
-
-    The slots are declared in the class rather than by ``slots=True``,
-    whose replacement class the frozen ``__setattr__`` does not know: it
-    would raise ``TypeError`` for a name that is not a field.  Declared
-    here, every assignment and deletion raises ``FrozenInstanceError``, so
-    copies and pickles are rebuilt through the constructor."""
+    ``Trace.lines`` renders the prefix again."""
 
     body: str
     census: monitor.CensusReport
@@ -164,10 +156,6 @@ class StepRecord:
     traversal_end: TraversalEnd | None
     violations: tuple[str, ...]
     timeout_fired: bool
-    __slots__ = tuple(__annotations__)
-
-    def __reduce__(self):
-        return StepRecord, tuple(getattr(self, name) for name in self.__slots__)
 
 
 @dataclass
@@ -209,7 +197,7 @@ class RoundRobinPolicy:
     def __init__(self) -> None:
         self._idx = -1
 
-    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
+    def choose(self, enabled: list[int]) -> int | None:
         if not enabled:
             return None
         i = bisect_right(enabled, self._idx)
@@ -225,64 +213,66 @@ class RandomPolicy:
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
 
-    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
+    def choose(self, enabled: list[int]) -> int | None:
         if not enabled:
             return None
         return enabled[self._rng.randrange(len(enabled))]
 
 
 class ReplayPolicy:
-    """Replays an explicit list of scheduler choices, mapped to slots through
-    ``slots``; ``skip`` is an idle step, which is how replays line up with
-    CS countdowns."""
+    """Replays an explicit list of scheduler choices: ring slots as
+    ``enabled_events`` numbers them, ``None`` for an idle step, which is how
+    replays line up with CS countdowns."""
 
     name = "replay"
 
-    def __init__(self, choices: list[Choice]) -> None:
-        self.choices = list(choices)
+    def __init__(self, slots: list[int | None]) -> None:
+        self.choices = list(slots)
         self._idx = 0
 
     def exhausted(self) -> bool:
         return self._idx >= len(self.choices)
 
-    def choose(self, enabled: list[int], slots: list[Choice]) -> int | None:
+    def choose(self, enabled: list[int]) -> int | None:
         if self.exhausted():
             return None
-        choice = self.choices[self._idx]
+        t = self.choices[self._idx]
         self._idx += 1
-        if choice == (SKIP,):
-            return None
-        try:
-            t = slots.index(choice)
-        except ValueError:
-            t = None
-        if t not in enabled:
-            raise SchedulerError(f"replay names disabled event {choice}")
+        if t is not None and t not in enabled:
+            raise SchedulerError(f"replay choice {self._idx} names disabled event")
         return t
 
 
-def parse_replay(text: str) -> list[Choice]:
+def parse_replay(text: str, topo: TreeTopology) -> list[int | None]:
     """Replay file: one choice per line, ``deliver <proc> <ch>`` / ``timeout``
-    / ``skip``; blank lines and # comments allowed."""
-    choices: list[Choice] = []
+    / ``skip``; blank lines and # comments allowed.  Each choice becomes its
+    slot on ``topo``'s ring (``None`` for ``skip``)."""
+    slot = topo.ring.slot
+    slots: list[int | None] = []
     for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == DELIVER and len(parts) == 3 and parts[2].isdecimal():
-            choices.append((DELIVER, parts[1], int(parts[2])))
+            pid, ch = parts[1], int(parts[2])
+            if pid not in slot:
+                raise SchedulerError(f"replay line {lineno}: unknown process {pid!r}")
+            if ch >= len(slot[pid]):
+                raise SchedulerError(f"replay line {lineno}: process {pid!r} "
+                                     f"has no channel {ch}")
+            slots.append(slot[pid][ch])
         elif parts[0] == TIMEOUT and len(parts) == 1:
-            choices.append((TIMEOUT,))
+            slots.append(len(topo.ring.keys))
         elif parts[0] == SKIP and len(parts) == 1:
-            choices.append((SKIP,))
+            slots.append(None)
         else:
             raise SchedulerError(f"replay line {lineno}: cannot parse {line!r}")
-    return choices
+    return slots
 
 
-def format_replay(choices: list[Choice]) -> str:
-    out = []
-    for ch in choices:
-        out.append(" ".join(str(x) for x in ch))
-    return "\n".join(out) + "\n"
+def format_replay(slots: list[int | None], topo: TreeTopology) -> str:
+    """The replay file that ``parse_replay`` reads back as ``slots``."""
+    keys = topo.ring.keys
+    return "".join(SKIP + "\n" if t is None else TIMEOUT + "\n" if t == len(keys)
+                   else f"{DELIVER} {keys[t][0]} {keys[t][1]}\n" for t in slots)
 
 
 def timeout_ready(cfg: Configuration, threshold: int | None) -> bool:
@@ -312,10 +302,6 @@ class Simulator:
             for pid in topo.process_ids
         }
         self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
-        # slot -> choice: the ring slots' deliveries, then the timeout
-        self.slots: list[Choice] = [
-            (DELIVER, pid, ch) for pid, ch in self.channel_keys
-        ] + [(TIMEOUT,)]
         # slot -> the event's (receiver, receive label, its ProcParams, its
         # ``Ring.dest`` row), the last slot the root's timeout: no
         # configuration enters them, so built once, by the first run or step
@@ -442,8 +428,7 @@ class Simulator:
     def enabled_events(self, cfg: Configuration) -> list[int]:
         """The enabled events as ascending slots, which ``RoundRobinPolicy``
         relies on: a copy of ``Configuration.busy`` (the non-empty channels),
-        then ``len(self.channel_keys)`` when the timeout is ready.  Slot ``t``
-        is the event ``self.slots[t]``."""
+        then ``len(self.channel_keys)`` when the timeout is ready."""
         enabled = list(self._busy(cfg))
         if timeout_ready(cfg, self.params.timeout):
             enabled.append(len(self.channel_keys))
@@ -540,7 +525,7 @@ class Simulator:
             for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
                 self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
 
-        t = policy.choose(self.enabled_events(cfg), self.slots)
+        t = policy.choose(self.enabled_events(cfg))
         timeout_fired = t == len(self.channel_keys)
         restart = False
         traversal_end = None
@@ -576,15 +561,16 @@ class Simulator:
                tuple(transitions), traversal_end, violations, timeout_fired)
         rec = outcomes.get(key)
         if rec is None:
-            rec = outcomes[key] = StepRecord(*key)
+            rec = outcomes[key] = StepRecord._make(key)
         return rec
 
-    def step(self, cfg: Configuration, choice: Choice, workload=None) -> Configuration:
+    def step(self, cfg: Configuration, t: int | None, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the
-        successor configuration, leaving the input untouched.  ``choice``
-        must be enabled once the application phase has run, or be ``skip``."""
+        successor configuration, leaving the input untouched.  Slot ``t``
+        must be enabled once the application phase has run, or be ``None``
+        for an idle step."""
         nxt = cfg.clone()
-        self.execute_step(nxt, ReplayPolicy([choice]), workload, self.topo.process_ids,
+        self.execute_step(nxt, ReplayPolicy([t]), workload, self.topo.process_ids,
                           self.tally(nxt), {}, self._queues(nxt))
         return nxt
 

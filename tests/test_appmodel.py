@@ -12,6 +12,9 @@ from klexsim.appmodel import (
     parse_scenario,
 )
 from klexsim.protocol import IN, OUT, REQ, ProcessState
+from klexsim.topology import parse_topology
+
+STAR = parse_topology("n 3 root r\nr: a b\na: r\nb: r\n")
 
 
 def test_event_fires_out_to_req():
@@ -72,7 +75,7 @@ def test_enter_cs_without_event_uses_default():
 
 
 def test_parse_scenario_roundtrip():
-    wl = parse_scenario("# demo\nreq 5 a 2 10\nreq 7 b 1 inf\n", k=3)
+    wl = parse_scenario("# demo\nreq 5 a 2 10\nreq 7 b 1 inf\n", 3, STAR)
     assert wl.events[0] == WorkloadEvent(5, "a", 2, 10)
     assert wl.events[1].duration == math.inf
     assert wl.due(4, {}) == []
@@ -81,8 +84,8 @@ def test_parse_scenario_roundtrip():
 
 
 def test_scenario_need_above_k_rejected():
-    with pytest.raises(ScenarioError, match="outside"):
-        parse_scenario("req 0 a 4 1\n", k=3)
+    with pytest.raises(ScenarioError, match="line 2: .*outside"):
+        parse_scenario("req 0 b 1 1\nreq 0 a 4 1\n", 3, STAR)
 
 
 def test_scenario_same_step_collision_rejected():
@@ -91,8 +94,8 @@ def test_scenario_same_step_collision_rejected():
 
 
 def test_scenario_bad_duration_rejected():
-    with pytest.raises(ScenarioError):
-        parse_scenario("req 0 a 1 0\n", k=3)
+    with pytest.raises(ScenarioError, match="line 1: .*duration"):
+        parse_scenario("req 0 a 1 0\n", 3, STAR)
 
 
 def test_random_workload_deterministic_and_bounded():

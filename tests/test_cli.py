@@ -79,10 +79,21 @@ class TestValidation:
 
     def test_unknown_scenario_process_is_usage_error(self, star_file, tmp_path, capsys):
         f = tmp_path / "load.scn"
-        f.write_text("req 3 zz 1 2\n")
+        f.write_text("req 3 a 1 2\nreq 4 zz 1 2\n")
         assert main(["--topology", str(star_file), "--scenario", str(f)]) == USAGE
+        assert capsys.readouterr().err == "error: line 2: unknown process 'zz'\n"
+
+    @pytest.mark.parametrize("line, problem", [
+        ("deliver zz 0", "unknown process 'zz'"), ("deliver a 1", "no channel 1")])
+    def test_bad_replay_event_names_its_line(self, line, problem, star_file, tmp_path,
+                                             capsys):
+        f = tmp_path / "bad.rpl"
+        f.write_text("skip\n" + line + "\n")
+        argv = ["--topology", str(star_file), "--policy", "replay", "--replay", str(f)]
+        assert main(argv) == USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "zz" in err
+        assert err.startswith("error: replay line 2: ") and problem in err
+        assert "Traceback" not in err
 
     def test_campaign_with_scenario_is_usage_error(self, star_file, tmp_path, capsys):
         f = tmp_path / "bad.scn"
@@ -288,7 +299,7 @@ class TestJudge:
         # only the regression makes it fail
         trace = self.canonical_trace()
         mid = len(trace.records) // 2
-        trace.records[mid] = dataclasses.replace(trace.records[mid], legit=False)
+        trace.records[mid] = trace.records[mid]._replace(legit=False)
         status, stab, regressions, safety, _ = judge(trace)
         assert (status, stab, regressions) == (VIOLATION, mid + 2, 1)
         assert safety.passed

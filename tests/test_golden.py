@@ -26,7 +26,9 @@ from klexsim.monitor import (
     stabilization_time,
 )
 from klexsim.simnet import (
+    DELIVER,
     SKIP,
+    TIMEOUT,
     RandomPolicy,
     ReplayPolicy,
     RoundRobinPolicy,
@@ -143,8 +145,10 @@ def step_chain(seed: int, steps: int) -> str:
     h = hashlib.sha256()
     for _ in range(steps):
         enabled = sim.enabled_events(cfg)
-        choice = sim.slots[enabled[rng.randrange(len(enabled))]] if enabled else (SKIP,)
-        nxt = sim.step(cfg, choice, workload)
+        t = enabled[rng.randrange(len(enabled))] if enabled else None
+        nxt = sim.step(cfg, t, workload)
+        choice = ((SKIP,) if t is None else (TIMEOUT,) if t == len(sim.channel_keys)
+                  else (DELIVER, *sim.channel_keys[t]))
         uids = [[m.uid for m in q if hasattr(m, "uid")] for q in nxt.channels.values()]
         h.update(repr((choice, nxt.step, nxt.timer, nxt.next_uid, uids,
                        nxt.fingerprint())).encode())
