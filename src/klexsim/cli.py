@@ -28,7 +28,7 @@ from .simnet import (
     parse_replay,
     traversal_allowance,
 )
-from .topology import TreeTopology, parse_topology
+from .topology import TreeTopology, content_lines, parse_topology
 
 PASS, VIOLATION, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 VERDICT_WORDS = {PASS: "pass", VIOLATION: "violation", INCONCLUSIVE: "inconclusive"}
@@ -91,7 +91,9 @@ def make_policy(cfg: RunConfig, seed: int):
         return RoundRobinPolicy()
     if cfg.policy == "rand":
         return RandomPolicy(seed)
-    return ReplayPolicy(parse_replay(Path(cfg.replay).read_text(), cfg.topology))
+    text = Path(cfg.replay).read_text()
+    return ReplayPolicy(parse_replay(text, cfg.topology),
+                        [lineno for lineno, _ in content_lines(text)])
 
 
 def judge(trace: Trace) -> tuple[int, int | None, int, monitor.SafetyVerdict,

@@ -65,6 +65,7 @@ class Tally:
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
         self.topo, self.ring = topo, topo.ring
+        self.places = self.ring.places  # a plain attribute: ``process`` reads it per call
         self.k, self.ell, self.modulus = k, ell, modulus
         self.tokens = [0, 0, 0]  # resource, priority, pusher tokens, held included
         self.counts = [[0, 0, 0] for _ in self.ring.keys]  # per slot, held included
@@ -129,7 +130,7 @@ class Tally:
             viol += (f"{pid} counter {st.myc} outside domain",)
         if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
-        pos, is_root, last = self.ring.places[pid]
+        pos, is_root, last = self.places[pid]
         off = False
         if self.key is not None:
             c, t_c = self.key

@@ -89,9 +89,9 @@ class Reserved:
     uid: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessState:
-    """All protocol variables of one process.
+    """All protocol variables of one process, slotted: no instance dict.
 
     The s* counters and ``reset`` are root-only; they stay inert on
     non-root processes.
@@ -112,6 +112,12 @@ class ProcessState:
     def rset_count(self, channel: int) -> int:
         """Multiplicity of ``channel`` in the RSet multiset."""
         return sum(1 for e in self.rset if e.channel == channel)
+
+    def copy(self) -> ProcessState:
+        """An independent copy: its own ``rset`` list, whose entries are
+        immutable and shared."""
+        return ProcessState(self.myc, self.succ, self.rset.copy(), self.need, self.state,
+                            self.prio, self.stoken, self.spush, self.sprio, self.reset)
 
 
 @dataclass(frozen=True)

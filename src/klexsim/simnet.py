@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import monitor
@@ -90,10 +89,15 @@ def traversal_allowance(topo: TreeTopology, ell: int, cmax: int) -> int:
 @dataclass
 class Configuration:
     """Global snapshot: every process state, every channel's FIFO content,
-    the application state, and the root's timeout bookkeeping."""
+    the application state, and the root's timeout bookkeeping.
+
+    A channel is a plain list, front first: a send appends, a delivery pops
+    index 0.  Channels stay short (at most C_MAX messages in an arbitrary
+    start, and at most 19 in any benchmark workload), so ``pop(0)`` moves
+    few pointers; an empty channel is a 56-byte list."""
 
     states: dict[str, ProcessState]
-    channels: dict[ChannelKey, deque]
+    channels: dict[ChannelKey, list[Message]]
     app: AppState
     step: int = 0
     timer: int = 0  # steps since the root last restarted its timer
@@ -105,12 +109,12 @@ class Configuration:
     busy: list[int] | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "Configuration":
-        """An independent copy: its own process states, ``rset`` lists,
-        channel deques and application dicts; messages are immutable and
-        shared.  ``busy`` is left to be indexed afresh."""
+        """An independent copy: its own process states (``ProcessState.copy``),
+        ``rset`` lists, channel lists and application dicts; messages are
+        immutable and shared.  ``busy`` is left to be indexed afresh."""
         return Configuration(
-            {pid: replace(s, rset=list(s.rset)) for pid, s in self.states.items()},
-            {key: deque(q) for key, q in self.channels.items()},
+            {pid: s.copy() for pid, s in self.states.items()},
+            {key: q.copy() for key, q in self.channels.items()},
             AppState(dict(self.app.remaining), dict(self.app.armed_duration)),
             self.step, self.timer, self.next_uid,
         )
@@ -222,12 +226,15 @@ class RandomPolicy:
 class ReplayPolicy:
     """Replays an explicit list of scheduler choices: ring slots as
     ``enabled_events`` numbers them, ``None`` for an idle step, which is how
-    replays line up with CS countdowns."""
+    replays line up with CS countdowns.  ``lines``, when given, is each
+    choice's line in the replay file, and a choice that is not enabled is
+    reported at its line; otherwise at its 1-based position."""
 
     name = "replay"
 
-    def __init__(self, slots: list[int | None]) -> None:
+    def __init__(self, slots: list[int | None], lines: list[int] | None = None) -> None:
         self.choices = list(slots)
+        self.lines = lines
         self._idx = 0
 
     def exhausted(self) -> bool:
@@ -239,7 +246,10 @@ class ReplayPolicy:
         t = self.choices[self._idx]
         self._idx += 1
         if t is not None and t not in enabled:
-            raise SchedulerError(f"replay choice {self._idx} names disabled event")
+            if self.lines is None:
+                raise SchedulerError(f"replay choice {self._idx} names disabled event")
+            raise SchedulerError(f"replay line {self.lines[self._idx - 1]}: "
+                                 "choice names disabled event")
         return t
 
 
@@ -303,11 +313,14 @@ class Simulator:
         }
         self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
         # slot -> the event's (receiver, receive label, its ProcParams, its
-        # ``Ring.dest`` row), the last slot the root's timeout: no
-        # configuration enters them, so built once, by the first run or step
-        # (``_queues``), not here, as a campaign builds all its simulators
-        # before it runs any
+        # ``Ring.dest`` row), the last slot the root's timeout; ``dest`` is
+        # ``Ring.dest`` and ``order`` sorts processes by ``Ring.order``, held
+        # here as plain attributes for the step loop: no configuration enters
+        # them, so built once, by the first run or step (``_queues``), not
+        # here, as a campaign builds all its simulators before it runs any
         self.rows: list[tuple[str, int | str, ProcParams, list[int]]] | None = None
+        self.dest: dict[str, list[int]] | None = None
+        self.order: Callable[[str], int] | None = None
 
     def tally(self, cfg: Configuration) -> monitor.Tally:
         """A tally of ``cfg``'s channels; see ``monitor.Tally``."""
@@ -322,7 +335,7 @@ class Simulator:
     def empty_configuration(self) -> Configuration:
         return Configuration(
             states={pid: ProcessState() for pid in self.topo.process_ids},
-            channels={key: deque() for key in self.channel_keys},
+            channels={key: [] for key in self.channel_keys},
             app=AppState(),
         )
 
@@ -434,21 +447,24 @@ class Simulator:
             enabled.append(len(self.channel_keys))
         return enabled
 
-    def _queues(self, cfg: Configuration) -> list[deque]:
-        """``cfg``'s channel deques by slot, for a run of steps on it; its
+    def _queues(self, cfg: Configuration) -> list[list[Message]]:
+        """``cfg``'s channel lists by slot, for a run of steps on it; its
         ``busy`` index is built too, as every step keeps it, and on first
-        use the simulator's ``rows``.  (Not a ``cached_property``: it
-        writes to the instance ``__dict__``, which on CPython 3.11 costs
-        every later attribute load on the simulator its specialization.)"""
+        use the simulator's ``rows``, ``dest`` and ``order``.  (Not a
+        ``cached_property``: it writes to the instance ``__dict__``, which on
+        CPython 3.11 costs every later attribute load on the simulator its
+        specialization.)"""
         if self.rows is None:
-            dest, pp = self.topo.ring.dest, self.pp
+            ring, pp = self.topo.ring, self.pp
+            dest = self.dest = ring.dest
+            self.order = ring.order.__getitem__
             root = self.topo.root
             self.rows = [(pid, ch, pp[pid], dest[pid]) for pid, ch in self.channel_keys]
             self.rows.append((root, "-", pp[root], dest[root]))
         self._busy(cfg)
         return [cfg.channels[key] for key in self.channel_keys]
 
-    def _enqueue(self, cfg: Configuration, queues: list[deque], dest: list[int],
+    def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
                  sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
         slot ``dest[out]``; return their rendering for the trace line."""
@@ -466,7 +482,7 @@ class Simulator:
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return ",".join(rendered)
 
-    def _local_pass(self, cfg: Configuration, queues: list[deque], pid: str,
+    def _local_pass(self, cfg: Configuration, queues: list[list[Message]], pid: str,
                     lines: list, entries: list, transitions: list,
                     tally: monitor.Tally) -> None:
         st = cfg.states[pid]
@@ -478,13 +494,13 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or out.entered_cs or st.state != old:
-            sends = self._enqueue(cfg, queues, self.topo.ring.dest[pid], out.sends, tally)
+            sends = self._enqueue(cfg, queues, self.dest[pid], out.sends, tally)
             lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
                      outcomes: dict[tuple, StepRecord],
-                     queues: list[deque]) -> StepRecord:
+                     queues: list[list[Message]]) -> StepRecord:
         """Run one atomic step in place: the application phase (request
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
@@ -495,7 +511,7 @@ class Simulator:
         the step woke or delivered to are counted again at the end, their
         held tokens at the slots they arrived on.  ``dirty``
         processes may have true guards already, as only a start no step
-        produced can.  ``queues`` is ``cfg``'s channel deques by slot
+        produced can.  ``queues`` is ``cfg``'s channel lists by slot
         (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
         only while a section runs.
 
@@ -522,7 +538,7 @@ class Simulator:
         if cfg.app.remaining:
             woken.update(cfg.app.tick())
         if woken:
-            for pid in sorted(woken, key=self.topo.ring.order.__getitem__):
+            for pid in sorted(woken, key=self.order):
                 self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
 
         t = policy.choose(self.enabled_events(cfg))
@@ -538,7 +554,7 @@ class Simulator:
                 out = on_timeout_root(st, pp)
             else:
                 queue = queues[t]
-                msg = queue.popleft()
+                msg = queue.pop(0)
                 if not queue:
                     busy = cfg.busy
                     del busy[bisect_left(busy, t)]

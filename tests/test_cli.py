@@ -95,6 +95,17 @@ class TestValidation:
         assert err.startswith("error: replay line 2: ") and problem in err
         assert "Traceback" not in err
 
+    def test_disabled_replay_event_names_its_line(self, star_file, tmp_path, capsys):
+        # b's channel is empty at the canonical start; the choice is on line 3,
+        # after a comment and a blank line
+        f = tmp_path / "late.rpl"
+        f.write_text("# first\n\ndeliver b 0\n")
+        argv = ["--topology", str(star_file), "--policy", "replay", "--replay", str(f)]
+        assert main(argv) == USAGE
+        err = capsys.readouterr().err
+        assert err == "error: replay line 3: choice names disabled event\n"
+        assert "Traceback" not in err
+
     def test_campaign_with_scenario_is_usage_error(self, star_file, tmp_path, capsys):
         f = tmp_path / "bad.scn"
         f.write_text("not a scenario\n")

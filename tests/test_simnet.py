@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from klexsim import monitor, scenarios, simnet
 from klexsim.appmodel import RandomWorkload, Workload, WorkloadEvent
 from klexsim.monitor import check_safety, collect_requests, stabilization_time
-from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT
+from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, ProcessState, PushT, Reserved, ResT
 from klexsim.simnet import (
     RandomPolicy,
     ReplayPolicy,
@@ -127,6 +127,26 @@ class TestStep:
         assert [m.uid for m in nxt.channels[("a", 0)]] == [2, 3]
         # forwarded token went to a -> r
         assert [m.uid for m in nxt.channels[("r", 0)]] == [1]
+
+
+    def test_long_channel_is_delivered_front_first(self):
+        # a hand-built channel longer than any benchmark workload's, each
+        # message a distinct object, drained one delivery per step; a only
+        # forwards towards r, so nothing joins the channel behind them
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        kinds = (lambda i: ResT(uid=i), lambda i: PushT(), lambda i: PrioT(),
+                 lambda i: Ctrl(i, False, 0, 0))
+        msgs = [kinds[i % 4](i) for i in range(25)]
+        cfg.channels[("a", 0)].extend(msgs)
+        t = STAR.ring.slot["a"][0]
+        for i in range(len(msgs)):
+            cfg = sim.step(cfg, t)
+            q = cfg.channels[("a", 0)]
+            assert type(q) is list
+            assert len(q) == len(msgs) - i - 1
+            assert all(a is b for a, b in zip(q, msgs[i + 1:])), i
+        assert t not in sim.enabled_events(cfg)
 
 
 class TestTimeout:
@@ -376,6 +396,39 @@ class TestClone:
                 assert cfg.fingerprint() == before
 
 
+    def test_clone_channels_are_independent_lists(self):
+        for topo, cfg in self.configurations():
+            nxt = cfg.clone()
+            for key in topo.ring.keys:
+                q, q2 = cfg.channels[key], nxt.channels[key]
+                assert type(q) is list and type(q2) is list and q2 is not q
+                before = list(q)
+                q2.append(PushT())
+                assert q == before
+                if before:
+                    q.pop(0)
+                    assert q2 == before + [PushT()]
+
+    def test_clone_rsets_are_independent(self):
+        for topo, cfg in self.configurations():
+            nxt = cfg.clone()
+            for pid in topo.process_ids:
+                rset, rset2 = cfg.states[pid].rset, nxt.states[pid].rset
+                assert rset2 == rset and rset2 is not rset
+                rset2.append(Reserved(0, 10**6))
+                assert Reserved(0, 10**6) not in rset
+
+    def test_process_state_copy(self):
+        for topo, cfg in self.configurations():
+            for st_ in cfg.states.values():
+                dup = st_.copy()
+                assert dup == st_ and dup is not st_
+                assert dup.rset == st_.rset and dup.rset is not st_.rset
+
+    def test_process_state_is_slotted(self):
+        assert not hasattr(ProcessState(), "__dict__")
+
+
 def assert_countdowns_running(cfg, step):
     """Every ``remaining`` entry is a positive countdown of a process in In."""
     for pid, left in cfg.app.remaining.items():
@@ -583,7 +636,7 @@ class TestTallyMatchesScratch:
         for q in mid.channels.values():
             for m in [m for m in q if isinstance(m, Ctrl)]:
                 q.remove(m)
-        mid.channels[("a", 0)].appendleft(Ctrl(mid.states["a"].myc, False, 0, 0))
+        mid.channels[("a", 0)].insert(0, Ctrl(mid.states["a"].myc, False, 0, 0))
         assert sim.check(mid)[0].ctrl_tokens == 1
         trace = run_checked(sim, mid, ReplayPolicy([CHAIN.ring.slot["a"][0]]), 1)
         assert next(trace.lines()).endswith("sends=[0:Ctrl{c=%d,r=0,pt=0,ppr=0}]"
@@ -643,6 +696,22 @@ class TestSetUpFootprint:
         assert {"slot", "dest", "places"} <= set(vars(topo.ring))
         assert len(sim.rows) == len(sim.channel_keys) + 1
         assert "event=" not in repr(vars(sim))
+
+    def test_stored_configuration_is_compact(self):
+        # a campaign holds every start it built until it runs it: an empty
+        # channel is a small list and a process state has no instance dict
+        sim = Simulator(random_tree(0, 40), SimParams(k=2, ell=3, cmax=1, timeout=None))
+        sim.empty_configuration()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [sim.empty_configuration() for _ in range(50)]
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        items = len(kept) * (len(sim.channel_keys) + sim.topo.n)
+        assert size / items <= 200
 
     def test_runs_and_steps_reuse_the_rows(self):
         sim = make_sim()
