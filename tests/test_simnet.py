@@ -128,7 +128,6 @@ class TestStep:
         # forwarded token went to a -> r
         assert [m.uid for m in nxt.channels[("r", 0)]] == [1]
 
-
     def test_long_channel_is_delivered_front_first(self):
         # a hand-built channel longer than any benchmark workload's, each
         # message a distinct object, drained one delivery per step; a only
@@ -394,7 +393,6 @@ class TestClone:
                 mutate(nxt, pid, key)
                 assert nxt.fingerprint() != before
                 assert cfg.fingerprint() == before
-
 
     def test_clone_channels_are_independent_lists(self):
         for topo, cfg in self.configurations():
