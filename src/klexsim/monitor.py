@@ -55,7 +55,9 @@ class Tally:
     of ``cfg``, and its first ``step_checks`` must name every process.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
-    the canonical traversal state).  The last is taken for ``key``, the
+    the canonical traversal state).  An RSet that changed is counted again
+    whole, every old entry out and every new one in: a run only appends an
+    entry or clears the RSet.  The last is taken for ``key``, the
     (counter, place) of the controller, and only while there is one.  The
     place is the controller's slot, or 2(n-1) on the root's wrap channel
     (slot 0), where it has passed every other channel; the root's holdings
@@ -148,15 +150,9 @@ class Tally:
         count = self._count
         was = old[0]
         if was != new[0]:
-            # only the entries after the longest common prefix changed
-            same = 0
-            for a, b in zip(was, rset):
-                if a is not b and a != b:
-                    break
-                same += 1
-            for e in was[same:]:
+            for e in was:
                 count(pos[e.channel], 0, e, -1)
-            for e in rset[same:]:
+            for e in rset:
                 count(pos[e.channel], 0, e, 1)
         if old[1] != new[1]:
             if old[1] is not None:

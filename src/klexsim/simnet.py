@@ -102,16 +102,15 @@ class Configuration:
     step: int = 0
     timer: int = 0  # steps since the root last restarted its timer
     next_uid: int = 0
-    # ascending ring slots (``topology.Ring``) of the non-empty channels,
-    # kept by the simulator's steps; None until first needed and in every clone
-    # (``run`` and ``step`` work on clones), so channels changed by hand
-    # before a run or step are indexed afresh
+    # ascending ring slots (``topology.Ring``) of the non-empty channels, only
+    # while a run or step holds this configuration (its own clone): built
+    # when it starts, kept by its steps, and None again on what it hands back
     busy: list[int] | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "Configuration":
         """An independent copy: its own process states (``ProcessState.copy``),
         ``rset`` lists, channel lists and application dicts; messages are
-        immutable and shared.  ``busy`` is left to be indexed afresh."""
+        immutable and shared.  The copy has no ``busy`` index."""
         return Configuration(
             {pid: s.copy() for pid, s in self.states.items()},
             {key: q.copy() for key, q in self.channels.items()},
@@ -302,22 +301,14 @@ class Simulator:
         self.topo = topo
         self.params = params
         self.modulus = counter_modulus(topo.n, params.cmax)
-        self.pp: dict[str, ProcParams] = {
-            pid: ProcParams(
-                is_root=(pid == topo.root),
-                delta=topo.degree(pid),
-                ell=params.ell,
-                counter_modulus=self.modulus,
-            )
-            for pid in topo.process_ids
-        }
         self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
+        # the step loop's tables, as plain attributes: ``pp`` per process;
         # slot -> the event's (receiver, receive label, its ProcParams, its
         # ``Ring.dest`` row), the last slot the root's timeout; ``dest`` is
-        # ``Ring.dest`` and ``order`` sorts processes by ``Ring.order``, held
-        # here as plain attributes for the step loop: no configuration enters
-        # them, so built once, by the first run or step (``_queues``), not
-        # here, as a campaign builds all its simulators before it runs any
+        # ``Ring.dest``; ``order`` sorts processes as ``process_ids`` does.
+        # No configuration enters them, so the first run or step builds them
+        # (``_queues``), not set-up: a campaign builds all its simulators first
+        self.pp: dict[str, ProcParams] | None = None
         self.rows: list[tuple[str, int | str, ProcParams, list[int]]] | None = None
         self.dest: dict[str, list[int]] | None = None
         self.order: Callable[[str], int] | None = None
@@ -433,36 +424,40 @@ class Simulator:
 
     # -- stepping ------------------------------------------------------------
 
-    def _busy(self, cfg: Configuration) -> list[int]:
-        if cfg.busy is None:
-            cfg.busy = [i for i, key in enumerate(self.channel_keys) if cfg.channels[key]]
-        return cfg.busy
-
     def enabled_events(self, cfg: Configuration) -> list[int]:
         """The enabled events as ascending slots, which ``RoundRobinPolicy``
-        relies on: a copy of ``Configuration.busy`` (the non-empty channels),
-        then ``len(self.channel_keys)`` when the timeout is ready."""
-        enabled = list(self._busy(cfg))
+        relies on: the non-empty channels, then ``len(self.channel_keys)``
+        when the timeout is ready.  While a run or step holds ``cfg`` they
+        are a copy of its ``busy`` index; any other configuration's channels
+        are counted, and nothing is stored in it."""
+        if cfg.busy is None:
+            enabled = [t for t, key in enumerate(self.channel_keys) if cfg.channels[key]]
+        else:
+            enabled = cfg.busy.copy()
         if timeout_ready(cfg, self.params.timeout):
             enabled.append(len(self.channel_keys))
         return enabled
 
     def _queues(self, cfg: Configuration) -> list[list[Message]]:
-        """``cfg``'s channel lists by slot, for a run of steps on it; its
-        ``busy`` index is built too, as every step keeps it, and on first
-        use the simulator's ``rows``, ``dest`` and ``order``.  (Not a
-        ``cached_property``: it writes to the instance ``__dict__``, which on
-        CPython 3.11 costs every later attribute load on the simulator its
-        specialization.)"""
+        """``cfg``'s channel lists by slot, for a run of steps on it (a clone
+        that ``run`` or ``step`` took), with its ``busy`` index, which every
+        step keeps; on first use the simulator's ``pp``, ``rows``, ``dest``
+        and ``order`` too.  (Not a ``cached_property``: it writes to the
+        instance ``__dict__``, which on CPython 3.11 costs every later
+        attribute load on the simulator its specialization.)"""
         if self.rows is None:
-            ring, pp = self.topo.ring, self.pp
-            dest = self.dest = ring.dest
-            self.order = ring.order.__getitem__
-            root = self.topo.root
+            topo = self.topo
+            pp = self.pp = {pid: ProcParams(is_root=(pid == topo.root), delta=topo.degree(pid),
+                                            ell=self.params.ell, counter_modulus=self.modulus)
+                            for pid in topo.process_ids}
+            dest = self.dest = topo.ring.dest
+            self.order = {pid: i for i, pid in enumerate(topo.process_ids)}.__getitem__
+            root = topo.root
             self.rows = [(pid, ch, pp[pid], dest[pid]) for pid, ch in self.channel_keys]
             self.rows.append((root, "-", pp[root], dest[root]))
-        self._busy(cfg)
-        return [cfg.channels[key] for key in self.channel_keys]
+        queues = [cfg.channels[key] for key in self.channel_keys]
+        cfg.busy = [t for t, queue in enumerate(queues) if queue]
+        return queues
 
     def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
                  sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
@@ -588,13 +583,15 @@ class Simulator:
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([t]), workload, self.topo.process_ids,
                           self.tally(nxt), {}, self._queues(nxt))
+        nxt.busy = None
         return nxt
 
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
         """With the timer disabled, False only when nothing can ever happen
-        again: channels drained, no critical section running down, and the
-        workload out of events.  (An enabled timer always fires again.)"""
-        if self._busy(cfg):
+        again: channels drained (``cfg.busy`` empty), no critical section
+        running down, and the workload out of events.  (An enabled timer
+        always fires again.)"""
+        if cfg.busy:
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
             return True
@@ -641,10 +638,10 @@ class Simulator:
         for _ in range(budget):
             if replay and policy.exhausted():
                 trace.ended = "replay-exhausted"
-                return trace
+                break
             if not timed and not self._anything_pending(cfg, workload):
                 trace.ended = "quiescent"
-                return trace
+                break
             rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes, queues)
             dirty = ()
             append(rec)
@@ -652,6 +649,6 @@ class Simulator:
                 observer(cfg, rec)
             if stop is not None and stop(trace.records, cfg):
                 trace.ended = "stopped"
-                return trace
-        trace.ended = "budget"
+                break
+        cfg.busy = None
         return trace

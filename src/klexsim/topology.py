@@ -162,17 +162,16 @@ class Ring:
     (receiver, receive-label), at ring slot t; slot 0 is the root's wrap
     channel.  ``slot[p][ch]`` inverts ``keys``; ``dest[p][out]`` is the slot
     a send by p on channel ``out`` enters (slot t+1 mod 2(n-1) for a token
-    that arrived at slot t); ``order[p]`` is p's index in ``process_ids``.
-    ``places[p]`` is (``slot[p]``, whether p is the root, how many of those
-    slots a controller traversal passes): the root's wrap channel (slot 0)
-    is its last label and never passed; every other process's slots ascend.
+    that arrived at slot t).  ``places[p]`` is (``slot[p]``, whether p is
+    the root, how many of those slots a controller traversal passes): the
+    root's wrap channel (slot 0) is its last label and never passed; every
+    other process's slots ascend.  The ring holds only these tables, and
     ``slot``, ``dest`` and ``places`` are built on first use, as a campaign
     builds many runs before it runs any."""
 
     def __init__(self, topo: TreeTopology):
         self.neighbors = topo.neighbors  # not topo: the topology caches its ring
         self.keys = tuple(virtual_ring(topo))
-        self.order = {p: i for i, p in enumerate(topo.process_ids)}
 
     @cached_property
     def slot(self) -> dict[str, list[int]]:

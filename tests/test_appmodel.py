@@ -114,3 +114,21 @@ def test_random_workload_skips_busy_processes():
     states = {"a": ProcessState(state=IN), "b": ProcessState(state=REQ, need=1)}
     wl = RandomWorkload(["a", "b"], k=2, seed=1, rate=1.0)
     assert wl.due(0, states) == []
+
+
+def test_negative_step_rejected():
+    with pytest.raises(ScenarioError, match="^event for 'a': negative step$"):
+        WorkloadEvent(-1, "a", 1, 2).check(2)
+    with pytest.raises(ScenarioError, match="^line 2: event for 'a': negative step$"):
+        parse_scenario("req 0 b 1 1\nreq -1 a 1 2\n", 2, STAR)
+
+
+def test_scenario_line_that_is_not_a_request_rejected():
+    with pytest.raises(ScenarioError, match=r"^line 1: expected 'req <step> <process> "
+                                            r"<need> <duration\|inf>'$"):
+        parse_scenario("ask 0 a 1 1\n", 2, STAR)
+
+
+def test_scenario_bad_number_rejected():
+    with pytest.raises(ScenarioError, match="^line 1: bad number in 'req soon a 1 1'$"):
+        parse_scenario("req soon a 1 1\n", 2, STAR)

@@ -172,6 +172,20 @@ class TestValidation:
         assert main(argv) == USAGE
         assert capsys.readouterr().err == "error: --replay needs --policy replay\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("policy", "fifo", "policy must be rr, rand or replay, not 'fifo'"),
+        ("fault", "total", "fault must be none or arbitrary, not 'total'"),
+        ("budget", -1, "budget must be non-negative"),
+    ])
+    def test_library_run_config_validated(self, field, value, message):
+        cfg = RunConfig(parse_topology(STAR_TEXT), **{field: value})
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            run_once(cfg)
+
+    def test_negative_budget_is_usage_error(self, star_file, capsys):
+        assert main(["--topology", str(star_file), "--budget", "-1"]) == USAGE
+        assert capsys.readouterr() == ("", "error: budget must be non-negative\n")
+
     def test_zero_seed_campaign_rejected(self, star_file):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), k=1, ell=2)
         with pytest.raises(UsageError, match="at least one seed"):
@@ -290,6 +304,19 @@ class TestRunOnce:
         status, _, _ = run_once(cfg)
         assert status == INCONCLUSIVE
         assert calls == [None]
+
+
+class TestRandomPolicy:
+    def test_same_seed_same_report(self, star_file, capsys):
+        argv = ["--topology", str(star_file), "--policy", "rand", "--seed", "3"]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == PASS
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert "stabilization step: 0" in reports[0]
 
 
 class TestJudge:

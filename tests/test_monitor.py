@@ -9,6 +9,7 @@ from klexsim.appmodel import RandomWorkload
 from klexsim.monitor import (
     CensusReport,
     LivenessScenario,
+    LivenessVerdict,
     check_fairness,
     check_kl_liveness,
     check_safety,
@@ -458,6 +459,21 @@ class TestKlLiveness:
         assert trace.final.states["a"].state == IN
 
 
+    def test_no_requester_entering_fails(self):
+        # inconclusive while the budget cut the run short, definite once the
+        # run went quiescent with the requester still waiting
+        scenario = LivenessScenario(pinned={}, requesters={"b": 1})
+        trace = make_sim().run(make_sim().initial_configuration(), RoundRobinPolicy(), 5)
+        assert trace.ended == "budget"
+        assert check_kl_liveness(scenario, trace) == LivenessVerdict(False, True, [])
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        cfg.states["b"].state, cfg.states["b"].need = REQ, 1
+        trace = sim.run(cfg, RoundRobinPolicy(), 5)
+        assert trace.ended == "quiescent"
+        assert check_kl_liveness(scenario, trace) == LivenessVerdict(False, False, [])
+
+
 class TestConservation:
     def test_census_conserved_between_wraps_without_reset(self):
         sim = make_sim()
@@ -513,6 +529,19 @@ class TestReport:
         assert "stabilization step: 0" in text
         assert "closure regressions: 0" in text
         assert "safety: pass" in text
+
+    def test_post_stabilization_violations_listed(self):
+        sim = make_sim(k=1, ell=1)
+        cfg = sim.empty_configuration()
+        cfg.states["a"].state = IN
+        cfg.states["a"].rset = [Reserved(0, 0), Reserved(0, 1)]  # k+1 units in CS
+        trace = sim.run(cfg, RoundRobinPolicy(), 1)
+        safety = check_safety(trace, stabilization=0)
+        text = render_report(trace, STAR, 1, 0, 0, safety, check_fairness(trace))
+        assert "safety: FAIL (0 pre-stabilization violations recorded)" in text
+        listed = [line for line in text.splitlines() if line.startswith("  violation: ")]
+        assert listed == [f"  violation: {v}" for v in safety.post_stabilization]
+        assert "  violation: a in CS with 2 > k units" in listed
 
 
 def reference_legit(sim, cfg):

@@ -44,6 +44,14 @@ class TestParams:
         with pytest.raises(ValueError):
             SimParams(k=1, ell=1, cmax=0, timeout=0).validate()
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            SimParams(k=0, ell=1, cmax=0, timeout=None).validate()
+
+    def test_negative_cmax_rejected(self):
+        with pytest.raises(ValueError, match="^cmax must be non-negative$"):
+            SimParams(k=1, ell=1, cmax=-1, timeout=None).validate()
+
 
 class TestInitialConfiguration:
     def test_token_complement_queued_in_ring_channel(self):
@@ -461,6 +469,23 @@ class TestWorkloadIntegration:
                      for (pid, a, b) in r.transitions if pid == "a" and b == OUT)
         assert exit_ == enter + 1
 
+    def test_running_section_is_not_quiescence(self):
+        # no timer, every channel empty and no workload, but a's critical
+        # section is still counting down: the run must go on until the
+        # section ends and a's units are released into the ring
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        st_ = cfg.states["a"]
+        st_.state, st_.need, st_.rset = IN, 2, [Reserved(0), Reserved(0)]
+        sim.stamp_uids(cfg)
+        cfg.app.remaining["a"] = 3
+        trace = sim.run(cfg, RoundRobinPolicy(), 4)
+        assert (trace.ended, len(trace.records)) == ("budget", 4)
+        assert [rec.transitions for rec in trace.records[:3]] == [(), (), (("a", IN, OUT),)]
+        assert next(trace.lines()) == ("step=2 proc=a event=local msg=actions ch=- "
+                                       "sends=[0:ResT,0:ResT]")
+        assert trace.final.states["a"].rset == []
+
     def test_finished_sections_leave_remaining(self):
         sim = canonical_sim(random_tree(5, 6))
         wl = RandomWorkload(sim.topo.process_ids, k=2, seed=5, rate=0.3, max_duration=4)
@@ -642,9 +667,9 @@ class TestTallyMatchesScratch:
         run_checked(sim, mid, RoundRobinPolicy(), 400)
 
     def test_rset_edits_recount_the_changed_tail(self):
-        # a tally counts again only the RSet entries after the longest prefix
-        # the process kept; no run edits an RSet in the middle, so edit it
-        # by hand between checks on one tally
+        # a tally counts a changed RSet again whole; no run edits an RSet in
+        # the middle (a run only appends an entry or clears it), so edit it
+        # by hand between checks on one tally and hold it to a fresh count
         sim = canonical_sim(random_tree(3, 6))
         cfg = sim.initial_configuration()
         pid = next(p for p in sim.topo.process_ids if sim.topo.degree(p) > 1)
@@ -680,19 +705,21 @@ class TestTallyMatchesScratch:
 
 class TestSetUpFootprint:
     """A campaign builds all its simulators and starts before it runs any,
-    so set-up builds no per-slot table: the ring's ``slot``, ``dest`` and
-    ``places`` and the simulator's ``rows`` wait for the first run or step,
-    and every later run or step of that simulator reuses them."""
+    so set-up builds no per-slot or per-process table: the ring's ``slot``,
+    ``dest`` and ``places`` and the simulator's ``pp``, ``rows``, ``dest``
+    and ``order`` wait for the first run or step, and every later run or
+    step of that simulator reuses them."""
 
     def test_set_up_builds_no_slot_tables(self):
         topo = random_tree(11, 10)
         sim = Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=50))
         sim.inject_arbitrary(3)
-        assert not {"slot", "dest", "places"} & set(vars(topo.ring))
-        assert sim.rows is None
+        assert not {"slot", "dest", "places", "order"} & set(vars(topo.ring))
+        assert (sim.pp, sim.rows, sim.dest, sim.order) == (None, None, None, None)
         sim.run(sim.inject_arbitrary(3), RoundRobinPolicy(), 5)
         assert {"slot", "dest", "places"} <= set(vars(topo.ring))
         assert len(sim.rows) == len(sim.channel_keys) + 1
+        assert list(sim.pp) == list(topo.process_ids)
         assert "event=" not in repr(vars(sim))
 
     def test_stored_configuration_is_compact(self):
@@ -722,6 +749,59 @@ class TestSetUpFootprint:
         assert sim.rows is rows
         assert rows[-1] == (sim.topo.root, "-", sim.pp[sim.topo.root],
                             sim.topo.ring.dest[sim.topo.root])
+        # the sort key of the processes a step woke: their place in
+        # ``process_ids`` (r, a, b), not their names
+        assert [sim.order(p) for p in ("a", "b", "r")] == [1, 2, 0]
+
+
+class TestIndexContract:
+    """``Configuration.busy``, the index of non-empty channels, lives only
+    while a run or step holds the configuration: ``enabled_events`` counts
+    the channels of any other configuration and stores nothing in it, and
+    what ``run`` and ``step`` hand back carries no index."""
+
+    @staticmethod
+    def make(timeout=50):
+        return Simulator(random_tree(11, 10), SimParams(k=2, ell=3, cmax=2, timeout=timeout))
+
+    @staticmethod
+    def nonempty(sim, cfg):
+        return [t for t, key in enumerate(sim.channel_keys) if cfg.channels[key]]
+
+    def test_query_stores_nothing_and_sees_hand_edits(self):
+        sim = self.make()
+        cfg = sim.initial_configuration()
+        assert sim.enabled_events(cfg) == [1]
+        assert cfg.busy is None
+        cfg.channels[sim.channel_keys[3]].append(Ctrl(0, False, 0, 0))
+        assert sim.enabled_events(cfg) == [1, 3]
+        assert cfg.busy is None
+
+    @pytest.mark.parametrize("ended", ["budget", "quiescent", "stopped",
+                                       "replay-exhausted", "step"])
+    def test_run_and_step_hand_back_no_index(self, ended):
+        sim = self.make(timeout=None)
+        cfg = sim.initial_configuration()
+        live = []  # whether the index matched the channels after each step
+        if ended == "step":
+            out = sim.step(cfg, 1)
+        else:
+            trace = sim.run(
+                sim.empty_configuration() if ended == "quiescent" else cfg,
+                ReplayPolicy([1]) if ended == "replay-exhausted" else RoundRobinPolicy(),
+                5,
+                observer=lambda c, rec: live.append(c.busy == self.nonempty(sim, c)),
+                stop=(lambda recs, c: True) if ended == "stopped" else None,
+            )
+            assert trace.ended == ended
+            out = trace.final
+        assert all(live)
+        assert out.busy is None and cfg.busy is None
+        empty = [t for t in range(len(sim.channel_keys)) if t not in self.nonempty(sim, out)]
+        out.channels[sim.channel_keys[empty[-1]]].append(PushT())
+        assert empty[-1] in self.nonempty(sim, out)
+        assert sim.enabled_events(out) == self.nonempty(sim, out)
+        assert out.busy is None
 
 
 class TestStepRecordFootprint:

@@ -153,8 +153,8 @@ class TestVirtualRing:
 
 class TestRing:
     """``topo.ring`` numbers the virtual ring's channels once for every
-    module: slots, their inverse, each send's destination slot, the
-    process order, and each process's slots as a traversal passes them."""
+    module: slots, their inverse, each send's destination slot, and each
+    process's slots as a traversal passes them."""
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_slot_table_follows_the_ring(self, n):
@@ -171,7 +171,6 @@ class TestRing:
                 for out in range(t.degree(p)):
                     q = t.endpoint(p, out)
                     assert ring.keys[ring.dest[p][out]] == (q, t.channel_to(q, p))
-            assert [ring.order[p] for p in t.process_ids] == list(range(n))
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_slots_ascend_with_labels(self, n):
@@ -270,3 +269,40 @@ class TestParseTopology:
         """
         with pytest.raises(TopologyError):
             parse_topology(bad)
+
+
+class TestMalformedInput:
+    """Each way a topology can be malformed is refused with its own message."""
+
+    @pytest.mark.parametrize("root, neighbors, ids, message", [
+        ("r", {"r": ("a",), "a": ("r",)}, ("r", "a", "r"), "duplicate process id in topology"),
+        ("x", {"r": ("a",), "a": ("r",)}, ("r", "a"), "root 'x' has no process line"),
+        ("r", {"r": ("a",), "a": ("r",), "b": ()}, ("r", "a"),
+         "neighbor table does not match the declared processes"),
+    ])
+    def test_hand_built_tables(self, root, neighbors, ids, message):
+        # a parsed file builds its table and ids from the same lines, so
+        # only a hand-built topology can disagree with itself like this
+        topo = TreeTopology(root=root, neighbors=neighbors, process_ids=ids)
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            topo.validate()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 2 root r\na:\nr: a\n", "process 'a' has no neighbors"),
+        ("n 2 root r\nr: r a\na: r\n", "process 'r' lists itself as a neighbor"),
+        ("n 3 root r\nr: a b\na: r b\nb: r a\n", "graph is not a tree: wrong edge count"),
+        ("n 5 root r\nr: a\na: r\nb: c d\nc: b d\nd: b c\n",
+         "graph is not connected: 'b' unreachable from root"),
+        ("", "empty topology description"),
+        ("# only a comment\n\n", "empty topology description"),
+        ("n 3 root\nr: a\na: r\n", "line 1: header must be 'n <count> root <id>'"),
+        ("n three root r\nr: a\na: r\n", "line 1: bad process count 'three'"),
+        ("n 2 root r\nr: a\nr: a\n", "line 3: duplicate line for process 'r'"),
+    ])
+    def test_parsed_text(self, text, message):
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            parse_topology(text)
+
+    def test_random_tree_of_one(self):
+        with pytest.raises(TopologyError, match="^a tree of at least 2 processes is required$"):
+            random_tree(0, 1)
