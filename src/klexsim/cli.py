@@ -1,9 +1,9 @@
 """Experiment runner: single simulations, seeded campaigns, and the built-in
 figure regressions.
 
-Exit codes: 0 pass, 1 violation, 2 inconclusive (budget ran out before a
-verdict), 64 usage error; ``judge`` decides the first three.  The CLI is a
-thin shell over the library; every run is reproducible from its flags.
+Exit codes: 0 pass, 1 violation, 2 inconclusive (a run cut short while
+unsettled), 64 usage error; ``judge`` decides the first three.  The CLI is
+a thin shell over the library; every run is reproducible from its flags.
 """
 
 from __future__ import annotations
@@ -100,19 +100,20 @@ def judge(trace: Trace) -> tuple[int, int | None, int, monitor.SafetyVerdict,
                                   monitor.FairnessVerdict]:
     """The verdicts of one run and the exit status they give, the one rule for
     single runs and campaigns alike: VIOLATION on a safety violation after
-    stabilization, a closure regression (a legitimate configuration followed
-    by one that is not) or a definite starvation; INCONCLUSIVE when the run
-    never stabilizes or requests are still outstanding at the budget; PASS
+    stabilization or a closure regression (a legitimate configuration
+    followed by one that is not).  Otherwise a run is unsettled when it never
+    stabilizes or a request is still outstanding: VIOLATION if its ending is
+    conclusive (``Trace.conclusive``: quiescence), INCONCLUSIVE if not.  PASS
     otherwise.  Returns (status, stabilization time, closure regressions,
     safety, fairness)."""
     stab = monitor.stabilization_time(trace)
     regressions = monitor.closure_regressions(trace)
     safety = monitor.check_safety(trace, stab)
     fairness = monitor.check_fairness(trace)
-    starved = not fairness.passed and not fairness.inconclusive
-    if not safety.passed or regressions or starved:
+    unsettled = stab is None or not fairness.passed
+    if not safety.passed or regressions or (unsettled and trace.conclusive):
         status = VIOLATION
-    elif stab is None or fairness.inconclusive:
+    elif unsettled:
         status = INCONCLUSIVE
     else:
         status = PASS

@@ -403,18 +403,14 @@ class FairnessVerdict:
 
 
 def check_fairness(trace) -> FairnessVerdict:
-    """Every request must eventually be satisfied.  Outstanding requests at
-    budget exhaustion are inconclusive; outstanding requests in a quiescent
-    final configuration are a definite starvation."""
+    """Every request must eventually be satisfied.  An outstanding request
+    is a definite starvation when the run's ending is conclusive
+    (``Trace.conclusive``: quiescence), and inconclusive otherwise."""
     requests = collect_requests(trace)
-    outstanding = [r for r in requests if r.step_entered is None]
     waits = [r.waiting for r in requests if r.waiting is not None]
-    max_waiting = max(waits) if waits else None
-    if not outstanding:
-        return FairnessVerdict(True, False, requests, max_waiting)
-    if trace.ended == "quiescent":
-        return FairnessVerdict(False, False, requests, max_waiting)
-    return FairnessVerdict(False, True, requests, max_waiting)
+    passed = all(r.step_entered is not None for r in requests)
+    return FairnessVerdict(passed, not passed and not trace.conclusive, requests,
+                           max(waits) if waits else None)
 
 
 def waiting_time_bound(n: int, ell: int) -> int:
@@ -452,17 +448,12 @@ class LivenessVerdict:
 
 def check_kl_liveness(scenario: LivenessScenario, trace) -> LivenessVerdict:
     """At least one requester outside the pinned set must enter its critical
-    section.  Vacuously passes with no requesters."""
-    if not scenario.requesters:
-        return LivenessVerdict(True, False, [])
-    satisfied = []
-    for rec in trace.records:
-        for pid in rec.entries:
-            if pid in scenario.requesters:
-                satisfied.append(pid)
-    if satisfied:
-        return LivenessVerdict(True, False, satisfied)
-    return LivenessVerdict(False, trace.ended == "budget", satisfied)
+    section.  Vacuously passes with no requesters.  A failure is definite
+    only when the run's ending is conclusive, as in ``check_fairness``."""
+    satisfied = [pid for rec in trace.records for pid in rec.entries
+                 if pid in scenario.requesters]
+    passed = not scenario.requesters or bool(satisfied)
+    return LivenessVerdict(passed, not passed and not trace.conclusive, satisfied)
 
 
 # --------------------------------------------------------------------------

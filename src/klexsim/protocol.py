@@ -143,7 +143,7 @@ class TraversalEnd:
 
 @dataclass(slots=True)
 class HandlerOutput:
-    """Read only: ``local_actions`` hands every caller one shared no-op output."""
+    """Read only: ``local_actions`` and ``dispatch`` share one no-op output."""
 
     sends: list[tuple[int, Message]] | tuple = field(default_factory=list)
     entered_cs: bool = False
@@ -176,11 +176,10 @@ def handle_res_t(st: ProcessState, q: int, msg: ResT, p: ProcParams) -> HandlerO
     """Receive a resource token on channel q.
 
     A requester short of its need reserves the token; anyone else forwards
-    it along the ring.  A root in reset mode silently consumes it.
+    it along the ring.  (A root in reset mode never gets here: ``dispatch``
+    sinks the token.)
     """
     out = HandlerOutput()
-    if p.is_root and st.reset:
-        return out
     if st.state == REQ and len(st.rset) < st.need:
         st.rset.append(Reserved(q, msg.uid))
     else:
@@ -193,11 +192,9 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
 
     Releases every reserved token unless the process is in its critical
     section, enabled to enter it, or holds the priority token.  The pusher
-    itself is always forwarded (root in reset mode consumes it instead).
+    itself is always forwarded (``dispatch`` sinks it at a resetting root).
     """
     out = HandlerOutput()
-    if p.is_root and st.reset:
-        return out
     enabled = st.state == REQ and len(st.rset) >= st.need
     if st.prio is None and not enabled and st.state != IN:
         _release_all(st, p, out)
@@ -208,21 +205,14 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
 
 
 def handle_prio_t(st: ProcessState, q: int, msg: PrioT, p: ProcParams) -> HandlerOutput:
-    """Receive the priority token on channel q: hold it if free, else forward."""
+    """Receive the priority token on channel q: hold it if free, else
+    forward (``dispatch`` sinks it at a resetting root)."""
     out = HandlerOutput()
-    if p.is_root and st.reset:
-        return out
     if st.prio is None:
         st.prio = q
     else:
         out.sends.append((forward_channel(q, p.delta), msg))
     return out
-
-
-def handle_ctrl(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> HandlerOutput:
-    if p.is_root:
-        return handle_ctrl_root(st, q, msg, p)
-    return handle_ctrl_nonroot(st, q, msg, p)
 
 
 def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> HandlerOutput:
@@ -359,6 +349,12 @@ _HANDLERS = {ResT: handle_res_t, PushT: handle_push_t, PrioT: handle_prio_t}
 
 
 def dispatch(st: ProcessState, q: int, msg: Message, p: ProcParams) -> HandlerOutput:
-    """Run the handler of ``msg``'s class; a control message falls through
-    to ``handle_ctrl``."""
-    return _HANDLERS.get(msg.__class__, handle_ctrl)(st, q, msg, p)
+    """Run the handler of ``msg``'s class, the root's or a non-root's for a
+    control message.  A root in reset mode sinks every other token: it
+    returns the shared ``_NO_ACTIONS`` and changes nothing."""
+    handler = _HANDLERS.get(msg.__class__)
+    if handler is not None:
+        return _NO_ACTIONS if p.is_root and st.reset else handler(st, q, msg, p)
+    if p.is_root:
+        return handle_ctrl_root(st, q, msg, p)
+    return handle_ctrl_nonroot(st, q, msg, p)

@@ -103,8 +103,7 @@ def run_deadlock_figure() -> FigureResult:
     )
     fairness = check_fairness(trace)
     reproduced = (
-        trace.ended == "quiescent"
-        and not fairness.passed
+        not fairness.passed
         and not fairness.inconclusive
         and len(fairness.starvations) == 4
         and trace.records[-1].census.res_tokens == 5

@@ -172,6 +172,13 @@ class Trace:
     ended: str = "budget"  # budget | quiescent | stopped | replay-exhausted
     final: Configuration | None = None
 
+    @property
+    def conclusive(self) -> bool:
+        """Whether the ending refutes an "eventually" claim left unmet: only
+        at quiescence can nothing ever happen again.  A run cut by its
+        budget, by ``stop`` or by a replay running dry could have gone on."""
+        return self.ended == "quiescent"
+
     def lines(self) -> Iterator[str]:
         """The trace lines, one at a time: each line of a record's body
         after the ``step={step} `` prefix of its position."""
@@ -590,7 +597,8 @@ class Simulator:
         """With the timer disabled, False only when nothing can ever happen
         again: channels drained (``cfg.busy`` empty), no critical section
         running down, and the workload out of events.  (An enabled timer
-        always fires again.)"""
+        always fires again.)  Asked only after the start's pass over every
+        process, as only a step settles the guards a start may hold true."""
         if cfg.busy:
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
@@ -610,8 +618,9 @@ class Simulator:
         the step produced; equal steps share one record, and record ``i`` is
         step ``cfg0.step + i``.  ``observer(cfg, rec)`` sees each step's
         record after it, when the step's number is ``cfg.step - 1``.  Ends
-        early on quiescence (nothing can ever happen again), on a replay
-        running dry, or when ``stop`` says so.
+        early on quiescence (nothing can ever happen again, asked only once
+        the first step has passed over every process), on a replay running
+        dry, or when ``stop`` says so; ``Trace.conclusive`` reads the ending.
         """
         cfg = cfg0.clone()
         tally = self.tally(cfg)
@@ -639,7 +648,7 @@ class Simulator:
             if replay and policy.exhausted():
                 trace.ended = "replay-exhausted"
                 break
-            if not timed and not self._anything_pending(cfg, workload):
+            if not (timed or dirty or self._anything_pending(cfg, workload)):
                 trace.ended = "quiescent"
                 break
             rec = self.execute_step(cfg, policy, workload, dirty, tally, outcomes, queues)

@@ -6,6 +6,7 @@ import pytest
 
 from klexsim import simnet
 from klexsim.appmodel import RandomWorkload
+from klexsim.cli import INCONCLUSIVE, VIOLATION, judge
 from klexsim.monitor import (
     CensusReport,
     LivenessScenario,
@@ -23,6 +24,7 @@ from klexsim.monitor import (
 from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, PushT, Reserved, ResT, TraversalEnd
 from klexsim.simnet import (
     RandomPolicy,
+    ReplayPolicy,
     RoundRobinPolicy,
     SimParams,
     Simulator,
@@ -472,6 +474,53 @@ class TestKlLiveness:
         trace = sim.run(cfg, RoundRobinPolicy(), 5)
         assert trace.ended == "quiescent"
         assert check_kl_liveness(scenario, trace) == LivenessVerdict(False, False, [])
+
+
+class TestConclusiveEndings:
+    """Fairness and (k,l)-liveness are "eventually" claims, so a run that
+    leaves them unmet refutes them only when nothing can ever happen again:
+    fairness, liveness and ``judge`` call such a run definite exactly when it
+    ended quiescent (``Trace.conclusive``), and inconclusive on any other
+    ending."""
+
+    SCENARIO = LivenessScenario(pinned={}, requesters={"b": 1})
+    ENDINGS = ("budget", "quiescent", "stopped", "replay-exhausted")
+
+    @staticmethod
+    def run_until(ended):
+        # b requests one unit and is still waiting when the run ends
+        sim = make_sim(timeout=None if ended == "quiescent" else 500)
+        cfg = sim.empty_configuration() if ended == "quiescent" else sim.initial_configuration()
+        cfg.states["b"].state, cfg.states["b"].need = REQ, 1
+        return sim.run(
+            cfg,
+            ReplayPolicy([]) if ended == "replay-exhausted" else RoundRobinPolicy(),
+            2,
+            stop=(lambda recs, c: True) if ended == "stopped" else None,
+        )
+
+    def test_conclusive_reads_only_quiescence(self):
+        assert [self.run_until(ended).conclusive for ended in self.ENDINGS] == [
+            False, True, False, False]
+
+    @pytest.mark.parametrize("ended", ENDINGS)
+    def test_only_quiescence_is_definite(self, ended):
+        trace = self.run_until(ended)
+        assert trace.ended == ended
+        definite = ended == "quiescent"
+        fairness = check_fairness(trace)
+        assert [r.process for r in fairness.starvations] == ["b"]
+        assert (fairness.passed, fairness.inconclusive) == (False, not definite)
+        assert check_kl_liveness(self.SCENARIO, trace) == LivenessVerdict(False, not definite, [])
+        assert judge(trace)[0] == (VIOLATION if definite else INCONCLUSIVE)
+
+    def test_quiescent_run_that_never_stabilizes_is_a_violation(self):
+        # no tokens and no timer: nothing can ever make the start legitimate
+        sim = make_sim(timeout=None)
+        trace = sim.run(sim.empty_configuration(), RoundRobinPolicy(), 50)
+        assert trace.ended == "quiescent"
+        status, stab, _, _, fairness = judge(trace)
+        assert (status, stab, fairness.requests) == (VIOLATION, None, [])
 
 
 class TestConservation:

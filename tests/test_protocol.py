@@ -16,6 +16,7 @@ from klexsim.protocol import (
     PushT,
     Reserved,
     ResT,
+    _NO_ACTIONS,
     _release_all,
     counter_modulus,
     dispatch,
@@ -55,8 +56,8 @@ class TestResT:
 
     def test_root_reset_sinks_token(self):
         st_ = ProcessState(reset=True)
-        out = handle_res_t(st_, 0, ResT(), params(is_root=True, delta=2))
-        assert out.sends == []
+        out = dispatch(st_, 0, ResT(), params(is_root=True, delta=2))
+        assert not out.sends
         assert st_.stoken == 0
 
     def test_root_saturation_fixpoint(self):
@@ -110,8 +111,8 @@ class TestPushT:
 
     def test_root_reset_sinks_pusher(self):
         st_ = ProcessState(reset=True, rset=[Reserved(0)])
-        out = handle_push_t(st_, 0, PushT(), params(is_root=True, delta=2))
-        assert out.sends == []
+        out = dispatch(st_, 0, PushT(), params(is_root=True, delta=2))
+        assert not out.sends
         assert len(st_.rset) == 1  # reset sink does not even release
 
 
@@ -130,8 +131,8 @@ class TestPrioT:
 
     def test_root_reset_sinks_prio(self):
         st_ = ProcessState(reset=True)
-        out = handle_prio_t(st_, 0, PrioT(), params(is_root=True, delta=2))
-        assert out.sends == []
+        out = dispatch(st_, 0, PrioT(), params(is_root=True, delta=2))
+        assert not out.sends
         assert st_.prio is None
 
 
@@ -333,6 +334,8 @@ class TestLocalActionsNoOp:
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.data())
 def test_dispatch_routes_by_message_class(is_root, data):
+    # a resetting root sinks every token but a controller, with the shared
+    # no-op output and its state untouched
     handlers = {ResT: handle_res_t, PushT: handle_push_t, PrioT: handle_prio_t,
                 Ctrl: handle_ctrl_root if is_root else handle_ctrl_nonroot}
     s = data.draw(arbitrary_state(is_root))
@@ -340,7 +343,10 @@ def test_dispatch_routes_by_message_class(is_root, data):
     q = data.draw(st.integers(0, DELTA - 1))
     p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
     ref = copy.deepcopy(s)
-    assert dispatch(s, q, msg, p) == handlers[type(msg)](ref, q, msg, p)
+    if is_root and s.reset and not isinstance(msg, Ctrl):
+        assert dispatch(s, q, msg, p) is _NO_ACTIONS
+    else:
+        assert dispatch(s, q, msg, p) == handlers[type(msg)](ref, q, msg, p)
     assert s == ref
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klexsim import monitor, scenarios, simnet
-from klexsim.appmodel import RandomWorkload, Workload, WorkloadEvent
-from klexsim.monitor import check_safety, collect_requests, stabilization_time
+from klexsim.appmodel import RandomWorkload, RepeatingWorkload, Workload, WorkloadEvent
+from klexsim.monitor import check_fairness, check_safety, collect_requests, stabilization_time
 from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, ProcessState, PushT, Reserved, ResT
 from klexsim.simnet import (
     RandomPolicy,
@@ -498,6 +498,41 @@ class TestWorkloadIntegration:
         trace = sim.run(sim.initial_configuration(), RandomPolicy(5), 1500, wl, observer=observe)
         assert sum(len(rec.entries) for rec in trace.records) > 50
         assert max(seen) > 0
+
+
+class TestQuiescence:
+    """With the timer off, a run ends quiescent once nothing can ever happen
+    again: no message in any channel, no section counting down, and the
+    workload out of events; and never before its first step, whose pass over
+    every process may find a start's guards true."""
+
+    def test_start_gets_its_pass_before_quiescence(self):
+        # b already holds the one unit it needs: nothing is in flight, yet
+        # b enters at step 0, as one idle step shows
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        b = cfg.states["b"]
+        b.state, b.need, b.rset = REQ, 1, [Reserved(0)]
+        sim.stamp_uids(cfg)
+        assert sim.step(cfg, None).states["b"].state == IN
+        trace = sim.run(cfg, RoundRobinPolicy(), 5)
+        assert trace.records[0].entries == ("b",)
+        assert check_fairness(trace).passed
+
+    def test_random_workload_goes_quiet_after_its_last_step(self):
+        # every process requests at step 0, no token ever comes, and the
+        # workload is out of events once step 3 is past
+        sim = make_sim(timeout=None)
+        wl = RandomWorkload(STAR.process_ids, k=2, seed=0, rate=1.0, last_step=3)
+        trace = sim.run(sim.empty_configuration(), RoundRobinPolicy(), 50, workload=wl)
+        assert (trace.ended, len(trace.records)) == ("quiescent", 4)
+        assert sorted(pid for pid, _ in trace.records[0].requests) == sorted(STAR.process_ids)
+
+    def test_repeating_workload_never_goes_quiet(self):
+        sim = make_sim(timeout=None)
+        wl = RepeatingWorkload({"b": (1, 2)}, k=2)
+        trace = sim.run(sim.empty_configuration(), RoundRobinPolicy(), 6, workload=wl)
+        assert (trace.ended, len(trace.records)) == ("budget", 6)
 
 
 class RecordingPolicy:
