@@ -2,8 +2,9 @@
 
 The verdicts over run traces are pure functions.  The per-step checks are
 not: ``Tally`` keeps counts from one configuration to the next, which the
-simulator updates through ``Tally.move`` as messages leave and enter
-channels and ``step_checks`` updates for the processes a step changed.
+simulator updates through ``Tally.move`` and ``Tally.shift`` as messages
+leave and enter channels and ``step_checks`` updates for the processes a
+step changed.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Collection, NamedTuple
 
 from .protocol import IN, OUT, REQ, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
@@ -51,8 +52,9 @@ class Tally:
     with their sums.  Every resource and priority token is counted once, at
     its slot: a free token at its channel's, a held one at the slot of the
     channel it arrived on.  The simulator calls ``move`` as it takes a
-    message from a channel or puts one in; a tally starts from the channels
-    of ``cfg``, and its first ``step_checks`` must name every process.
+    message from a channel or puts one in, and ``shift`` for a token that a
+    non-root only passed on; a tally starts from the channels of ``cfg``,
+    and its first ``step_checks`` must name every process.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -63,6 +65,10 @@ class Tally:
     (slot 0), where it has passed every other channel; the root's holdings
     there are picked into PT on that arrival, so a traversal never counts
     them as passed.
+
+    ``scan`` is the last controller scan of ``step_checks``: (valid control
+    messages, ``key``, the last control message scanned, its slot).  Moving
+    a control message sets it to None, and ``step_checks`` scans again.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -83,6 +89,7 @@ class Tally:
         self.behind = [0, 0, 0]
         self.off = 0
         self.census = CensusReport(0, 0, 0, 0)
+        self.scan: tuple | None = None
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(t, m, 1)
@@ -108,6 +115,7 @@ class Tally:
         message it delivers or sends through here."""
         i = _SPECIES.get(m.__class__)
         if i is None:
+            self.scan = None
             if sign > 0:
                 self.ctrls.setdefault(t, []).append(m)
                 self.after[t] = [0, 0, 0]
@@ -120,6 +128,23 @@ class Tally:
         self._count(t, i, m, sign)
         if sign > 0 and t in self.after:
             self.after[t][i] += 1
+
+    def shift(self, t: int, to: int, m) -> None:
+        """Count token m over from the front of slot t to the back of slot
+        to: a pure forward, the one send of a non-root that only passed m
+        on.  ``tokens`` and ``copies`` stay as they are; ``behind`` changes
+        only when m crosses the controller's place."""
+        i = _SPECIES[m.__class__]
+        counts = self.counts
+        counts[t][i] -= 1
+        counts[to][i] += 1
+        if self.key is not None:
+            place = self.key[1]
+            crossed = (0 < to < place) - (0 < t < place)
+            if crossed:
+                self.behind[i] += crossed
+        if to in self.after:
+            self.after[to][i] += 1
 
     def process(self, pid, st) -> None:
         """Count one process's part again, for the current ``key``."""
@@ -193,14 +218,18 @@ class Tally:
 
 
 def step_checks(tally: Tally, cfg,
-                procs: Iterable) -> tuple[CensusReport, bool, tuple[str, ...]]:
+                procs: Collection) -> tuple[CensusReport, bool, tuple[str, ...]]:
     """Census, legitimacy verdict, and safety scan for one snapshot.
 
     ``tally`` has already counted every message moved since the
-    configuration it last checked (``Tally.move``); ``procs`` names the
-    processes whose state may have changed (every process, the first time a
-    tally is checked).  Only those are counted again, their held tokens at
-    the slots they arrived on.  The traversal fields of every process are
+    configuration it last checked (``Tally.move``, ``Tally.shift``);
+    ``procs`` names the processes whose state may have changed (every
+    process, the first time a tally is checked).  Only those are counted
+    again, their held tokens at the slots they arrived on.  The control
+    messages are scanned again only when one moved since the last check or
+    a process in ``procs`` receives on a slot that holds one; otherwise
+    their validity is as the last scan found it (``Tally.scan``), as no
+    receiver of theirs changed.  The traversal fields of every process are
     counted again when the controller's place does not follow from the last
     one: on a wrap (the counter changes), a jump, a move backwards, or when
     a single valid control message appears.  A move to the next channel
@@ -239,17 +268,27 @@ def step_checks(tally: Tally, cfg,
     root = tally.topo.root
     states = cfg.states
 
-    n_ctrl = ctrl = 0
-    for c_slot, ctrls in tally.ctrls.items():
-        pid, q = ring.keys[c_slot]
-        st = states[pid]
-        for cm in ctrls:
-            n_ctrl += 1
-            ctrl += ((q == st.succ and cm.c == st.myc)
-                     or (q == 0 and pid != root and cm.c != st.myc))
-    key = None
-    if n_ctrl == ctrl == 1:
-        key = (cm.c, c_slot or len(ring.keys))
+    scan = tally.scan
+    if scan is not None:
+        for c_slot in tally.ctrls:
+            if ring.keys[c_slot][0] in procs:
+                scan = None
+                break
+    if scan is None:
+        n_ctrl = ctrl = 0
+        cm = c_slot = None
+        for c_slot, ctrls in tally.ctrls.items():
+            pid, q = ring.keys[c_slot]
+            st = states[pid]
+            for cm in ctrls:
+                n_ctrl += 1
+                ctrl += ((q == st.succ and cm.c == st.myc)
+                         or (q == 0 and pid != root and cm.c != st.myc))
+        key = None
+        if n_ctrl == ctrl == 1:
+            key = (cm.c, c_slot or len(ring.keys))
+        scan = tally.scan = (ctrl, key, cm, c_slot)
+    ctrl, key, cm, c_slot = scan
     if key != tally.key:
         # with no key the traversal fields stay as they are: the next key
         # counts every process again

@@ -302,7 +302,9 @@ _NO_ACTIONS = HandlerOutput(sends=())
 
 def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutput:
     """The guard/action block run after every handled message and whenever
-    a request arrives or the critical section ends (``cs_done``).
+    a request arrives or the critical section ends (``cs_done``).  (The
+    simulator skips it after a non-root's handler that only passed the
+    delivered token on: that changed no variable, so no guard holds.)
 
     In order: enter the critical section once enough tokens are reserved
     (the caller then starts it), or else release all tokens if it is done;

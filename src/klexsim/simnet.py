@@ -4,7 +4,9 @@ One scheduler step applies the application phase (request arrivals, critical
 section countdowns, a local-action pass at each process whose request arrived
 or section ended) and then executes one scheduled event: delivery of a single
 message, or the root timeout.  Handlers run atomically, each followed by a
-local-action pass; their sends enter the FIFO channels in emission order.
+local-action pass, except a non-root's that only passed the delivered token
+on and so left the guards false; their sends enter the FIFO channels in
+emission order.
 Identical inputs (initial configuration, policy, seed) reproduce
 byte-identical traces.
 
@@ -467,20 +469,32 @@ class Simulator:
         return queues
 
     def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
-                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
+                 sends: list[tuple[int, Message]], tally: monitor.Tally,
+                 taken: int | None = None) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
-        slot ``dest[out]``; return their rendering for the trace line."""
+        slot ``dest[out]``, counting each into ``tally``; return their
+        rendering for the trace line.  ``taken`` is given for a pure forward
+        only: the slot its one send, the delivered token, was taken from and
+        not yet counted out of, so ``Tally.shift`` counts it over (a token
+        that gets its uid here, which only a hand-built start can hold, is
+        counted out and in anew)."""
         rendered = []
         busy = cfg.busy
         for out_ch, msg in sends:
             if msg.__class__ is ResT and msg.uid < 0:
+                if taken is not None:
+                    tally.move(taken, msg, -1)
+                    taken = None
                 msg = ResT(self._take_uid(cfg))
             t = dest[out_ch]
             queue = queues[t]
             if not queue:
                 insort(busy, t)
             queue.append(msg)
-            tally.move(t, msg, 1)
+            if taken is None:
+                tally.move(t, msg, 1)
+            else:
+                tally.shift(taken, t, msg)
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return ",".join(rendered)
 
@@ -517,6 +531,14 @@ class Simulator:
         (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
         only while a section runs.
 
+        A delivery is a pure forward when the receiver is not the root and
+        its handler's only send is the delivered message itself.  Such a
+        handler kept and released nothing, so the receiver's variables are
+        as its last pass left them, its guards still false: it gets no
+        local-action pass and is not counted again, and ``Tally.shift``
+        counts the token over to its next slot in one move.  (The root is
+        left out: forwarding off its wrap channel changes SToken or SPush.)
+
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
         ``enabled_events``, or None for an idle step (only the timers advance).
@@ -551,6 +573,7 @@ class Simulator:
             pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
             old = st.state
+            taken = None
             if timeout_fired:
                 event, name = TIMEOUT, "-"
                 out = on_timeout_root(st, pp)
@@ -560,17 +583,21 @@ class Simulator:
                 if not queue:
                     busy = cfg.busy
                     del busy[bisect_left(busy, t)]
-                tally.move(t, msg, -1)
                 event, name = DELIVER, _NAMES.get(msg.__class__) or msg
                 out = dispatch(st, ch, msg, pp)
+                if len(out.sends) == 1 and out.sends[0][1] is msg and not pp.is_root:
+                    taken = t  # a pure forward
+                else:
+                    tally.move(t, msg, -1)
             if st.state != old:
                 transitions.append((pid, old, st.state))
-            sends = self._enqueue(cfg, queues, dest, out.sends, tally)
+            sends = self._enqueue(cfg, queues, dest, out.sends, tally, taken)
             lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
-            woken.add(pid)
+            if taken is None:
+                self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
+                woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
@@ -611,7 +638,10 @@ class Simulator:
             ) -> Trace:
         """Execute up to ``budget`` steps from a copy of ``cfg0``; only the
         first step passes over every process, and the checks of each step
-        count again only what it touched (``monitor.step_checks``).
+        count again only what it touched (``monitor.step_checks``).  A pure
+        forward (``execute_step``) touches one token and no process: its
+        receiver gets no pass, the token one ``Tally.shift``, and the
+        checks reuse their last controller scan.
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -11,7 +12,20 @@ from hypothesis import strategies as st
 from klexsim import monitor, scenarios, simnet
 from klexsim.appmodel import RandomWorkload, RepeatingWorkload, Workload, WorkloadEvent
 from klexsim.monitor import check_fairness, check_safety, collect_requests, stabilization_time
-from klexsim.protocol import IN, OUT, REQ, Ctrl, PrioT, ProcessState, PushT, Reserved, ResT
+from klexsim.protocol import (
+    IN,
+    OUT,
+    REQ,
+    Ctrl,
+    HandlerOutput,
+    PrioT,
+    ProcessState,
+    PushT,
+    Reserved,
+    ResT,
+    dispatch,
+    local_actions,
+)
 from klexsim.simnet import (
     RandomPolicy,
     ReplayPolicy,
@@ -553,9 +567,9 @@ class TestWokenOnlySweep:
     chain passes over every process each step.  Driven by the same choices
     from an arbitrary start, both must produce the same configurations."""
 
-    def assert_equivalent(self, sim, cfg0, make_workload, seed, steps=300):
+    def assert_equivalent(self, sim, cfg0, make_workload, seed, steps=300, inner=None):
         order = sim.topo.process_ids
-        policy = RecordingPolicy(RandomPolicy(seed))
+        policy = RecordingPolicy(RandomPolicy(seed) if inner is None else inner)
         from_run = []
         trace = sim.run(cfg0, policy, steps, workload=make_workload(),
                         observer=lambda cfg, rec: from_run.append(
@@ -590,6 +604,20 @@ class TestWokenOnlySweep:
             if cfg0.states[pid].state == IN and rng.random() < 0.3:
                 cfg0.app.remaining[pid] = float("inf")
         self.assert_equivalent(sim, cfg0, scenarios.livelock_workload, seed)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.02])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_legitimate_round_robin(self, n, rate):
+        # the regime of pure forwards: from the canonical start, tokens pass
+        # processes that do not want them, round the ring past controller wraps
+        topo = random_tree(n, n)
+        sim = canonical_sim(topo)
+        trace = self.assert_equivalent(
+            sim, sim.initial_configuration(),
+            lambda: RandomWorkload(topo.process_ids, 2, n, rate=rate, max_duration=4),
+            n, steps=600, inner=RoundRobinPolicy())
+        assert any(rec.traversal_end for rec in trace.records)
+        assert all(rec.legit for rec in trace.records)
 
 
 def scan_enabled(sim, cfg):
@@ -701,6 +729,34 @@ class TestTallyMatchesScratch:
                                             % mid.states["a"].myc)
         run_checked(sim, mid, RoundRobinPolicy(), 400)
 
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0); 3 (a, 1).
+    # From the canonical start, slot 1 holds PrioT, three ResT, PushT, Ctrl.
+    # Five forwards and the controller to slot 2, the priority token and a
+    # unit round to the root, and both back to slot 1
+    CTRL_AT_2 = [1] * 6 + [2, 2, 3, 3, 0, 0, 1]
+
+    def test_shift_behind_the_controller(self):
+        # a forwards a unit from slot 1, which the controller has passed,
+        # into slot 2, behind the controller: ``after[2]`` and ``behind``
+        sim = canonical_sim(CHAIN)
+        trace = run_checked(sim, sim.initial_configuration(),
+                            ReplayPolicy(self.CTRL_AT_2 + [1]), 20)
+        assert trace.records[-1].body == "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"
+        assert all(rec.legit for rec in trace.records)
+
+    def test_shift_onto_the_wrap_channel(self):
+        # the controller goes on to the root's wrap channel (slot 0, its
+        # place 2(n-1) there); a forwards a unit from slot 3, which it has
+        # passed, onto slot 0, which never counts as passed, behind it
+        replay = self.CTRL_AT_2 + [1] + [2] * 4 + [3] * 4 + [2, 2, 3, 3]
+        sim = canonical_sim(CHAIN)
+        trace = run_checked(sim, sim.initial_configuration(), ReplayPolicy(replay), 40)
+        lines = [rec.body for rec in trace.records]
+        assert lines[21] == ("proc=a event=deliver msg=Ctrl{c=0,r=0,pt=0,ppr=0} ch=1 "
+                             "sends=[0:Ctrl{c=0,r=0,pt=0,ppr=0}]")
+        assert lines[-1] == "proc=a event=deliver msg=ResT ch=1 sends=[0:ResT]"
+        assert all(rec.legit for rec in trace.records)
+
     def test_rset_edits_recount_the_changed_tail(self):
         # a tally counts a changed RSet again whole; no run edits an RSet in
         # the middle (a run only appends an entry or clears it), so edit it
@@ -736,6 +792,130 @@ class TestTallyMatchesScratch:
             duplicated.append(assert_matches_scratch((pid,)))
         assert duplicated == [True, True, False]
         assert [e.channel for e in st_.rset] == [1]
+
+
+class TestPureForward:
+    """A delivery at a non-root whose handler's only send is the delivered
+    message itself changed nothing at its receiver: the step gives the
+    receiver no local-action pass and does not count it again, and the
+    monitor reuses its controller scan until a control message moves or a
+    process it names receives on a slot that holds one.  The root is left
+    out, as forwarding off its wrap channel changes SToken or SPush."""
+
+    @staticmethod
+    def logged_run(monkeypatch, sim, copy_forwards):
+        """A round-robin run from the canonical start with requests, and the
+        log of its deliveries (receiver state, pure forward?), local-action
+        passes (state, sent, entered or changed state?) and step ends.  With
+        ``copy_forwards`` a handler's forward sends a copy of the token, so
+        no delivery is a pure forward: every one is followed by a pass."""
+        log = []
+
+        def logged_dispatch(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            sends = out.sends
+            pure = not p.is_root and len(sends) == 1 and sends[0][1] is msg
+            log.append(("deliver", id(st), pure))
+            if pure and copy_forwards:
+                out = HandlerOutput([(sends[0][0], dataclasses.replace(msg))])
+            return out
+
+        def logged_local_actions(st, p, cs_done):
+            old = st.state
+            out = local_actions(st, p, cs_done)
+            log.append(("pass", id(st), bool(out.sends or out.entered_cs or st.state != old)))
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", logged_dispatch)
+        monkeypatch.setattr(simnet, "local_actions", logged_local_actions)
+        topo = sim.topo
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500,
+                        RandomWorkload(topo.process_ids, 2, 0, rate=0.05, max_duration=4),
+                        observer=lambda cfg, rec: log.append(("end",)))
+        monkeypatch.undo()
+        return trace, log
+
+    def test_no_pass_after_a_pure_forward(self, monkeypatch):
+        sim = canonical_sim(random_tree(10, 10))
+        trace, log = self.logged_run(monkeypatch, sim, copy_forwards=False)
+        ref_trace, ref_log = self.logged_run(monkeypatch, sim, copy_forwards=True)
+        assert list(trace.lines()) == list(ref_trace.lines())
+        assert [ev[2] for ev in log if ev[0] == "deliver"] == [
+            ev[2] for ev in ref_log if ev[0] == "deliver"]
+        # a pure forward ends its step; any other delivery is followed by
+        # its receiver's pass
+        for ev, nxt in zip(log, log[1:]):
+            if ev[0] == "deliver":
+                assert nxt == ("end",) if ev[2] else nxt[:2] == ("pass", ev[1])
+
+        def passes(log, useful=None):
+            return sum(ev[0] == "pass" and useful in (None, ev[2]) for ev in log)
+
+        pure = sum(ev[0] == "deliver" and ev[2] for ev in log)
+        assert passes(log, useful=True) == passes(ref_log, useful=True) > 0
+        assert passes(ref_log) - passes(log) == pure > 0
+
+    def test_root_forward_off_its_wrap_channel_changes_its_state(self):
+        # SToken above ell+1 is outside its domain; the root's forward of a
+        # unit off its wrap channel (slot 0) caps it at ell+1, which only
+        # counting the root again after that delivery can see (after the
+        # first step, which counts every process)
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["r"].stoken = sim.params.ell + 2
+        cfg.channels[("r", 0)].append(cfg.channels[("a", 0)].pop(1))
+        trace = run_checked(sim, cfg, ReplayPolicy([1, 0]), 2)
+        assert trace.initial_violations == ("r bounded variable outside domain",)
+        assert trace.records[0].violations == trace.initial_violations
+        assert trace.records[1].body == "proc=r event=deliver msg=ResT ch=0 sends=[0:ResT]"
+        assert trace.records[1].violations == ()
+        assert trace.final.states["r"].stoken == sim.params.ell + 1
+
+    def test_forward_of_a_unit_without_uid(self, monkeypatch):
+        # a hand-built start's units without a uid get one as a is passing
+        # them on: the run's tally counts each out and in anew, as a fresh
+        # count of the configuration does, instead of shifting it over
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.channels[("a", 0)][1:4] = [ResT(), ResT(), ResT()]
+        tallies = []
+        make = sim.tally
+        monkeypatch.setattr(sim, "tally", lambda c: tallies.append(make(c)) or tallies[-1])
+
+        def observe(cfg, rec):
+            fresh = make(cfg)
+            monitor.step_checks(fresh, cfg, CHAIN.process_ids)
+            assert (tallies[0].counts, tallies[0].tokens, tallies[0].copies) == (
+                fresh.counts, fresh.tokens, fresh.copies)
+
+        trace = sim.run(cfg, ReplayPolicy([1] * 4), 4, observer=observe)
+        assert len(tallies) == 1
+        assert trace.initial_violations == ("resource unit -1 duplicated (channel a:0)",) * 2
+        assert [rec.body for rec in trace.records[1:]] == [
+            "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"] * 3
+        assert trace.records[-1].violations == ()
+
+    def test_hand_edit_of_a_controller_receiver(self):
+        # the controller on a's channel 1 (slot 3), valid as it returns from
+        # a's succ with a's counter; edits of a's succ and myc reach the
+        # verdict once a is named, and naming b, which receives on no slot
+        # holding a control message, reuses the scan
+        sim = canonical_sim(CHAIN)
+        replay = TestTallyMatchesScratch.CTRL_AT_2 + [1] + [2] * 4
+        cfg = sim.run(sim.initial_configuration(), ReplayPolicy(replay), 20).final
+        assert [m for m in cfg.channels[("a", 1)] if isinstance(m, Ctrl)]
+        tally = sim.tally(cfg)
+        assert monitor.step_checks(tally, cfg, CHAIN.process_ids) == sim.check(cfg)
+        assert sim.check(cfg)[1]
+        scan = tally.scan
+        assert monitor.step_checks(tally, cfg, ("b",)) == sim.check(cfg)
+        assert tally.scan is scan
+        a = cfg.states["a"]
+        for succ, myc, valid in [(0, 0, False), (1, 5, False), (1, 0, True)]:
+            a.succ, a.myc = succ, myc
+            checks = monitor.step_checks(tally, cfg, ("a",))
+            assert checks == sim.check(cfg)
+            assert (checks[0].ctrl_tokens, checks[1]) == (valid, valid)
 
 
 class TestSetUpFootprint:
