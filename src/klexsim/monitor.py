@@ -53,8 +53,12 @@ class Tally:
     its slot: a free token at its channel's, a held one at the slot of the
     channel it arrived on.  The simulator calls ``move`` as it takes a
     message from a channel or puts one in, and ``shift`` for a token that a
-    non-root only passed on; a tally starts from the channels of ``cfg``,
-    and its first ``step_checks`` must name every process.
+    process only passed on: a non-root, or the root off any channel but its
+    wrap channel, whose forwards change SToken or SPush.  ``shift`` counts
+    tokens only: a control message always moves out and in, also when a
+    non-root sends on the very one it received.  A tally starts from the
+    channels of ``cfg``, and its first ``step_checks`` must name every
+    process.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -131,9 +135,10 @@ class Tally:
 
     def shift(self, t: int, to: int, m) -> None:
         """Count token m over from the front of slot t to the back of slot
-        to: a pure forward, the one send of a non-root that only passed m
-        on.  ``tokens`` and ``copies`` stay as they are; ``behind`` changes
-        only when m crosses the controller's place."""
+        to: a pure forward, the one send of a process that only passed m
+        on (``simnet.Simulator.execute_step``).  ``tokens`` and ``copies``
+        stay as they are; ``behind`` changes only when m crosses the
+        controller's place."""
         i = _SPECIES[m.__class__]
         counts = self.counts
         counts[t][i] -= 1
@@ -191,15 +196,17 @@ class Tally:
     def violations(self, cfg) -> tuple[str, ...]:
         """The safety violations of ``cfg``: units represented twice, found by
         a walk over the channels against the ring direction, the wrap channel
-        first, and then over the processes, each with its own violations."""
+        first, and then over the processes, each with its own violations.
+        A unit without a uid (-1, which only a hand-built start holds) has
+        no identity to find twice, and the walk passes over it."""
         ring = self.ring
         seen: set[int] | None = None
         out = []
-        if self.tokens[0] != len(self.copies):  # some unit represented twice
+        if self.tokens[0] != len(self.copies):  # a unit represented twice, or untagged
             seen = set()
             for key in ring.keys[:1] + ring.keys[:0:-1]:
                 for m in cfg.channels[key]:
-                    if isinstance(m, ResT):
+                    if isinstance(m, ResT) and m.uid >= 0:
                         if m.uid in seen:
                             out.append(f"resource unit {m.uid} duplicated "
                                        f"(channel {key[0]}:{key[1]})")
@@ -208,9 +215,10 @@ class Tally:
             rset, _, _, viol, _ = self.procs.get(pid, _NO_PROCESS)
             if seen is not None:
                 for e in rset:
-                    if e.uid in seen:
-                        out.append(f"resource unit {e.uid} duplicated (RSet of {pid})")
-                    seen.add(e.uid)
+                    if e.uid >= 0:
+                        if e.uid in seen:
+                            out.append(f"resource unit {e.uid} duplicated (RSet of {pid})")
+                        seen.add(e.uid)
             out += viol
         if self.in_use > self.ell:
             out.append(f"{self.in_use} > ell units in use")

@@ -111,6 +111,8 @@ class ProcessState:
 
     def rset_count(self, channel: int) -> int:
         """Multiplicity of ``channel`` in the RSet multiset."""
+        if not self.rset:
+            return 0
         return sum(1 for e in self.rset if e.channel == channel)
 
     def copy(self) -> ProcessState:
@@ -269,6 +271,10 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
     parent message carrying the already-adopted counter is a duplicate and
     is retransmitted without touching the traversal state (dropping it
     could deadlock the ring).  Everything else is dropped.
+
+    The message sent on carries the adopted counter, which is ``msg.c``,
+    and ``msg.r``; when the receiver adds no held unit or priority token
+    from channel q to its counts either, it is ``msg`` itself.
     """
     out = HandlerOutput()
     ok = False
@@ -289,7 +295,9 @@ def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> H
     if ok:
         pt = min(msg.pt + st.rset_count(q), p.ell + 1)
         ppr = min(msg.ppr + 1, 2) if st.prio == q else msg.ppr
-        out.sends.append((st.succ, Ctrl(st.myc, msg.r, pt, ppr)))
+        if pt != msg.pt or ppr != msg.ppr:
+            msg = Ctrl(msg.c, msg.r, pt, ppr)
+        out.sends.append((st.succ, msg))
     return out
 
 
@@ -301,10 +309,12 @@ _NO_ACTIONS = HandlerOutput(sends=())
 
 
 def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutput:
-    """The guard/action block run after every handled message and whenever
-    a request arrives or the critical section ends (``cs_done``).  (The
-    simulator skips it after a non-root's handler that only passed the
-    delivered token on: that changed no variable, so no guard holds.)
+    """The guard/action block run after a handled message and whenever a
+    request arrives or the critical section ends (``cs_done``).  The guards
+    read ``len(rset)``, ``need``, ``state`` and ``prio``; no handler writes
+    ``need`` or ``state``, so the simulator runs the block after a handler
+    (or the root's timeout) only when it changed the size of the RSet or
+    Prio: otherwise every guard is as false as the last pass left it.
 
     In order: enter the critical section once enough tokens are reserved
     (the caller then starts it), or else release all tokens if it is done;

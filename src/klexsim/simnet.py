@@ -3,10 +3,10 @@
 One scheduler step applies the application phase (request arrivals, critical
 section countdowns, a local-action pass at each process whose request arrived
 or section ended) and then executes one scheduled event: delivery of a single
-message, or the root timeout.  Handlers run atomically, each followed by a
-local-action pass, except a non-root's that only passed the delivered token
-on and so left the guards false; their sends enter the FIFO channels in
-emission order.
+message, or the root timeout.  Handlers run atomically, their sends entering
+the FIFO channels in emission order; the receiver's local-action pass
+follows only when the handler (or the timeout) changed the size of its RSet
+or its Prio, as no other guard input can change there.
 Identical inputs (initial configuration, policy, seed) reproduce
 byte-identical traces.
 
@@ -531,13 +531,21 @@ class Simulator:
         (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
         only while a section runs.
 
-        A delivery is a pure forward when the receiver is not the root and
-        its handler's only send is the delivered message itself.  Such a
-        handler kept and released nothing, so the receiver's variables are
-        as its last pass left them, its guards still false: it gets no
-        local-action pass and is not counted again, and ``Tally.shift``
-        counts the token over to its next slot in one move.  (The root is
-        left out: forwarding off its wrap channel changes SToken or SPush.)
+        The event's receiver gets a local-action pass only when its handler,
+        or the root's timeout, changed ``len(st.rset)`` or ``st.prio``.
+        Those are the only guard inputs a handler writes (none writes
+        ``state`` or ``need``, and no section ends during the event), so
+        otherwise its guards are as false as its last pass left them.
+
+        A delivery is a pure forward when its handler's only send is the
+        delivered token itself, at a non-root or at the root off any channel
+        but its wrap channel ``delta - 1``.  Such a handler kept, released
+        and counted nothing, so its receiver is not counted again either,
+        and ``Tally.shift`` counts the token over to its next slot in one
+        move.  A control message is never one: a non-root sends the
+        controller it received on as itself when its counts are unchanged
+        (``protocol.handle_ctrl_nonroot``), but the hop changed its Succ or
+        counter.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
@@ -572,7 +580,7 @@ class Simulator:
         if t is not None:
             pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
-            old = st.state
+            old, held, prio = st.state, len(st.rset), st.prio
             taken = None
             if timeout_fired:
                 event, name = TIMEOUT, "-"
@@ -585,7 +593,9 @@ class Simulator:
                     del busy[bisect_left(busy, t)]
                 event, name = DELIVER, _NAMES.get(msg.__class__) or msg
                 out = dispatch(st, ch, msg, pp)
-                if len(out.sends) == 1 and out.sends[0][1] is msg and not pp.is_root:
+                if (len(out.sends) == 1 and out.sends[0][1] is msg
+                        and msg.__class__ is not Ctrl
+                        and (not pp.is_root or ch != pp.delta - 1)):
                     taken = t  # a pure forward
                 else:
                     tally.move(t, msg, -1)
@@ -595,8 +605,9 @@ class Simulator:
             lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
-            if taken is None:
+            if len(st.rset) != held or st.prio != prio:
                 self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
+            if taken is None:
                 woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
@@ -637,11 +648,14 @@ class Simulator:
             observer: Callable[[Configuration, StepRecord], None] | None = None,
             ) -> Trace:
         """Execute up to ``budget`` steps from a copy of ``cfg0``; only the
-        first step passes over every process, and the checks of each step
-        count again only what it touched (``monitor.step_checks``).  A pure
-        forward (``execute_step``) touches one token and no process: its
-        receiver gets no pass, the token one ``Tally.shift``, and the
-        checks reuse their last controller scan.
+        first step passes over every process, a delivery or timeout gives
+        its receiver a pass only when it changed its RSet size or Prio, and
+        the checks of each step count again only what it touched
+        (``monitor.step_checks``).  A pure forward (``execute_step``), at a
+        non-root or off a non-wrap channel of the root, touches one token
+        and no process: its receiver is not counted again, the token moves
+        in one ``Tally.shift``, and the checks reuse their last controller
+        scan.
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration

@@ -350,6 +350,61 @@ def test_dispatch_routes_by_message_class(is_root, data):
     assert s == ref
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_dispatch_leaves_the_guards_of_a_settled_process(is_root, data):
+    # the simulator's pass rule: after a pass, a handler writes neither
+    # ``state`` nor ``need``, so when it leaves len(rset) and prio as they
+    # were, every guard is as false as that pass left it.  A process in its
+    # section has a running countdown there, so cs_done reads False for it
+    s = data.draw(arbitrary_state(is_root))
+    p = ProcParams(is_root=is_root, delta=DELTA, ell=ELL, counter_modulus=MOD)
+    local_actions(s, p, data.draw(st.booleans()))
+    msg = data.draw(arbitrary_message())
+    q = data.draw(st.integers(0, DELTA - 1))
+    state, need, held, prio = s.state, s.need, len(s.rset), s.prio
+    dispatch(s, q, msg, p)
+    assert (s.state, s.need) == (state, need)
+    if (len(s.rset), s.prio) == (held, prio):
+        cs_done = s.state != IN and data.draw(st.booleans())
+        assert local_actions(s, p, cs_done) is _NO_ACTIONS
+
+
+class TestCtrlForwardedAsItself:
+    """A non-root sends on the control message it received, the very object,
+    exactly when it adds nothing to its counts: no held unit and not the
+    priority token from the arrival channel."""
+
+    @staticmethod
+    def hop(**state):
+        st_ = ProcessState(myc=4, succ=1, **state)
+        msg = Ctrl(4, False, 1, 0)
+        return msg, handle_ctrl_nonroot(st_, 1, msg, params(delta=3)).sends
+
+    def test_unchanged_counts_send_the_message_itself(self):
+        for state in ({}, {"rset": [Reserved(0), Reserved(2)]}, {"prio": 2}):
+            msg, sends = self.hop(**state)
+            assert sends == [(2, msg)] and sends[0][1] is msg
+
+    def test_changed_counts_send_a_new_message(self):
+        for state, counts in (({"rset": [Reserved(1)]}, (2, 0)), ({"prio": 1}, (1, 1))):
+            msg, sends = self.hop(**state)
+            (ch, sent), = sends
+            assert ch == 2 and sent is not msg
+            assert sent == Ctrl(4, False, *counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_identity_exactly_when_counts_unchanged(self, data):
+        s = data.draw(arbitrary_state(False))
+        msg = data.draw(arbitrary_message().filter(lambda m: isinstance(m, Ctrl)))
+        q = data.draw(st.integers(0, DELTA - 1))
+        p = ProcParams(is_root=False, delta=DELTA, ell=ELL, counter_modulus=MOD)
+        for _, sent in handle_ctrl_nonroot(s, q, msg, p).sends:
+            assert (sent is msg) == ((sent.pt, sent.ppr) == (msg.pt, msg.ppr))
+            assert (sent.c, sent.r) == (msg.c, msg.r)
+
+
 class TestTimeout:
     def test_retransmits_current_counter(self):
         st_ = ProcessState(myc=4, succ=1, reset=False)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -23,6 +22,7 @@ from klexsim.protocol import (
     PushT,
     Reserved,
     ResT,
+    _NO_ACTIONS,
     dispatch,
     local_actions,
 )
@@ -705,6 +705,25 @@ class TestTallyMatchesScratch:
         trace = run_checked(sim, cfg, RandomPolicy(3), 400)
         assert any("duplicated" in v for rec in trace.records for v in rec.violations)
 
+    def test_units_without_uid(self):
+        # a hand-built start may hold units without a uid (-1), in channels
+        # and RSets: with no identity, none is a duplicate of another, for
+        # ``sim.check`` as for ``run``, while a tagged unit held twice is
+        sim = canonical_sim(random_tree(3, 6))
+        cfg = sim.initial_configuration()
+        q = cfg.channels[sim.channel_keys[sim.topo.ring.dest[sim.topo.root][0]]]
+        q[1:3] = [ResT(), ResT()]
+        pid = sim.topo.process_ids[2]
+        cfg.states[pid].state, cfg.states[pid].need = REQ, 2
+        cfg.states[pid].rset = [Reserved(0), Reserved(0)]
+        assert sim.check(cfg)[2] == ()
+        run_checked(sim, cfg, RandomPolicy(3), 300)
+        tagged = q[3].uid
+        cfg.channels[sim.channel_keys[3]].append(ResT(uid=tagged))
+        (violation,) = sim.check(cfg)[2]
+        assert violation.startswith(f"resource unit {tagged} duplicated ")
+        run_checked(sim, cfg, RandomPolicy(3), 300)
+
     def test_stale_second_controller(self):
         sim = canonical_sim(random_tree(4, 7))
         cfg = sim.initial_configuration()
@@ -795,65 +814,100 @@ class TestTallyMatchesScratch:
 
 
 class TestPureForward:
-    """A delivery at a non-root whose handler's only send is the delivered
-    message itself changed nothing at its receiver: the step gives the
-    receiver no local-action pass and does not count it again, and the
+    """A delivery gives its receiver a local-action pass only when the
+    handler changed the size of its RSet or its Prio, the only guard inputs
+    a handler writes: otherwise the guards are as false as the receiver's
+    last pass left them.  A pure forward, a delivery whose handler's only
+    send is the delivered token itself, at a non-root or at the root off any
+    channel but its wrap channel, changed nothing at its receiver: it is not
+    counted again either, the token moves in one ``Tally.shift``, and the
     monitor reuses its controller scan until a control message moves or a
-    process it names receives on a slot that holds one.  The root is left
-    out, as forwarding off its wrap channel changes SToken or SPush."""
+    process it names receives on a slot that holds one.  The root's forwards
+    off its wrap channel change SToken or SPush, and a controller hop
+    changes its receiver's Succ or counter, so neither is a pure forward."""
 
     @staticmethod
-    def logged_run(monkeypatch, sim, copy_forwards):
-        """A round-robin run from the canonical start with requests, and the
-        log of its deliveries (receiver state, pure forward?), local-action
-        passes (state, sent, entered or changed state?) and step ends.  With
-        ``copy_forwards`` a handler's forward sends a copy of the token, so
-        no delivery is a pure forward: every one is followed by a pass."""
+    def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
+        """A round-robin run from the canonical start, with requests at
+        ``rate``, and the log of its deliveries (receiver, message, RSet size
+        or Prio changed?), local-action passes (receiver, acted?) and step
+        ends.  A step end after a delivery with no pass checks that the pass
+        would have been a no-op, on a copy of the receiver.  With
+        ``force_passes`` a handler that left the RSet size and Prio as they
+        were is followed, inside ``dispatch``, by the pass the step skips,
+        its sends added to the handler's: every delivery then has a pass."""
         log = []
 
         def logged_dispatch(st, q, msg, p):
+            held, prio = len(st.rset), st.prio
             out = dispatch(st, q, msg, p)
-            sends = out.sends
-            pure = not p.is_root and len(sends) == 1 and sends[0][1] is msg
-            log.append(("deliver", id(st), pure))
-            if pure and copy_forwards:
-                out = HandlerOutput([(sends[0][0], dataclasses.replace(msg))])
+            moved = (len(st.rset), st.prio) != (held, prio)
+            log.append(("deliver", st, msg.__class__, moved))
+            if force_passes and not moved:
+                extra = local_actions(st, p, False)  # in no section: none is running
+                out = HandlerOutput([*out.sends, *extra.sends], extra.entered_cs,
+                                    out.restart_timer, out.traversal_end)
             return out
 
         def logged_local_actions(st, p, cs_done):
             old = st.state
             out = local_actions(st, p, cs_done)
-            log.append(("pass", id(st), bool(out.sends or out.entered_cs or st.state != old)))
+            log.append(("pass", st, bool(out.sends or out.entered_cs or st.state != old)))
             return out
+
+        def observe(cfg, rec):
+            last = log[-1]
+            if last[0] == "deliver" and not last[3]:
+                pid = next(pid for pid, s in cfg.states.items() if s is last[1])
+                skipped = local_actions(cfg.states[pid].copy(), sim.pp[pid],
+                                        cfg.app.release_cs(pid))
+                assert skipped is _NO_ACTIONS, cfg.step - 1
+            log.append(("end",))
 
         monkeypatch.setattr(simnet, "dispatch", logged_dispatch)
         monkeypatch.setattr(simnet, "local_actions", logged_local_actions)
         topo = sim.topo
-        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500,
-                        RandomWorkload(topo.process_ids, 2, 0, rate=0.05, max_duration=4),
-                        observer=lambda cfg, rec: log.append(("end",)))
+        workload = RandomWorkload(topo.process_ids, 2, 0, rate=rate, max_duration=4)
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), budget, workload,
+                        observer=observe)
         monkeypatch.undo()
         return trace, log
 
     def test_no_pass_after_a_pure_forward(self, monkeypatch):
         sim = canonical_sim(random_tree(10, 10))
-        trace, log = self.logged_run(monkeypatch, sim, copy_forwards=False)
-        ref_trace, ref_log = self.logged_run(monkeypatch, sim, copy_forwards=True)
-        assert list(trace.lines()) == list(ref_trace.lines())
-        assert [ev[2] for ev in log if ev[0] == "deliver"] == [
-            ev[2] for ev in ref_log if ev[0] == "deliver"]
-        # a pure forward ends its step; any other delivery is followed by
-        # its receiver's pass
+        trace, log = self.logged_run(monkeypatch, sim, force_passes=False)
+        ref_trace, _ = self.logged_run(monkeypatch, sim, force_passes=True)
+        # a pass follows a delivery exactly when the handler changed the
+        # receiver's RSet size or Prio (a skipped pass would have been a
+        # no-op: ``logged_run`` checks it at each step end)
         for ev, nxt in zip(log, log[1:]):
             if ev[0] == "deliver":
-                assert nxt == ("end",) if ev[2] else nxt[:2] == ("pass", ev[1])
+                assert nxt[:2] == ("pass", ev[1]) if ev[3] else nxt == ("end",)
+        # and the passes the steps skip change nothing in the run
+        assert list(trace.lines()) == list(ref_trace.lines())
+        assert trace.records == ref_trace.records
+        skipped = {(ev[2], ev[1] is trace.final.states[sim.topo.root])
+                   for ev in log if ev[0] == "deliver" and not ev[3]}
+        assert {(Ctrl, False), (Ctrl, True), (ResT, True), (PushT, True)} <= skipped
+        assert any(ev[0] == "pass" and ev[2] for ev in log)
 
-        def passes(log, useful=None):
-            return sum(ev[0] == "pass" and useful in (None, ev[2]) for ev in log)
-
-        pure = sum(ev[0] == "deliver" and ev[2] for ev in log)
-        assert passes(log, useful=True) == passes(ref_log, useful=True) > 0
-        assert passes(ref_log) - passes(log) == pure > 0
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_no_useless_pass_on_a_legitimate_run(self, monkeypatch, n):
+        # with no requests only a held priority token ever needs a pass, and
+        # that pass sends the token on.  The first step passes over every
+        # process, none of which holds anything in the canonical start, and
+        # then delivers the priority token: those n passes are the run's only
+        # no-ops
+        sim = canonical_sim(random_tree(n, n))
+        trace, log = self.logged_run(monkeypatch, sim, force_passes=False, budget=600,
+                                     rate=0.0)
+        assert any(rec.traversal_end for rec in trace.records)
+        first = log.index(("end",))
+        assert [ev[2] for ev in log[:first] if ev[0] == "pass"] == [False] * n + [True]
+        later = [ev[2] for ev in log[first:] if ev[0] == "pass"]
+        assert all(later)
+        assert len(later) == sum(ev[:1] + ev[2:] == ("deliver", PrioT, True)
+                                 for ev in log[first:]) > 0
 
     def test_root_forward_off_its_wrap_channel_changes_its_state(self):
         # SToken above ell+1 is outside its domain; the root's forward of a
@@ -870,6 +924,39 @@ class TestPureForward:
         assert trace.records[1].body == "proc=r event=deliver msg=ResT ch=0 sends=[0:ResT]"
         assert trace.records[1].violations == ()
         assert trace.final.states["r"].stoken == sim.params.ell + 1
+
+    def test_root_forward_off_a_non_wrap_channel(self, monkeypatch):
+        # STAR's ring: slot 0 (r, 1), the root's wrap channel; 1 (a, 0);
+        # 2 (r, 0); 3 (b, 0).  The root takes the priority token, the units,
+        # the pusher and the controller from a (slot 2) and sends them on to
+        # b; the units and the pusher it only passes on, off channel 0.  Then
+        # b sends everything back to it on its wrap channel
+        sim = canonical_sim(STAR)
+        tallies, counted, steps = [], [], []
+        make = sim.tally
+        monkeypatch.setattr(sim, "tally", lambda c: tallies.append(make(c)) or tallies[-1])
+        process = monitor.Tally.process
+        monkeypatch.setattr(monitor.Tally, "process",
+                            lambda self, pid, st: counted.append(pid) or process(self, pid, st))
+
+        def observe(cfg, rec):
+            steps.append((rec.body, "r" in counted))
+            fresh = make(cfg)
+            checks = monitor.step_checks(fresh, cfg, STAR.process_ids)
+            assert (rec.census, rec.legit, rec.violations) == checks
+            assert (tallies[0].counts, tallies[0].tokens, tallies[0].copies) == (
+                fresh.counts, fresh.tokens, fresh.copies)
+            counted.clear()
+
+        replay = [1, 2] * 6 + [3] * 6 + [0] * 6
+        trace = sim.run(sim.initial_configuration(), ReplayPolicy(replay), 24, observer=observe)
+        assert len(tallies) == 1
+        assert all(rec.legit for rec in trace.records)
+        # the root is counted again after a forward off its wrap channel only
+        forwards = {(body, root) for body, root in steps
+                    if body.startswith("proc=r") and body.endswith(("ResT]", "PushT]"))}
+        assert forwards == {(f"proc=r event=deliver msg={m} ch={ch} sends=[{1 - ch}:{m}]", ch == 1)
+                            for m in ("ResT", "PushT") for ch in (0, 1)}
 
     def test_forward_of_a_unit_without_uid(self, monkeypatch):
         # a hand-built start's units without a uid get one as a is passing
@@ -890,7 +977,7 @@ class TestPureForward:
 
         trace = sim.run(cfg, ReplayPolicy([1] * 4), 4, observer=observe)
         assert len(tallies) == 1
-        assert trace.initial_violations == ("resource unit -1 duplicated (channel a:0)",) * 2
+        assert trace.initial_violations == ()
         assert [rec.body for rec in trace.records[1:]] == [
             "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"] * 3
         assert trace.records[-1].violations == ()
