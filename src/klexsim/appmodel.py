@@ -70,7 +70,7 @@ class Workload:
             self._cursor += 1
         return out
 
-    def exhausted(self, step: int) -> bool:
+    def exhausted(self, step: int, states: dict[str, ProcessState]) -> bool:
         return self._cursor >= len(self.events)
 
 
@@ -109,7 +109,7 @@ class RandomWorkload:
                 ))
         return out
 
-    def exhausted(self, step: int) -> bool:
+    def exhausted(self, step: int, states: dict[str, ProcessState]) -> bool:
         return self.last_step is not None and step > self.last_step
 
 
@@ -118,7 +118,8 @@ class RepeatingWorkload:
 
     Deterministic and reactive: at each step every listed process that is
     back to Out immediately arms its request again.  This is the workload
-    shape of repeated-contention scenarios.
+    shape of repeated-contention scenarios.  It is out of events while no
+    listed process is at Out, as only a process back at Out requests.
     """
 
     def __init__(self, specs: dict[str, tuple[int, float]], k: int):
@@ -133,8 +134,8 @@ class RepeatingWorkload:
                 out.append(WorkloadEvent(step, pid, need, duration))
         return out
 
-    def exhausted(self, step: int) -> bool:
-        return False
+    def exhausted(self, step: int, states: dict[str, ProcessState]) -> bool:
+        return all(states[pid].state != OUT for pid in self.specs)
 
 
 @dataclass

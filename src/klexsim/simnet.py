@@ -469,32 +469,25 @@ class Simulator:
         return queues
 
     def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
-                 sends: list[tuple[int, Message]], tally: monitor.Tally,
-                 taken: int | None = None) -> str:
+                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
-        slot ``dest[out]``, counting each into ``tally``; return their
-        rendering for the trace line.  ``taken`` is given for a pure forward
-        only: the slot its one send, the delivered token, was taken from and
-        not yet counted out of, so ``Tally.shift`` counts it over (a token
-        that gets its uid here, which only a hand-built start can hold, is
-        counted out and in anew)."""
+        slot ``dest[out]``, counting each into ``tally`` (``Tally.move``);
+        return their rendering for the trace line.  A unit without a uid,
+        which only a hand-built start holds, gets one here.  A delivery whose
+        one send is the delivered message itself does not come here:
+        ``execute_step`` moves that message on and renders it by the name it
+        rendered it by on delivery."""
         rendered = []
         busy = cfg.busy
         for out_ch, msg in sends:
             if msg.__class__ is ResT and msg.uid < 0:
-                if taken is not None:
-                    tally.move(taken, msg, -1)
-                    taken = None
                 msg = ResT(self._take_uid(cfg))
             t = dest[out_ch]
             queue = queues[t]
             if not queue:
                 insort(busy, t)
             queue.append(msg)
-            if taken is None:
-                tally.move(t, msg, 1)
-            else:
-                tally.shift(taken, t, msg)
+            tally.move(t, msg, 1)
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return ",".join(rendered)
 
@@ -537,15 +530,20 @@ class Simulator:
         ``state`` or ``need``, and no section ends during the event), so
         otherwise its guards are as false as its last pass left them.
 
-        A delivery is a pure forward when its handler's only send is the
-        delivered token itself, at a non-root or at the root off any channel
-        but its wrap channel ``delta - 1``.  Such a handler kept, released
-        and counted nothing, so its receiver is not counted again either,
-        and ``Tally.shift`` counts the token over to its next slot in one
-        move.  A control message is never one: a non-root sends the
-        controller it received on as itself when its counts are unchanged
-        (``protocol.handle_ctrl_nonroot``), but the hop changed its Succ or
-        counter.
+        A delivery whose handler's only send is the delivered message itself
+        moves that message on here, without ``_enqueue``, and renders the
+        send by the name the delivery rendered it by, so a controller sent
+        on as itself is rendered once.  It is a pure forward when the
+        message is a token, the handler left ``st.state`` as it was, and the
+        receiver is a non-root or the root off any channel but its wrap
+        channel ``delta - 1``.  Such a handler kept, released and counted
+        nothing, so its receiver is not counted again either, and
+        ``Tally.shift`` counts the token over to its next slot in one move
+        (a unit without a uid, which only a hand-built start holds, is
+        stamped and counted out and in anew).  A control message is never
+        one: a non-root sends the controller it received on as itself when
+        its counts are unchanged (``protocol.handle_ctrl_nonroot``), but the
+        hop changed its Succ or counter.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
@@ -553,6 +551,18 @@ class Simulator:
         The step's record is looked up in ``outcomes``, the caller's table
         of the records built so far keyed by their fields, and built only
         when no equal one is there, so equal steps share one record.
+
+        A lone pure forward, one whose application phase wrote no line,
+        renders nothing and builds no key: its line follows from its slot
+        and its token's class, and ``outcomes`` also keeps, under (slot,
+        class), the record the last such step returned.  That record is
+        returned again while ``step_checks`` gives the same census object,
+        the same verdict and equal violations.  Otherwise the step is
+        looked up by every field, with the line taken from that record (or
+        rendered, the first time).  Every step still makes its four event
+        lists and its set of woken processes before its event is chosen;
+        every other step also renders its line and builds the key of every
+        field, three ``tuple`` calls and a join included, to look it up.
         """
         lines: list[str] = []
         entries: list[str] = []
@@ -581,34 +591,73 @@ class Simulator:
             pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
             old, held, prio = st.state, len(st.rset), st.prio
-            taken = None
             if timeout_fired:
                 event, name = TIMEOUT, "-"
                 out = on_timeout_root(st, pp)
+                sends = self._enqueue(cfg, queues, dest, out.sends, tally)
+                woken.add(pid)
             else:
                 queue = queues[t]
                 msg = queue.pop(0)
+                busy = cfg.busy
                 if not queue:
-                    busy = cfg.busy
                     del busy[bisect_left(busy, t)]
-                event, name = DELIVER, _NAMES.get(msg.__class__) or msg
+                cls = msg.__class__
+                event, name = DELIVER, _NAMES.get(cls) or str(msg)
                 out = dispatch(st, ch, msg, pp)
-                if (len(out.sends) == 1 and out.sends[0][1] is msg
-                        and msg.__class__ is not Ctrl
-                        and (not pp.is_root or ch != pp.delta - 1)):
-                    taken = t  # a pure forward
+                if len(out.sends) == 1 and out.sends[0][1] is msg:
+                    # msg forwarded as itself: moved on here, rendered by its name
+                    out_ch = out.sends[0][0]
+                    to = dest[out_ch]
+                    pure = (cls is not Ctrl and st.state == old
+                            and (not pp.is_root or ch != pp.delta - 1))
+                    if pure and (cls is not ResT or msg.uid >= 0):
+                        tally.shift(t, to, msg)
+                    else:
+                        tally.move(t, msg, -1)
+                        if cls is ResT and msg.uid < 0:
+                            msg = ResT(self._take_uid(cfg))
+                        tally.move(to, msg, 1)
+                    queue = queues[to]
+                    if not queue:
+                        insort(busy, to)
+                    queue.append(msg)
+                    if not pure:
+                        woken.add(pid)
+                    elif not lines:
+                        # a lone pure forward: the record this slot and class
+                        # last gave, while the checks come out the same
+                        cfg.timer += 1
+                        cfg.step += 1
+                        census, legit, violations = monitor.step_checks(tally, cfg, woken)
+                        lone = (t, cls)
+                        rec = outcomes.get(lone)
+                        if rec is None:
+                            body = (f"proc={pid} event={DELIVER} msg={name} ch={ch} "
+                                    f"sends=[{out_ch}:{name}]")
+                        elif (rec.census is census and rec.legit is legit
+                              and rec.violations == violations):
+                            return rec
+                        else:
+                            body = rec.body
+                        key = (body, census, legit, (), (), (), None, violations, False)
+                        rec = outcomes.get(key)
+                        if rec is None:
+                            rec = outcomes[key] = StepRecord._make(key)
+                        outcomes[lone] = rec
+                        return rec
+                    sends = f"{out_ch}:{name}"
                 else:
                     tally.move(t, msg, -1)
+                    sends = self._enqueue(cfg, queues, dest, out.sends, tally)
+                    woken.add(pid)
             if st.state != old:
                 transitions.append((pid, old, st.state))
-            sends = self._enqueue(cfg, queues, dest, out.sends, tally, taken)
             lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
             traversal_end = out.traversal_end
             restart = out.restart_timer
             if len(st.rset) != held or st.prio != prio:
                 self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
-            if taken is None:
-                woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
@@ -634,14 +683,16 @@ class Simulator:
     def _anything_pending(self, cfg: Configuration, workload) -> bool:
         """With the timer disabled, False only when nothing can ever happen
         again: channels drained (``cfg.busy`` empty), no critical section
-        running down, and the workload out of events.  (An enabled timer
-        always fires again.)  Asked only after the start's pass over every
-        process, as only a step settles the guards a start may hold true."""
+        running down, and the workload out of events, which it tells from
+        the step and the process states (a repeating workload requests only
+        for a process at Out).  (An enabled timer always fires again.)
+        Asked only after the start's pass over every process, as only a step
+        settles the guards a start may hold true."""
         if cfg.busy:
             return True
         if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
             return True
-        return workload is not None and not workload.exhausted(cfg.step)
+        return workload is not None and not workload.exhausted(cfg.step, cfg.states)
 
     def run(self, cfg0: Configuration, policy, budget: int, workload=None,
             stop: Callable[[list[StepRecord], Configuration], bool] | None = None,
@@ -655,7 +706,10 @@ class Simulator:
         non-root or off a non-wrap channel of the root, touches one token
         and no process: its receiver is not counted again, the token moves
         in one ``Tally.shift``, and the checks reuse their last controller
-        scan.
+        scan.  When nothing else happened in its step, it renders no line
+        and reuses the record its slot and token class last gave, as long
+        as the checks come out the same; otherwise its record is looked up
+        by every field, as any other step's is.
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration

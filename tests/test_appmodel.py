@@ -80,7 +80,7 @@ def test_parse_scenario_roundtrip():
     assert wl.events[1].duration == math.inf
     assert wl.due(4, {}) == []
     assert [e.process for e in wl.due(7, {})] == ["a", "b"]
-    assert wl.exhausted(8)
+    assert wl.exhausted(8, {})
 
 
 def test_scenario_need_above_k_rejected():

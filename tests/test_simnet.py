@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -39,7 +40,7 @@ from klexsim.simnet import (
     timeout_ready,
     traversal_allowance,
 )
-from klexsim.topology import parse_topology, random_tree
+from klexsim.topology import forward_channel, parse_topology, random_tree
 
 STAR = parse_topology("n 3 root r\nr: a b\na: r\nb: r\n")
 CHAIN = parse_topology("n 3 root r\nr: a\na: r b\nb: a\n")
@@ -542,11 +543,36 @@ class TestQuiescence:
         assert (trace.ended, len(trace.records)) == ("quiescent", 4)
         assert sorted(pid for pid, _ in trace.records[0].requests) == sorted(STAR.process_ids)
 
-    def test_repeating_workload_never_goes_quiet(self):
+    def test_repeating_workload_goes_quiet_once_no_one_is_idle(self):
+        # b requests at step 0 and waits for a unit that no token in the
+        # network can bring: with no listed process at Out the workload is
+        # out of events, and the starvation is definite
         sim = make_sim(timeout=None)
         wl = RepeatingWorkload({"b": (1, 2)}, k=2)
         trace = sim.run(sim.empty_configuration(), RoundRobinPolicy(), 6, workload=wl)
-        assert (trace.ended, len(trace.records)) == ("budget", 6)
+        assert (trace.ended, len(trace.records)) == ("quiescent", 1)
+        assert trace.records[0].requests == (("b", 1),)
+        fairness = check_fairness(trace)
+        assert not fairness.passed and not fairness.inconclusive
+
+    def test_repeating_workload_goes_quiet_once_pinned(self):
+        # b holds the one unit at the start and enters; its section ends,
+        # it releases the unit, is back at Out and requests again, pinned
+        # this time.  The unit comes round to it, b enters for good, and
+        # only then is nothing left to happen
+        sim = make_sim(timeout=None)
+        cfg = sim.empty_configuration()
+        b = cfg.states["b"]
+        b.state, b.need, b.rset = REQ, 1, [Reserved(0)]
+        sim.stamp_uids(cfg)
+        wl = RepeatingWorkload({"b": (1, float("inf"))}, k=2)
+        trace = sim.run(cfg, RoundRobinPolicy(), 50, workload=wl)
+        assert trace.ended == "quiescent"
+        assert [rec.entries for rec in trace.records if rec.entries] == [("b",), ("b",)]
+        assert [rec.requests for rec in trace.records if rec.requests] == [(("b", 1),)]
+        assert trace.final.states["b"].state == IN
+        assert not any(trace.final.channels.values())
+        assert check_fairness(trace).passed
 
 
 class RecordingPolicy:
@@ -824,7 +850,10 @@ class TestPureForward:
     monitor reuses its controller scan until a control message moves or a
     process it names receives on a slot that holds one.  The root's forwards
     off its wrap channel change SToken or SPush, and a controller hop
-    changes its receiver's Succ or counter, so neither is a pure forward."""
+    changes its receiver's Succ or counter, so neither is a pure forward.
+    A lone pure forward, with nothing else in its step, renders no line and
+    reuses the record its slot and token class last gave, while the checks
+    come out the same."""
 
     @staticmethod
     def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
@@ -1003,6 +1032,151 @@ class TestPureForward:
             checks = monitor.step_checks(tally, cfg, ("a",))
             assert checks == sim.check(cfg)
             assert (checks[0].ctrl_tokens, checks[1]) == (valid, valid)
+
+    # -- a lone pure forward: no line rendered, its record by slot and class
+
+    @staticmethod
+    def copy_forwards(monkeypatch):
+        """Make a delivery whose one send is the delivered message send an
+        equal copy instead: the step then takes the path of any other step,
+        through ``_enqueue``, counting its receiver again and looking its
+        record up by every field."""
+        def copying_dispatch(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            if len(out.sends) == 1 and out.sends[0][1] is msg:
+                out = HandlerOutput([(out.sends[0][0], dataclasses.replace(msg))],
+                                    out.entered_cs, out.restart_timer, out.traversal_end)
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", copying_dispatch)
+
+    @staticmethod
+    def lone_pure_forward(sim, rec):
+        """Whether ``rec`` is a step that was only a pure forward."""
+        if "\n" in rec.body or rec.transitions or " event=deliver " not in rec.body:
+            return False
+        pid, _, msg, ch, sends = (f.split("=", 1)[1] for f in rec.body.split(" "))
+        root_wrap = pid == sim.topo.root and int(ch) == sim.topo.degree(pid) - 1
+        return msg in ("ResT", "PushT", "PrioT") and sends.endswith(f":{msg}]") and not root_wrap
+
+    def test_reused_records_equal_full_lookups(self, monkeypatch):
+        # arbitrary starts with a unit duplicated and a stale controller:
+        # every record equals the checks counted from scratch
+        # (``run_checked``), and the run equals one in which every forward
+        # sends a copy, so that no step reuses a record by slot and class.
+        # Among the pure forwards, some repeat at a slot after the census,
+        # the legitimacy verdict or the violations changed
+        changed = set()
+        for seed in range(8):
+            n, cmax, ell = 3 + seed % 6, 1 + seed % 3, 2 + seed % 3
+            topo = random_tree(900 + seed, n)
+            allowance = traversal_allowance(topo, ell, cmax)
+            sim = Simulator(topo, SimParams(k=1 + seed % 2, ell=ell, cmax=cmax,
+                                            timeout=3 * allowance))
+            cfg = sim.inject_arbitrary(seed)
+            rng = random.Random(seed)
+            keys = sim.channel_keys
+            for unit in [m for q in cfg.channels.values() for m in q if isinstance(m, ResT)][:1]:
+                cfg.channels[keys[rng.randrange(len(keys))]].append(ResT(uid=unit.uid))
+            cfg.channels[keys[rng.randrange(len(keys))]].append(
+                Ctrl(rng.randrange(sim.modulus), False, 0, 0))
+            policy = RoundRobinPolicy if seed % 2 else lambda: RandomPolicy(seed)
+            trace = run_checked(sim, cfg, policy(), 6 * allowance)
+            self.copy_forwards(monkeypatch)
+            ref = sim.run(cfg, policy(), 6 * allowance)
+            monkeypatch.undo()
+            assert list(trace.lines()) == list(ref.lines())
+            assert trace.records == ref.records
+            last = {}
+            for rec in trace.records:
+                if self.lone_pure_forward(sim, rec):
+                    was = last.setdefault(rec.body, rec)
+                    changed.update(name for name in ("census", "legit", "violations")
+                                   if getattr(was, name) != getattr(rec, name))
+                    last[rec.body] = rec
+        assert changed == {"census", "legit", "violations"}
+
+    def test_legitimacy_changes_under_the_same_census(self):
+        # the leaf b starts with the controller's counter though the
+        # controller has not passed it: the canonical CHAIN start is then
+        # not legitimate, until the controller passes b.  No count changes,
+        # so every step's census is one object, and the units a forwards
+        # before and after must not share a record
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["b"].myc = 0
+        trace = run_checked(sim, cfg, RoundRobinPolicy(), 60)
+        assert len({id(rec.census) for rec in trace.records}) == 1
+        forwards = [rec for rec in trace.records
+                    if rec.body == "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"]
+        assert [rec.legit for rec in forwards[:3]] == [False] * 3
+        assert forwards[-1].legit and stabilization_time(trace) == 22
+
+    def test_each_class_renders_its_own_line(self, monkeypatch):
+        # on a legitimate run with no requests the units and the pusher pass
+        # every process but the root's wrap channel, with the same checks
+        # each time: the run equals one in which every forward sends a copy.
+        # (Only a second priority token is ever passed on by a handler)
+        sim = canonical_sim(random_tree(10, 10))
+        trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500)
+        self.copy_forwards(monkeypatch)
+        ref = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500)
+        assert list(trace.lines()) == list(ref.lines())
+        assert trace.records == ref.records
+        lone = [rec.body for rec in trace.records if self.lone_pure_forward(sim, rec)]
+        assert {body.split(" ")[2] for body in lone} == {"msg=ResT", "msg=PushT"}
+        assert len(lone) > len(set(lone))
+
+    def test_state_change_on_a_forward_is_recorded(self, monkeypatch):
+        # a handler patched to take an idle process into its critical
+        # section as it passes a unit on: CHAIN's first delivery is the
+        # priority token, which a keeps and passes on, its second a unit
+        # that a forwards.  The step records Out->In, and check_safety
+        # rejects it
+        forced = []
+
+        def forcing_dispatch(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            if not forced and msg.__class__ is ResT and st.state == OUT:
+                assert out.sends == [(forward_channel(q, p.delta), msg)]
+                st.state = IN
+                forced.append(st)
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", forcing_dispatch)
+        sim = canonical_sim(CHAIN)
+        trace = run_checked(sim, sim.initial_configuration(), ReplayPolicy([1] * 6), 6)
+        assert trace.records[1].transitions == (("a", OUT, IN),)
+        assert trace.records[1].body == "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"
+        verdict = check_safety(trace)
+        assert f"a: forbidden transition {OUT}->{IN} at step 1" in verdict.post_stabilization
+
+    def test_untagged_unit_is_stamped_as_it_is_passed_on(self):
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.channels[("a", 0)][1:4] = [ResT(), ResT(), ResT()]
+        trace = run_checked(sim, cfg, ReplayPolicy([1] * 4), 4)
+        assert [rec.body for rec in trace.records[1:]] == [
+            "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"] * 3
+        units = [m for m in trace.final.channels[("b", 0)] if isinstance(m, ResT)]
+        assert [m.uid for m in units] == [cfg.next_uid, cfg.next_uid + 1, cfg.next_uid + 2]
+
+    def test_controller_forwarded_as_itself_renders_once(self, monkeypatch):
+        # a delivered controller is rendered for its ``msg=``; one sent on
+        # as itself reuses that text, so only a newly built one is rendered
+        # again, for its send
+        sim = canonical_sim(random_tree(10, 10))
+        cfg = sim.initial_configuration()
+        rendered, built = [], []
+        render, init = Ctrl.__str__, Ctrl.__init__
+        monkeypatch.setattr(Ctrl, "__str__", lambda m: rendered.append(m) or render(m))
+        monkeypatch.setattr(Ctrl, "__init__",
+                            lambda m, *a, **kw: built.append(m) or init(m, *a, **kw))
+        trace = sim.run(cfg, RoundRobinPolicy(), 1500)
+        monkeypatch.undo()
+        delivered = sum(" msg=Ctrl{" in line for line in trace.lines())
+        assert 0 < len(built) < delivered
+        assert len(rendered) == delivered + len(built)
 
 
 class TestSetUpFootprint:
