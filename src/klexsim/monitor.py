@@ -52,11 +52,8 @@ class Tally:
     with their sums.  Every resource and priority token is counted once, at
     its slot: a free token at its channel's, a held one at the slot of the
     channel it arrived on.  The simulator calls ``move`` as it takes a
-    message from a channel or puts one in, and ``shift`` for a token that a
-    process only passed on: a non-root, or the root off any channel but its
-    wrap channel, whose forwards change SToken or SPush.  ``shift`` counts
-    tokens only: a control message always moves out and in, also when a
-    non-root sends on the very one it received.  A tally starts from the
+    message from a channel or puts one in, and ``shift`` for a message that
+    a handler sent on as itself.  A tally starts from the
     channels of ``cfg``, and its first ``step_checks`` must name every
     process.
 
@@ -116,7 +113,8 @@ class Tally:
     def move(self, t: int, m, sign: int) -> None:
         """Count message m into (sign 1, put at the back) or out of (sign -1,
         taken from the front) the channel at slot t.  A step moves every
-        message it delivers or sends through here."""
+        message it delivers or sends through here, but for one that a
+        handler sends on as itself (``shift``)."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             self.scan = None
@@ -134,12 +132,16 @@ class Tally:
             self.after[t][i] += 1
 
     def shift(self, t: int, to: int, m) -> None:
-        """Count token m over from the front of slot t to the back of slot
-        to: a pure forward, the one send of a process that only passed m
-        on (``simnet.Simulator.execute_step``).  ``tokens`` and ``copies``
-        stay as they are; ``behind`` changes only when m crosses the
-        controller's place."""
-        i = _SPECIES[m.__class__]
+        """Count message m over from the front of slot t to the back of slot
+        to: the one send of a handler that sent m on as itself
+        (``simnet.Simulator.execute_step``).  A control message is moved
+        out and in; for a token ``tokens`` and ``copies`` stay as they are,
+        and ``behind`` changes only when m crosses the controller's place."""
+        i = _SPECIES.get(m.__class__)
+        if i is None:
+            self.move(t, m, -1)
+            self.move(to, m, 1)
+            return
         counts = self.counts
         counts[t][i] -= 1
         counts[to][i] += 1
@@ -197,8 +199,9 @@ class Tally:
         """The safety violations of ``cfg``: units represented twice, found by
         a walk over the channels against the ring direction, the wrap channel
         first, and then over the processes, each with its own violations.
-        A unit without a uid (-1, which only a hand-built start holds) has
-        no identity to find twice, and the walk passes over it."""
+        A unit without a uid (-1: in a hand-built start that no run has
+        stamped) has no identity to find twice, and the walk passes over
+        it."""
         ring = self.ring
         seen: set[int] | None = None
         out = []

@@ -90,7 +90,6 @@ def deadlock_config(sim: Simulator) -> Configuration:
     for key, count in ((("a", 0), 2), (("b", 0), 1), (("c", 0), 1), (("d", 0), 1)):
         for _ in range(count):
             cfg.channels[key].append(ResT())
-    sim.stamp_uids(cfg)
     return cfg
 
 
@@ -170,7 +169,6 @@ def livelock_config(sim: Simulator, with_priority: bool) -> Configuration:
     root = cfg.states["r"]
     root.stoken = sim.params.ell + 1
     root.spush = 2
-    sim.stamp_uids(cfg)
     return cfg
 
 

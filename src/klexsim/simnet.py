@@ -411,19 +411,21 @@ class Simulator:
         return cfg
 
     def stamp_uids(self, cfg: Configuration) -> None:
-        """Assign fresh identity tags to any untagged resource tokens in a
-        hand-built configuration (injection and scenario builders use it)."""
+        """Give every untagged resource unit of ``cfg`` a fresh identity tag,
+        in place: the channels' units in slot order, then the RSets' in
+        ``process_ids`` order.  ``inject_arbitrary`` stamps what it builds,
+        and ``run`` the clone it takes, so no step of a run meets a unit
+        without a uid."""
         for key in self.channel_keys:
             q = cfg.channels[key]
             for i, m in enumerate(q):
                 if isinstance(m, ResT) and m.uid < 0:
                     q[i] = ResT(uid=self._take_uid(cfg))
         for pid in self.topo.process_ids:
-            s = cfg.states[pid]
-            s.rset = [
-                e if e.uid >= 0 else Reserved(e.channel, self._take_uid(cfg))
-                for e in s.rset
-            ]
+            rset = cfg.states[pid].rset
+            for i, e in enumerate(rset):
+                if e.uid < 0:
+                    rset[i] = Reserved(e.channel, self._take_uid(cfg))
 
     @staticmethod
     def _take_uid(cfg: Configuration) -> int:
@@ -472,11 +474,12 @@ class Simulator:
                  sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
         slot ``dest[out]``, counting each into ``tally`` (``Tally.move``);
-        return their rendering for the trace line.  A unit without a uid,
-        which only a hand-built start holds, gets one here.  A delivery whose
-        one send is the delivered message itself does not come here:
-        ``execute_step`` moves that message on and renders it by the name it
-        rendered it by on delivery."""
+        return their rendering for the trace line.  A unit without a uid
+        gets one here: in a run, which stamps its start (``stamp_uids``),
+        only a unit the root mints.  A delivery whose one send is the
+        delivered message itself does not come here: ``execute_step`` moves
+        that message on and renders it by the name it rendered it by on
+        delivery."""
         rendered = []
         busy = cfg.busy
         for out_ch, msg in sends:
@@ -524,6 +527,10 @@ class Simulator:
         (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
         only while a section runs.
 
+        The application phase can enable deliveries (a finished critical
+        section releases tokens), so the policy chooses after it: a slot of
+        ``enabled_events``, or None for an idle step (only the timers advance).
+
         The event's receiver gets a local-action pass only when its handler,
         or the root's timeout, changed ``len(st.rset)`` or ``st.prio``.
         Those are the only guard inputs a handler writes (none writes
@@ -531,38 +538,26 @@ class Simulator:
         otherwise its guards are as false as its last pass left them.
 
         A delivery whose handler's only send is the delivered message itself
-        moves that message on here, without ``_enqueue``, and renders the
-        send by the name the delivery rendered it by, so a controller sent
-        on as itself is rendered once.  It is a pure forward when the
-        message is a token, the handler left ``st.state`` as it was, and the
-        receiver is a non-root or the root off any channel but its wrap
-        channel ``delta - 1``.  Such a handler kept, released and counted
-        nothing, so its receiver is not counted again either, and
-        ``Tally.shift`` counts the token over to its next slot in one move
-        (a unit without a uid, which only a hand-built start holds, is
-        stamped and counted out and in anew).  A control message is never
-        one: a non-root sends the controller it received on as itself when
-        its counts are unchanged (``protocol.handle_ctrl_nonroot``), but the
-        hop changed its Succ or counter.
+        moves that message on in one ``Tally.shift``, whatever its class,
+        and renders the send by the name the delivery rendered it by, so a
+        controller sent on as itself is rendered once.  Its receiver is
+        counted again only when the message is a control message (a
+        non-root sends on the controller it received when its counts are
+        unchanged, ``protocol.handle_ctrl_nonroot``, but the hop changed its
+        Succ or counter), when the handler changed ``st.state``, or when
+        the receiver is the root and the channel its wrap channel
+        ``delta - 1`` (the forward changed SToken or SPush).  Otherwise the
+        step is a pure forward: its handler kept, released and counted
+        nothing.
 
-        The application phase can enable deliveries (a finished critical
-        section releases tokens), so the policy chooses after it: a slot of
-        ``enabled_events``, or None for an idle step (only the timers advance).
-        The step's record is looked up in ``outcomes``, the caller's table
-        of the records built so far keyed by their fields, and built only
-        when no equal one is there, so equal steps share one record.
-
-        A lone pure forward, one whose application phase wrote no line,
-        renders nothing and builds no key: its line follows from its slot
-        and its token's class, and ``outcomes`` also keeps, under (slot,
-        class), the record the last such step returned.  That record is
-        returned again while ``step_checks`` gives the same census object,
-        the same verdict and equal violations.  Otherwise the step is
-        looked up by every field, with the line taken from that record (or
-        rendered, the first time).  Every step still makes its four event
-        lists and its set of woken processes before its event is chosen;
-        every other step also renders its line and builds the key of every
-        field, three ``tuple`` calls and a join included, to look it up.
+        The step's record is looked up once in ``outcomes``, the caller's
+        table of the records built so far, under (what happened, census,
+        legitimacy, violations), and built only when no equal one is there,
+        so equal steps share one record.  A lone pure forward, one whose
+        application phase wrote no line, happened as its slot and its
+        token's class say: its key is (slot, class, census, legit,
+        violations), and its line is rendered only when that key is new.
+        Any other step's key is the record's own fields, its lines joined.
         """
         lines: list[str] = []
         entries: list[str] = []
@@ -585,7 +580,7 @@ class Simulator:
 
         t = policy.choose(self.enabled_events(cfg))
         timeout_fired = t == len(self.channel_keys)
-        restart = False
+        restart = lone = False
         traversal_end = None
         if t is not None:
             pid, ch, pp, dest = self.rows[t]
@@ -606,74 +601,58 @@ class Simulator:
                 event, name = DELIVER, _NAMES.get(cls) or str(msg)
                 out = dispatch(st, ch, msg, pp)
                 if len(out.sends) == 1 and out.sends[0][1] is msg:
-                    # msg forwarded as itself: moved on here, rendered by its name
+                    # msg sent on as itself: one shift, rendered by its name
                     out_ch = out.sends[0][0]
                     to = dest[out_ch]
-                    pure = (cls is not Ctrl and st.state == old
-                            and (not pp.is_root or ch != pp.delta - 1))
-                    if pure and (cls is not ResT or msg.uid >= 0):
-                        tally.shift(t, to, msg)
-                    else:
-                        tally.move(t, msg, -1)
-                        if cls is ResT and msg.uid < 0:
-                            msg = ResT(self._take_uid(cfg))
-                        tally.move(to, msg, 1)
+                    tally.shift(t, to, msg)
                     queue = queues[to]
                     if not queue:
                         insort(busy, to)
                     queue.append(msg)
-                    if not pure:
+                    if cls is Ctrl or st.state != old or (pp.is_root and ch == pp.delta - 1):
                         woken.add(pid)
-                    elif not lines:
-                        # a lone pure forward: the record this slot and class
-                        # last gave, while the checks come out the same
-                        cfg.timer += 1
-                        cfg.step += 1
-                        census, legit, violations = monitor.step_checks(tally, cfg, woken)
-                        lone = (t, cls)
-                        rec = outcomes.get(lone)
-                        if rec is None:
-                            body = (f"proc={pid} event={DELIVER} msg={name} ch={ch} "
-                                    f"sends=[{out_ch}:{name}]")
-                        elif (rec.census is census and rec.legit is legit
-                              and rec.violations == violations):
-                            return rec
-                        else:
-                            body = rec.body
-                        key = (body, census, legit, (), (), (), None, violations, False)
-                        rec = outcomes.get(key)
-                        if rec is None:
-                            rec = outcomes[key] = StepRecord._make(key)
-                        outcomes[lone] = rec
-                        return rec
-                    sends = f"{out_ch}:{name}"
+                    else:
+                        lone = not lines
+                    sends = None if lone else f"{out_ch}:{name}"
                 else:
                     tally.move(t, msg, -1)
                     sends = self._enqueue(cfg, queues, dest, out.sends, tally)
                     woken.add(pid)
-            if st.state != old:
-                transitions.append((pid, old, st.state))
-            lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
-            traversal_end = out.traversal_end
-            restart = out.restart_timer
-            if len(st.rset) != held or st.prio != prio:
-                self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
+            if not lone:
+                if st.state != old:
+                    transitions.append((pid, old, st.state))
+                lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
+                traversal_end = out.traversal_end
+                restart = out.restart_timer
+                if len(st.rset) != held or st.prio != prio:
+                    self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
         census, legit, violations = monitor.step_checks(tally, cfg, woken)
-        key = ("\n".join(lines), census, legit, tuple(entries), tuple(requests),
-               tuple(transitions), traversal_end, violations, timeout_fired)
+        if lone:
+            key = (t, cls, census, legit, violations)
+        else:
+            key = ("\n".join(lines), census, legit, tuple(entries), tuple(requests),
+                   tuple(transitions), traversal_end, violations, timeout_fired)
         rec = outcomes.get(key)
         if rec is None:
-            rec = outcomes[key] = StepRecord._make(key)
+            if lone:
+                rec = StepRecord(f"proc={pid} event={DELIVER} msg={name} ch={ch} "
+                                 f"sends=[{out_ch}:{name}]",
+                                 census, legit, (), (), (), None, violations, False)
+            else:
+                rec = StepRecord._make(key)
+            outcomes[key] = rec
         return rec
 
     def step(self, cfg: Configuration, t: int | None, workload=None) -> Configuration:
         """Functional stepping, passing over every process: returns the
         successor configuration, leaving the input untouched.  Slot ``t``
         must be enabled once the application phase has run, or be ``None``
-        for an idle step."""
+        for an idle step.  Unlike ``run`` it stamps no start (it is the
+        successor function of a state search): a unit without a uid that
+        the step passes on keeps -1."""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([t]), workload, self.topo.process_ids,
                           self.tally(nxt), {}, self._queues(nxt))
@@ -698,18 +677,10 @@ class Simulator:
             stop: Callable[[list[StepRecord], Configuration], bool] | None = None,
             observer: Callable[[Configuration, StepRecord], None] | None = None,
             ) -> Trace:
-        """Execute up to ``budget`` steps from a copy of ``cfg0``; only the
-        first step passes over every process, a delivery or timeout gives
-        its receiver a pass only when it changed its RSet size or Prio, and
-        the checks of each step count again only what it touched
-        (``monitor.step_checks``).  A pure forward (``execute_step``), at a
-        non-root or off a non-wrap channel of the root, touches one token
-        and no process: its receiver is not counted again, the token moves
-        in one ``Tally.shift``, and the checks reuse their last controller
-        scan.  When nothing else happened in its step, it renders no line
-        and reuses the record its slot and token class last gave, as long
-        as the checks come out the same; otherwise its record is looked up
-        by every field, as any other step's is.
+        """Execute up to ``budget`` steps (``execute_step``) from a copy of
+        ``cfg0``, its untagged units stamped (``stamp_uids``).  Only the
+        first step passes over every process; each later one counts again
+        only what it touched.
 
         The trace records one entry per executed step with the census,
         legitimacy verdict, and any safety violations of the configuration
@@ -721,6 +692,7 @@ class Simulator:
         dry, or when ``stop`` says so; ``Trace.conclusive`` reads the ending.
         """
         cfg = cfg0.clone()
+        self.stamp_uids(cfg)
         tally = self.tally(cfg)
         census0, legit0, violations0 = monitor.step_checks(tally, cfg, self.topo.process_ids)
         trace = Trace(

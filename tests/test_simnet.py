@@ -142,6 +142,22 @@ class TestStep:
         assert nxt.app.remaining == {"a": 4, "b": 1}
         assert nxt.app.armed_duration == {}
 
+    def test_step_stamps_no_start(self):
+        # ``sim.step`` is a search's successor function and stamps no start:
+        # a unit it passes on keeps -1, while the units the root mints get
+        # uids
+        sim = make_sim(ell=2)
+        cfg = sim.empty_configuration()
+        cfg.channels[("a", 0)].append(ResT())
+        nxt = sim.step(cfg, STAR.ring.slot["a"][0])
+        assert [m.uid for m in nxt.channels[("r", 0)]] == [-1]
+        assert nxt.next_uid == 0
+        nxt.states["r"].succ, nxt.states["r"].myc = 1, 5
+        nxt.channels[("r", 1)].append(Ctrl(5, False, 0, 0))
+        nxt = sim.step(nxt, STAR.ring.slot["r"][1])
+        units = [m for q in nxt.channels.values() for m in q if isinstance(m, ResT)]
+        assert sorted(m.uid for m in units) == [-1, 0, 1]
+
     def test_fifo_order_preserved(self):
         sim = make_sim()
         cfg = sim.empty_configuration()
@@ -656,13 +672,21 @@ def scan_enabled(sim, cfg):
     return enabled
 
 
+def untagged(cfg):
+    """The resource units of ``cfg`` without a uid, in channels and RSets."""
+    return ([m for q in cfg.channels.values() for m in q if isinstance(m, ResT) and m.uid < 0]
+            + [e for s in cfg.states.values() for e in s.rset if e.uid < 0])
+
+
 def run_checked(sim, cfg0, policy, budget, workload=None):
     """Run with an observer that holds the checks ``run`` tallies at every
     step to ``sim.check`` from scratch, and the indexed ``enabled_events``
-    to a scan of every channel."""
+    to a scan of every channel, and that finds no unit without a uid in any
+    configuration the run hands it (``run`` stamps its copy of the start)."""
     def observe(cfg, rec):
         assert (rec.census, rec.legit, rec.violations) == sim.check(cfg), cfg.step - 1
         assert sim.enabled_events(cfg) == scan_enabled(sim, cfg), cfg.step - 1
+        assert not untagged(cfg), cfg.step - 1
 
     trace = sim.run(cfg0, policy, budget, workload=workload, observer=observe)
     assert (trace.initial_census, trace.initial_legit,
@@ -733,8 +757,9 @@ class TestTallyMatchesScratch:
 
     def test_units_without_uid(self):
         # a hand-built start may hold units without a uid (-1), in channels
-        # and RSets: with no identity, none is a duplicate of another, for
-        # ``sim.check`` as for ``run``, while a tagged unit held twice is
+        # and RSets: with no identity, none is a duplicate of another for
+        # ``sim.check``, and ``run`` stamps its copy of the start with
+        # fresh uids, while a tagged unit held twice is
         sim = canonical_sim(random_tree(3, 6))
         cfg = sim.initial_configuration()
         q = cfg.channels[sim.channel_keys[sim.topo.ring.dest[sim.topo.root][0]]]
@@ -749,6 +774,22 @@ class TestTallyMatchesScratch:
         (violation,) = sim.check(cfg)[2]
         assert violation.startswith(f"resource unit {tagged} duplicated ")
         run_checked(sim, cfg, RandomPolicy(3), 300)
+
+    def test_run_stamps_a_hand_built_start(self):
+        # units without a uid in channels and in an RSet held by a process
+        # that is short of its need: ``run`` stamps the copy it takes, so no
+        # configuration it hands the observer holds one (``run_checked``),
+        # and the start itself keeps them
+        sim = canonical_sim(random_tree(3, 6))
+        cfg = sim.initial_configuration()
+        q = cfg.channels[sim.channel_keys[sim.topo.ring.dest[sim.topo.root][0]]]
+        q[1:3] = [ResT(), ResT()]
+        pid = sim.topo.process_ids[2]
+        cfg.states[pid].state, cfg.states[pid].need = REQ, 2
+        cfg.states[pid].rset = [Reserved(0)]
+        trace = run_checked(sim, cfg, RoundRobinPolicy(), 300)
+        assert len(untagged(cfg)) == 3
+        assert trace.final.next_uid >= cfg.next_uid + 3
 
     def test_stale_second_controller(self):
         sim = canonical_sim(random_tree(4, 7))
@@ -788,6 +829,30 @@ class TestTallyMatchesScratch:
                             ReplayPolicy(self.CTRL_AT_2 + [1]), 20)
         assert trace.records[-1].body == "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"
         assert all(rec.legit for rec in trace.records)
+
+    def test_shift_of_a_control_message(self):
+        # ``Tally.shift`` counts a control message out and in: from slot 3
+        # onto the root's wrap channel (slot 0), and off it into slot 1,
+        # behind the tokens queued there
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        keys = sim.channel_keys
+        ctrl = cfg.channels[keys[1]].pop()
+        cfg.channels[keys[3]].append(ctrl)
+        tally = sim.tally(cfg)
+        assert monitor.step_checks(tally, cfg, CHAIN.process_ids) == sim.check(cfg)
+        for t, to in [(3, 0), (0, 1)]:
+            assert cfg.channels[keys[t]].pop(0) is ctrl
+            cfg.channels[keys[to]].append(ctrl)
+            tally.shift(t, to, ctrl)
+            assert monitor.step_checks(tally, cfg, ()) == sim.check(cfg)
+            fresh = sim.tally(cfg)
+            monitor.step_checks(fresh, cfg, CHAIN.process_ids)
+            assert (tally.counts, tally.tokens, tally.copies, tally.ctrls, tally.after,
+                    tally.key, tally.behind) == (
+                fresh.counts, fresh.tokens, fresh.copies, fresh.ctrls, fresh.after,
+                fresh.key, fresh.behind)
+        assert tally.ctrls == {1: [ctrl]}
 
     def test_shift_onto_the_wrap_channel(self):
         # the controller goes on to the root's wrap channel (slot 0, its
@@ -851,9 +916,9 @@ class TestPureForward:
     process it names receives on a slot that holds one.  The root's forwards
     off its wrap channel change SToken or SPush, and a controller hop
     changes its receiver's Succ or counter, so neither is a pure forward.
-    A lone pure forward, with nothing else in its step, renders no line and
-    reuses the record its slot and token class last gave, while the checks
-    come out the same."""
+    A lone pure forward, with nothing else in its step, is looked up by its
+    slot, its token's class and its checks, and renders its line only when
+    that key is new."""
 
     @staticmethod
     def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
@@ -988,9 +1053,9 @@ class TestPureForward:
                             for m in ("ResT", "PushT") for ch in (0, 1)}
 
     def test_forward_of_a_unit_without_uid(self, monkeypatch):
-        # a hand-built start's units without a uid get one as a is passing
-        # them on: the run's tally counts each out and in anew, as a fresh
-        # count of the configuration does, instead of shifting it over
+        # a hand-built start's units without a uid get one as ``run`` takes
+        # its copy of the start, before its tally counts it: as a passes
+        # them on, the tally shifts them over and matches a fresh count
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.channels[("a", 0)][1:4] = [ResT(), ResT(), ResT()]
@@ -1033,14 +1098,14 @@ class TestPureForward:
             assert checks == sim.check(cfg)
             assert (checks[0].ctrl_tokens, checks[1]) == (valid, valid)
 
-    # -- a lone pure forward: no line rendered, its record by slot and class
+    # -- a lone pure forward: its record by slot, class and checks
 
     @staticmethod
     def copy_forwards(monkeypatch):
         """Make a delivery whose one send is the delivered message send an
         equal copy instead: the step then takes the path of any other step,
         through ``_enqueue``, counting its receiver again and looking its
-        record up by every field."""
+        record up by the record's own fields, never by slot and class."""
         def copying_dispatch(st, q, msg, p):
             out = dispatch(st, q, msg, p)
             if len(out.sends) == 1 and out.sends[0][1] is msg:
@@ -1152,6 +1217,8 @@ class TestPureForward:
         assert f"a: forbidden transition {OUT}->{IN} at step 1" in verdict.post_stabilization
 
     def test_untagged_unit_is_stamped_as_it_is_passed_on(self):
+        # ``run`` stamps its copy of the start in slot order, so the units
+        # a passes on carry the next uids in their order
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.channels[("a", 0)][1:4] = [ResT(), ResT(), ResT()]
