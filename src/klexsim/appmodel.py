@@ -53,14 +53,10 @@ class Workload:
     def __init__(self, events: list[WorkloadEvent], k: int):
         for ev in events:
             ev.check(k)
-        by_proc: dict[str, int] = {}
-        for ev in sorted(events, key=lambda e: e.at_step):
-            if ev.process in by_proc and by_proc[ev.process] == ev.at_step:
-                raise ScenarioError(
-                    f"two events for {ev.process!r} at step {ev.at_step}"
-                )
-            by_proc[ev.process] = ev.at_step
         self.events = sorted(events, key=lambda e: (e.at_step, e.process))
+        for a, b in zip(self.events, self.events[1:]):
+            if (a.at_step, a.process) == (b.at_step, b.process):
+                raise ScenarioError(f"two events for {b.process!r} at step {b.at_step}")
         self._cursor = 0
 
     def due(self, step: int, states: dict[str, ProcessState]) -> list[WorkloadEvent]:
@@ -179,13 +175,14 @@ class AppState:
 
 
 def apply_workload(events: list[WorkloadEvent], app: AppState,
-                   states: dict[str, ProcessState]) -> list[str]:
-    """Fire due request events: Out -> Req with the requested need.
+                   states: dict[str, ProcessState]) -> None:
+    """Fire due request events: Out -> Req with the requested need, the
+    duration armed for the section.  The caller, which knows the events,
+    wakes their processes (``simnet.Simulator.execute_step``).
 
     A request landing on a non-idle process means the scenario overlaps
     itself, which is a scenario defect, not a protocol fault.
     """
-    fired = []
     for ev in events:
         st = states[ev.process]
         if st.state != OUT:
@@ -196,8 +193,6 @@ def apply_workload(events: list[WorkloadEvent], app: AppState,
         st.state = REQ
         st.need = ev.need
         app.armed_duration[ev.process] = ev.duration
-        fired.append(ev.process)
-    return fired
 
 
 def parse_scenario(text: str, k: int, topo: TreeTopology) -> Workload:

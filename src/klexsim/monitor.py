@@ -1,10 +1,9 @@
 """Global oracles: token census, legitimacy, safety/fairness/liveness verdicts.
 
 The verdicts over run traces are pure functions.  The per-step checks are
-not: ``Tally`` keeps counts from one configuration to the next, which the
-simulator updates through ``Tally.move`` and ``Tally.shift`` as messages
-leave and enter channels and ``step_checks`` updates for the processes a
-step changed.
+not: ``Tally`` keeps counts of one configuration from step to step, which
+the simulator updates through ``Tally.move`` as messages enter, leave and
+cross channels and ``step_checks`` updates for the processes a step changed.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -46,16 +45,15 @@ _NO_PROCESS = ((), None, 0, (), False)
 
 
 class Tally:
-    """What ``step_checks`` keeps from one configuration to the next in a run:
+    """What ``step_checks`` keeps of a configuration from step to step:
     the token counts of every ring slot (``topology.Ring``) and the part of
     every process in the census, the safety scan and the traversal clauses,
     with their sums.  Every resource and priority token is counted once, at
     its slot: a free token at its channel's, a held one at the slot of the
-    channel it arrived on.  The simulator calls ``move`` as it takes a
-    message from a channel or puts one in, and ``shift`` for a message that
-    a handler sent on as itself.  A tally starts from the
-    channels of ``cfg``, and its first ``step_checks`` must name every
-    process.
+    channel it arrived on.  A tally counts one configuration, ``cfg``, kept
+    as ``tally.cfg``: it starts from its channels, its first ``step_checks``
+    must name every process, and the simulator calls ``move`` for every
+    message a step puts into, takes from or passes between its channels.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -73,6 +71,7 @@ class Tally:
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
+        self.cfg = cfg
         self.topo, self.ring = topo, topo.ring
         self.places = self.ring.places  # a plain attribute: ``process`` reads it per call
         self.k, self.ell, self.modulus = k, ell, modulus
@@ -93,7 +92,7 @@ class Tally:
         self.scan: tuple | None = None
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
-                self.move(t, m, 1)
+                self.move(None, m, t)
 
     def _count(self, t: int, i: int, token, sign: int) -> None:
         """Count a token of species i (``token`` gives a resource's uid) in
@@ -110,46 +109,40 @@ class Tally:
         if self.key is not None and 0 < t < self.key[1]:
             self.behind[i] += sign
 
-    def move(self, t: int, m, sign: int) -> None:
-        """Count message m into (sign 1, put at the back) or out of (sign -1,
-        taken from the front) the channel at slot t.  A step moves every
-        message it delivers or sends through here, but for one that a
-        handler sends on as itself (``shift``)."""
+    def move(self, frm: int | None, m, to: int | None) -> None:
+        """Count message m off the front of slot ``frm`` and onto the back of
+        slot ``to``.  ``None`` stands for an end that is no channel: m was
+        put in by a start or a handler (``frm``), or was delivered and not
+        sent on as itself (``to``).  A control message is counted out and
+        in; a token that passes from slot to slot keeps ``tokens`` and
+        ``copies`` as they are, and changes ``behind`` only when it crosses
+        the controller's place."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             self.scan = None
-            if sign > 0:
-                self.ctrls.setdefault(t, []).append(m)
-                self.after[t] = [0, 0, 0]
-            else:
-                ctrls = self.ctrls[t]
+            if frm is not None:
+                ctrls = self.ctrls[frm]
                 del ctrls[0]
                 if not ctrls:
-                    del self.ctrls[t], self.after[t]
+                    del self.ctrls[frm], self.after[frm]
+            if to is not None:
+                self.ctrls.setdefault(to, []).append(m)
+                self.after[to] = [0, 0, 0]
             return
-        self._count(t, i, m, sign)
-        if sign > 0 and t in self.after:
-            self.after[t][i] += 1
-
-    def shift(self, t: int, to: int, m) -> None:
-        """Count message m over from the front of slot t to the back of slot
-        to: the one send of a handler that sent m on as itself
-        (``simnet.Simulator.execute_step``).  A control message is moved
-        out and in; for a token ``tokens`` and ``copies`` stay as they are,
-        and ``behind`` changes only when m crosses the controller's place."""
-        i = _SPECIES.get(m.__class__)
-        if i is None:
-            self.move(t, m, -1)
-            self.move(to, m, 1)
+        if to is None:
+            self._count(frm, i, m, -1)
             return
-        counts = self.counts
-        counts[t][i] -= 1
-        counts[to][i] += 1
-        if self.key is not None:
-            place = self.key[1]
-            crossed = (0 < to < place) - (0 < t < place)
-            if crossed:
-                self.behind[i] += crossed
+        if frm is None:
+            self._count(to, i, m, 1)
+        else:
+            counts = self.counts
+            counts[frm][i] -= 1
+            counts[to][i] += 1
+            if self.key is not None:
+                place = self.key[1]
+                crossed = (0 < to < place) - (0 < frm < place)
+                if crossed:
+                    self.behind[i] += crossed
         if to in self.after:
             self.after[to][i] += 1
 
@@ -195,10 +188,11 @@ class Tally:
         self.n_bad += bool(viol) - bool(old[3])
         self.off += off - old[4]
 
-    def violations(self, cfg) -> tuple[str, ...]:
-        """The safety violations of ``cfg``: units represented twice, found by
-        a walk over the channels against the ring direction, the wrap channel
-        first, and then over the processes, each with its own violations.
+    def violations(self) -> tuple[str, ...]:
+        """The safety violations of ``self.cfg``: units represented twice,
+        found by a walk over the channels against the ring direction, the
+        wrap channel first, and then over the processes, each with its own
+        violations.
         A unit without a uid (-1: in a hand-built start that no run has
         stamped) has no identity to find twice, and the walk passes over
         it."""
@@ -208,7 +202,7 @@ class Tally:
         if self.tokens[0] != len(self.copies):  # a unit represented twice, or untagged
             seen = set()
             for key in ring.keys[:1] + ring.keys[:0:-1]:
-                for m in cfg.channels[key]:
+                for m in self.cfg.channels[key]:
                     if isinstance(m, ResT) and m.uid >= 0:
                         if m.uid in seen:
                             out.append(f"resource unit {m.uid} duplicated "
@@ -228,14 +222,14 @@ class Tally:
         return tuple(out)
 
 
-def step_checks(tally: Tally, cfg,
+def step_checks(tally: Tally,
                 procs: Collection) -> tuple[CensusReport, bool, tuple[str, ...]]:
-    """Census, legitimacy verdict, and safety scan for one snapshot.
+    """Census, legitimacy verdict, and safety scan of the configuration
+    ``tally`` counts (``tally.cfg``).
 
-    ``tally`` has already counted every message moved since the
-    configuration it last checked (``Tally.move``, ``Tally.shift``);
-    ``procs`` names the processes whose state may have changed (every
-    process, the first time a tally is checked).  Only those are counted
+    ``tally`` has already counted every message moved since it was last
+    checked (``Tally.move``); ``procs`` names the processes whose state
+    may have changed (every process, the first time a tally is checked).  Only those are counted
     again, their held tokens at the slots they arrived on.  The control
     messages are scanned again only when one moved since the last check or
     a process in ``procs`` receives on a slot that holds one; otherwise
@@ -277,7 +271,7 @@ def step_checks(tally: Tally, cfg,
     """
     ring = tally.ring
     root = tally.topo.root
-    states = cfg.states
+    states = tally.cfg.states
 
     scan = tally.scan
     if scan is not None:
@@ -328,7 +322,7 @@ def step_checks(tally: Tally, cfg,
         census = tally.census = CensusReport(res, prio, push, ctrl)
     violations = ()
     if tally.n_bad or res != len(tally.copies) or tally.in_use > tally.ell:
-        violations = tally.violations(cfg)
+        violations = tally.violations()
     if (key is None or tally.off or violations or cm.r
             or res != tally.ell or prio != 1 or push != 1):
         return census, False, violations

@@ -204,8 +204,6 @@ class RoundRobinPolicy:
     returns them: the next enabled slot is then the first one past the last
     one served, or else ``enabled[0]``."""
 
-    name = "rr"
-
     def __init__(self) -> None:
         self._idx = -1
 
@@ -219,8 +217,6 @@ class RoundRobinPolicy:
 
 class RandomPolicy:
     """Picks uniformly among enabled events; fair with probability one."""
-
-    name = "rand"
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
@@ -237,8 +233,6 @@ class ReplayPolicy:
     replays line up with CS countdowns.  ``lines``, when given, is each
     choice's line in the replay file, and a choice that is not enabled is
     reported at its line; otherwise at its 1-based position."""
-
-    name = "replay"
 
     def __init__(self, slots: list[int | None], lines: list[int] | None = None) -> None:
         self.choices = list(slots)
@@ -323,12 +317,12 @@ class Simulator:
         self.order: Callable[[str], int] | None = None
 
     def tally(self, cfg: Configuration) -> monitor.Tally:
-        """A tally of ``cfg``'s channels; see ``monitor.Tally``."""
+        """A tally of ``cfg``, which it keeps; see ``monitor.Tally``."""
         return monitor.Tally(self.topo, self.params.k, self.params.ell, self.modulus, cfg)
 
     def check(self, cfg: Configuration) -> tuple[monitor.CensusReport, bool, tuple[str, ...]]:
         """(census, legitimacy, safety violations) of ``cfg``, counted from scratch."""
-        return monitor.step_checks(self.tally(cfg), cfg, self.topo.process_ids)
+        return monitor.step_checks(self.tally(cfg), self.topo.process_ids)
 
     # -- configuration builders --------------------------------------------
 
@@ -473,13 +467,12 @@ class Simulator:
     def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
                  sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
         """Put ``sends`` into their channels, a send on label ``out`` into
-        slot ``dest[out]``, counting each into ``tally`` (``Tally.move``);
-        return their rendering for the trace line.  A unit without a uid
-        gets one here: in a run, which stamps its start (``stamp_uids``),
-        only a unit the root mints.  A delivery whose one send is the
-        delivered message itself does not come here: ``execute_step`` moves
-        that message on and renders it by the name it rendered it by on
-        delivery."""
+        slot ``dest[out]``, each counted in by ``tally.move(None, msg,
+        slot)``; return their rendering for the trace line.  A unit without
+        a uid gets one here: in a run, which stamps its start, only a unit
+        the root mints.  A delivery whose one send is the delivered message
+        itself does not come here: ``execute_step`` moves that message on
+        and renders it by the name it rendered it by on delivery."""
         rendered = []
         busy = cfg.busy
         for out_ch, msg in sends:
@@ -490,7 +483,7 @@ class Simulator:
             if not queue:
                 insort(busy, t)
             queue.append(msg)
-            tally.move(t, msg, 1)
+            tally.move(None, msg, t)
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
         return ",".join(rendered)
 
@@ -505,7 +498,7 @@ class Simulator:
             entries.append(pid)
         if st.state != old:
             transitions.append((pid, old, st.state))
-        if out.sends or out.entered_cs or st.state != old:
+        if out.sends or st.state != old:
             sends = self._enqueue(cfg, queues, self.dest[pid], out.sends, tally)
             lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
@@ -517,15 +510,15 @@ class Simulator:
         arrivals, critical-section countdowns, then a local-action pass at
         each process that requested, finished its section or is ``dirty``,
         in ``process_ids`` order), then the event ``policy`` chooses, then
-        the checks of the configuration produced, counted into ``tally``
-        from what the step touched: each message is counted out of or into
-        its channel's slot as the step takes or puts it, and the processes
-        the step woke or delivered to are counted again at the end, their
-        held tokens at the slots they arrived on.  ``dirty``
-        processes may have true guards already, as only a start no step
-        produced can.  ``queues`` is ``cfg``'s channel lists by slot
-        (``_queues``), with ``cfg.busy`` built; the countdowns are ticked
-        only while a section runs.
+        the checks of the configuration produced, ``step_checks(tally,
+        woken)``: the step counts each message it puts in, takes out or
+        passes on with one ``Tally.move``, and ``woken`` holds only the
+        processes it changed.  A timeout changes none: ``on_timeout_root``
+        writes no state (its control message clears ``Tally.scan``).
+        ``dirty`` processes may have true guards already, as only a start
+        no step produced can.  ``queues`` is ``cfg``'s channel lists by
+        slot (``_queues``), with ``cfg.busy`` built; the countdowns are
+        ticked only while a section runs.
 
         The application phase can enable deliveries (a finished critical
         section releases tokens), so the policy chooses after it: a slot of
@@ -538,7 +531,7 @@ class Simulator:
         otherwise its guards are as false as its last pass left them.
 
         A delivery whose handler's only send is the delivered message itself
-        moves that message on in one ``Tally.shift``, whatever its class,
+        moves that message on in one ``Tally.move``, whatever its class,
         and renders the send by the name the delivery rendered it by, so a
         controller sent on as itself is rendered once.  Its receiver is
         counted again only when the message is a control message (a
@@ -566,8 +559,9 @@ class Simulator:
         woken = set(dirty)
         if workload is not None:
             due = workload.due(cfg.step, cfg.states)
-            woken.update(apply_workload(due, cfg.app, cfg.states))
+            apply_workload(due, cfg.app, cfg.states)
             for ev in due:
+                woken.add(ev.process)
                 requests.append((ev.process, ev.need))
                 transitions.append((ev.process, OUT, REQ))
                 lines.append(f"proc={ev.process} event=local "
@@ -590,7 +584,6 @@ class Simulator:
                 event, name = TIMEOUT, "-"
                 out = on_timeout_root(st, pp)
                 sends = self._enqueue(cfg, queues, dest, out.sends, tally)
-                woken.add(pid)
             else:
                 queue = queues[t]
                 msg = queue.pop(0)
@@ -601,10 +594,10 @@ class Simulator:
                 event, name = DELIVER, _NAMES.get(cls) or str(msg)
                 out = dispatch(st, ch, msg, pp)
                 if len(out.sends) == 1 and out.sends[0][1] is msg:
-                    # msg sent on as itself: one shift, rendered by its name
+                    # msg sent on as itself: one move, rendered by its name
                     out_ch = out.sends[0][0]
                     to = dest[out_ch]
-                    tally.shift(t, to, msg)
+                    tally.move(t, msg, to)
                     queue = queues[to]
                     if not queue:
                         insort(busy, to)
@@ -615,7 +608,7 @@ class Simulator:
                         lone = not lines
                     sends = None if lone else f"{out_ch}:{name}"
                 else:
-                    tally.move(t, msg, -1)
+                    tally.move(t, msg, None)
                     sends = self._enqueue(cfg, queues, dest, out.sends, tally)
                     woken.add(pid)
             if not lone:
@@ -629,7 +622,7 @@ class Simulator:
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
-        census, legit, violations = monitor.step_checks(tally, cfg, woken)
+        census, legit, violations = monitor.step_checks(tally, woken)
         if lone:
             key = (t, cls, census, legit, violations)
         else:
@@ -651,8 +644,10 @@ class Simulator:
         successor configuration, leaving the input untouched.  Slot ``t``
         must be enabled once the application phase has run, or be ``None``
         for an idle step.  Unlike ``run`` it stamps no start (it is the
-        successor function of a state search): a unit without a uid that
-        the step passes on keeps -1."""
+        successor function of a state search): a unit without a uid keeps
+        -1 when it is sent on as itself, and gets one when ``_enqueue``
+        sends it, minted or released.  (Kept: stamping the clone would slow
+        a search, and ``_enqueue`` cannot tell a mint from a release.)"""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([t]), workload, self.topo.process_ids,
                           self.tally(nxt), {}, self._queues(nxt))
@@ -694,7 +689,7 @@ class Simulator:
         cfg = cfg0.clone()
         self.stamp_uids(cfg)
         tally = self.tally(cfg)
-        census0, legit0, violations0 = monitor.step_checks(tally, cfg, self.topo.process_ids)
+        census0, legit0, violations0 = monitor.step_checks(tally, self.topo.process_ids)
         trace = Trace(
             records=[],
             first_step=cfg.step,

@@ -831,7 +831,7 @@ class TestTallyMatchesScratch:
         assert all(rec.legit for rec in trace.records)
 
     def test_shift_of_a_control_message(self):
-        # ``Tally.shift`` counts a control message out and in: from slot 3
+        # ``Tally.move`` counts a control message out and in: from slot 3
         # onto the root's wrap channel (slot 0), and off it into slot 1,
         # behind the tokens queued there
         sim = canonical_sim(CHAIN)
@@ -840,14 +840,14 @@ class TestTallyMatchesScratch:
         ctrl = cfg.channels[keys[1]].pop()
         cfg.channels[keys[3]].append(ctrl)
         tally = sim.tally(cfg)
-        assert monitor.step_checks(tally, cfg, CHAIN.process_ids) == sim.check(cfg)
+        assert monitor.step_checks(tally, CHAIN.process_ids) == sim.check(cfg)
         for t, to in [(3, 0), (0, 1)]:
             assert cfg.channels[keys[t]].pop(0) is ctrl
             cfg.channels[keys[to]].append(ctrl)
-            tally.shift(t, to, ctrl)
-            assert monitor.step_checks(tally, cfg, ()) == sim.check(cfg)
+            tally.move(t, ctrl, to)
+            assert monitor.step_checks(tally, ()) == sim.check(cfg)
             fresh = sim.tally(cfg)
-            monitor.step_checks(fresh, cfg, CHAIN.process_ids)
+            monitor.step_checks(fresh, CHAIN.process_ids)
             assert (tally.counts, tally.tokens, tally.copies, tally.ctrls, tally.after,
                     tally.key, tally.behind) == (
                 fresh.counts, fresh.tokens, fresh.copies, fresh.ctrls, fresh.after,
@@ -867,6 +867,38 @@ class TestTallyMatchesScratch:
         assert lines[-1] == "proc=a event=deliver msg=ResT ch=1 sends=[0:ResT]"
         assert all(rec.legit for rec in trace.records)
 
+    @pytest.mark.parametrize("cls", [ResT, PrioT, PushT])
+    def test_move_across_equals_out_then_in(self, cls):
+        # a token that ``Tally.move`` passes from slot to slot is counted as
+        # one taken out and one put in: with the controller valid on slot 2,
+        # so that ``key`` and ``after`` are live, a token at the front of
+        # every slot goes on to the next, off and onto the root's wrap
+        # channel (slot 0) and into the controller's slot
+        sim = canonical_sim(CHAIN)
+        cfg = sim.run(sim.initial_configuration(), ReplayPolicy(self.CTRL_AT_2), 20).final
+        keys = sim.channel_keys
+        for key in keys:
+            cfg.channels[key].insert(0, ResT(sim._take_uid(cfg)) if cls is ResT else cls())
+        tally, twin = sim.tally(cfg), sim.tally(cfg)
+        for tl in (tally, twin):
+            assert monitor.step_checks(tl, CHAIN.process_ids) == sim.check(cfg)
+        assert tally.key[1] == 2
+        behind_controller = tally.after[2].copy()
+        for t in range(len(keys)):
+            to = (t + 1) % len(keys)
+            m = cfg.channels[keys[t]].pop(0)
+            assert m.__class__ is cls
+            cfg.channels[keys[to]].append(m)
+            tally.move(t, m, to)
+            twin.move(t, m, None)
+            twin.move(None, m, to)
+            checks = monitor.step_checks(tally, ())
+            assert checks == monitor.step_checks(twin, ()) == sim.check(cfg)
+            assert (tally.counts, tally.tokens, tally.copies, tally.behind, tally.after) == (
+                twin.counts, twin.tokens, twin.copies, twin.behind, twin.after)
+        behind_controller[monitor._SPECIES[cls]] += 1
+        assert tally.after[2] == behind_controller
+
     def test_rset_edits_recount_the_changed_tail(self):
         # a tally counts a changed RSet again whole; no run edits an RSet in
         # the middle (a run only appends an entry or clears it), so edit it
@@ -881,10 +913,10 @@ class TestTallyMatchesScratch:
         tally = sim.tally(cfg)
 
         def assert_matches_scratch(procs):
-            checks = monitor.step_checks(tally, cfg, procs)
+            checks = monitor.step_checks(tally, procs)
             assert checks == sim.check(cfg)
             fresh = sim.tally(cfg)
-            monitor.step_checks(fresh, cfg, sim.topo.process_ids)
+            monitor.step_checks(fresh, sim.topo.process_ids)
             assert (tally.counts, tally.tokens, tally.copies) == (
                 fresh.counts, fresh.tokens, fresh.copies)
             return any("duplicated" in v for v in checks[2])
@@ -911,7 +943,7 @@ class TestPureForward:
     last pass left them.  A pure forward, a delivery whose handler's only
     send is the delivered token itself, at a non-root or at the root off any
     channel but its wrap channel, changed nothing at its receiver: it is not
-    counted again either, the token moves in one ``Tally.shift``, and the
+    counted again either, the token moves in one ``Tally.move``, and the
     monitor reuses its controller scan until a control message moves or a
     process it names receives on a slot that holds one.  The root's forwards
     off its wrap channel change SToken or SPush, and a controller hop
@@ -1036,7 +1068,7 @@ class TestPureForward:
         def observe(cfg, rec):
             steps.append((rec.body, "r" in counted))
             fresh = make(cfg)
-            checks = monitor.step_checks(fresh, cfg, STAR.process_ids)
+            checks = monitor.step_checks(fresh, STAR.process_ids)
             assert (rec.census, rec.legit, rec.violations) == checks
             assert (tallies[0].counts, tallies[0].tokens, tallies[0].copies) == (
                 fresh.counts, fresh.tokens, fresh.copies)
@@ -1065,7 +1097,7 @@ class TestPureForward:
 
         def observe(cfg, rec):
             fresh = make(cfg)
-            monitor.step_checks(fresh, cfg, CHAIN.process_ids)
+            monitor.step_checks(fresh, CHAIN.process_ids)
             assert (tallies[0].counts, tallies[0].tokens, tallies[0].copies) == (
                 fresh.counts, fresh.tokens, fresh.copies)
 
@@ -1086,15 +1118,15 @@ class TestPureForward:
         cfg = sim.run(sim.initial_configuration(), ReplayPolicy(replay), 20).final
         assert [m for m in cfg.channels[("a", 1)] if isinstance(m, Ctrl)]
         tally = sim.tally(cfg)
-        assert monitor.step_checks(tally, cfg, CHAIN.process_ids) == sim.check(cfg)
+        assert monitor.step_checks(tally, CHAIN.process_ids) == sim.check(cfg)
         assert sim.check(cfg)[1]
         scan = tally.scan
-        assert monitor.step_checks(tally, cfg, ("b",)) == sim.check(cfg)
+        assert monitor.step_checks(tally, ("b",)) == sim.check(cfg)
         assert tally.scan is scan
         a = cfg.states["a"]
         for succ, myc, valid in [(0, 0, False), (1, 5, False), (1, 0, True)]:
             a.succ, a.myc = succ, myc
-            checks = monitor.step_checks(tally, cfg, ("a",))
+            checks = monitor.step_checks(tally, ("a",))
             assert checks == sim.check(cfg)
             assert (checks[0].ctrl_tokens, checks[1]) == (valid, valid)
 
