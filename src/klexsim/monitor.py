@@ -26,9 +26,11 @@ class CensusReport(NamedTuple):
     Resource/priority counts include both free tokens (in channels) and
     held ones (reserved in an RSet / a set Prio variable); pushers are
     never held.  ``ctrl_tokens`` counts control messages that their
-    would-be receiver would treat as valid: arriving from Succ with the
-    adopted counter, or arriving at a non-root from its parent with a new
-    counter.
+    receiver's handler would take as the traversal's: back from Succ with
+    the adopted counter (a hop), or at a non-root from its parent with a
+    new counter (an adoption).  A parent duplicate counts only at a
+    non-root whose Succ is its parent, which sends it on to the parent,
+    where it continues the traversal; at any other Succ it does not.
     """
 
     res_tokens: int

@@ -217,6 +217,14 @@ def handle_prio_t(st: ProcessState, q: int, msg: PrioT, p: ProcParams) -> Handle
     return out
 
 
+def _pick_up(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> tuple[int, int]:
+    """The controller's counts once the receiver adds what it holds from
+    channel q: its units to PT (capped at ell+1), its priority token to PPr
+    (capped at 2)."""
+    return (min(msg.pt + st.rset_count(q), p.ell + 1),
+            min(msg.ppr + 1, 2) if st.prio == q else msg.ppr)
+
+
 def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> HandlerOutput:
     """Root reception of a controller message.
 
@@ -231,8 +239,7 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
     out = HandlerOutput()
     if q != st.succ or msg.c != st.myc:
         return out  # invalid: ignored entirely, no retransmission
-    pt = min(msg.pt + st.rset_count(q), p.ell + 1)
-    ppr = min(msg.ppr + 1, 2) if st.prio == q else msg.ppr
+    pt, ppr = _pick_up(st, q, msg, p)
     st.succ = forward_channel(st.succ, p.delta)
     if st.succ == 0:
         res_total = pt + st.stoken
@@ -264,41 +271,31 @@ def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> Hand
 
 
 def handle_ctrl_nonroot(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> HandlerOutput:
-    """Non-root reception of a controller message.
-
-    Progresses the traversal when the message returns from Succ with the
-    adopted counter; adopts a new counter arriving from the parent; a
-    parent message carrying the already-adopted counter is a duplicate and
-    is retransmitted without touching the traversal state (dropping it
-    could deadlock the ring).  Everything else is dropped.
-
-    The message sent on carries the adopted counter, which is ``msg.c``,
-    and ``msg.r``; when the receiver adds no held unit or priority token
-    from channel q to its counts either, it is ``msg`` itself.
-    """
-    out = HandlerOutput()
-    ok = False
-    if q == st.succ and msg.c == st.myc and st.succ != 0:
-        st.succ = forward_channel(st.succ, p.delta)
-        ok = True
+    """Non-root reception of a controller message, by case: a new counter
+    from the parent (q = 0) is adopted, Succ set to channel 1 (0 at a leaf);
+    back from Succ with the adopted counter, it hops, Succ to the next
+    channel; a parent duplicate, the adopted counter from the parent, is
+    sent on with the traversal state untouched (dropping it could deadlock
+    the ring); anything else is dropped.  An adoption or a hop with ``r``
+    set first drops the process's holdings (reset).  The message sent on
+    carries the adopted counter, ``msg.c``, and ``msg.r``; when the
+    receiver adds no held unit or priority token from channel q to its
+    counts either, it is ``msg`` itself."""
+    if q or msg.c != st.myc:  # not a parent duplicate
+        if not q:  # a new counter from the parent: adopt
+            st.myc = msg.c
+            st.succ = min(1, p.delta - 1)
+        elif q == st.succ and msg.c == st.myc:  # back from Succ: hop
+            st.succ = forward_channel(q, p.delta)
+        else:
+            return HandlerOutput()  # anything else: dropped
         if msg.r:
             st.rset.clear()
             st.prio = None
-    if q == 0:
-        ok = True
-        if msg.c != st.myc:
-            st.succ = min(1, p.delta - 1)
-            if msg.r:
-                st.rset.clear()
-                st.prio = None
-        st.myc = msg.c
-    if ok:
-        pt = min(msg.pt + st.rset_count(q), p.ell + 1)
-        ppr = min(msg.ppr + 1, 2) if st.prio == q else msg.ppr
-        if pt != msg.pt or ppr != msg.ppr:
-            msg = Ctrl(msg.c, msg.r, pt, ppr)
-        out.sends.append((st.succ, msg))
-    return out
+    pt, ppr = _pick_up(st, q, msg, p)
+    if pt != msg.pt or ppr != msg.ppr:
+        msg = Ctrl(msg.c, msg.r, pt, ppr)
+    return HandlerOutput([(st.succ, msg)])
 
 
 # --------------------------------------------------------------------------

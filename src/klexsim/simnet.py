@@ -538,10 +538,9 @@ class Simulator:
         non-root sends on the controller it received when its counts are
         unchanged, ``protocol.handle_ctrl_nonroot``, but the hop changed its
         Succ or counter), when the handler changed ``st.state``, or when
-        the receiver is the root and the channel its wrap channel
-        ``delta - 1`` (the forward changed SToken or SPush).  Otherwise the
-        step is a pure forward: its handler kept, released and counted
-        nothing.
+        the channel is ring slot 0, the root's wrap channel (the forward
+        changed SToken or SPush).  Otherwise the step is a pure forward:
+        its handler kept, released and counted nothing.
 
         The step's record is looked up once in ``outcomes``, the caller's
         table of the records built so far, under (what happened, census,
@@ -602,7 +601,7 @@ class Simulator:
                     if not queue:
                         insort(busy, to)
                     queue.append(msg)
-                    if cls is Ctrl or st.state != old or (pp.is_root and ch == pp.delta - 1):
+                    if cls is Ctrl or st.state != old or t == 0:
                         woken.add(pid)
                     else:
                         lone = not lines

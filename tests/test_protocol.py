@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import hashlib
 import itertools
 
 from hypothesis import given, settings
@@ -247,6 +249,48 @@ class TestCtrlNonRoot:
         st_ = ProcessState(myc=4, succ=1, prio=1, state=REQ, need=2)
         out = handle_ctrl_nonroot(st_, 1, Ctrl(4, False, 0, 1), params(delta=2))
         assert out.sends == [(0, Ctrl(4, False, 0, 2))]
+
+
+def ctrl_case_table() -> str:
+    """Both controller handlers over a grid of cases, as one sha256: root or
+    not; degree 1-3; every arrival channel q and every Succ; the counter
+    equal to ``myc`` or not; ``r``; a unit held from q or not (and one from
+    every other channel); Prio at any channel or None; the counts at zero or
+    at their caps; for the root, its counts and reset flag all clear or all
+    set.  Each case adds its sends (channel, class, fields, and whether the
+    message is ``msg`` itself), the resulting state, ``traversal_end`` and
+    ``restart_timer``."""
+    ell = 2
+    h = hashlib.sha256()
+    for is_root, delta in itertools.product((False, True), (1, 2, 3)):
+        p = params(is_root=is_root, delta=delta, ell=ell)
+        handler = handle_ctrl_root if is_root else handle_ctrl_nonroot
+        roots = ((0, 0, 0, False), (1, 1, 1, True)) if is_root else ((0, 0, 0, False),)
+        for q, succ, c, r, held, prio, counts, root in itertools.product(
+                range(delta), range(delta), (3, 4), (False, True), (False, True),
+                (None, *range(delta)), ((0, 0), (ell + 1, 2)), roots):
+            rset = [Reserved(ch, 10 + ch) for ch in range(delta) if ch != q]
+            rset += [Reserved(q, 9)] if held else []
+            stoken, sprio, spush, reset = root
+            st_ = ProcessState(myc=3, succ=succ, rset=rset, need=3, state=REQ, prio=prio,
+                               stoken=stoken, sprio=sprio, spush=spush, reset=reset)
+            msg = Ctrl(c, r, *counts)
+            out = handler(st_, q, msg, p)
+            sends = [(ch, m.__class__.__name__, dataclasses.astuple(m), m is msg)
+                     for ch, m in out.sends]
+            end = out.traversal_end and dataclasses.astuple(out.traversal_end)
+            h.update(repr((is_root, delta, q, succ, c, r, held, prio, counts, root, sends,
+                           dataclasses.astuple(st_), end, out.restart_timer)).encode())
+    return h.hexdigest()
+
+
+CTRL_TABLE_GOLDEN = "fdb16bdffd26fcee96707e5994dabfa3954878f6c217fba4ba7becbee3fd7776"
+
+
+def test_ctrl_case_table_is_pinned():
+    # a refactor's oracle for the controller handlers, as the golden step
+    # chain is for ``sim.step``
+    assert ctrl_case_table() == CTRL_TABLE_GOLDEN
 
 
 class TestLocalActions:

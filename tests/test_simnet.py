@@ -356,6 +356,17 @@ class TestPolicies:
         assert trace.ended == "replay-exhausted"
         assert len(trace.records) == 2
 
+    def test_exhausted_replay_idles_when_wrapped(self):
+        # past its last choice a replay chooses None, so a run through a
+        # policy that wraps one (not itself a ReplayPolicy) idles to its budget
+        sim = make_sim()
+        a0 = STAR.ring.slot["a"][0]
+        policy = RecordingPolicy(ReplayPolicy([a0]))
+        trace = sim.run(sim.initial_configuration(), policy, 3)
+        assert trace.ended == "budget"
+        assert policy.choices == [a0, None, None]
+        assert [rec.body for rec in trace.records[1:]] == ["", ""]
+
 
 class FullScanRoundRobin:
     """Reference round robin over ``count`` slots: walks every slot from the
