@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
-from .protocol import IN, OUT, REQ, PrioT, PushT, ResT
+from .protocol import IN, OUT, REQ, SAT, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
 
 
@@ -39,7 +39,7 @@ class CensusReport(NamedTuple):
     ctrl_tokens: int
 
     def species(self) -> tuple[int, int, int]:
-        return (self.res_tokens, self.prio_tokens, self.push_tokens)
+        return self[:3]
 
 
 _SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
@@ -157,7 +157,7 @@ class Tally:
             viol += (f"{pid} in CS with {held} > k units",)
         if not 0 <= st.myc < self.modulus:
             viol += (f"{pid} counter {st.myc} outside domain",)
-        if st.stoken > self.ell + 1 or st.spush > 2 or st.sprio > 2 or held > self.k:
+        if st.stoken > self.ell + 1 or st.spush > SAT or st.sprio > SAT or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
         pos, is_root, last = self.places[pid]
         off = False
@@ -319,8 +319,7 @@ def step_checks(tally: Tally,
 
     res, prio, push = tally.tokens
     census = tally.census
-    if (census.res_tokens != res or census.prio_tokens != prio
-            or census.push_tokens != push or census.ctrl_tokens != ctrl):
+    if census != (res, prio, push, ctrl):
         census = tally.census = CensusReport(res, prio, push, ctrl)
     violations = ()
     if tally.n_bad or res != len(tally.copies) or tally.in_use > tally.ell:

@@ -34,6 +34,10 @@ REQ = "Req"
 IN = "In"
 OUT = "Out"
 
+# The saturation bound of SPush, SPrio and PPr: a count only has to tell one
+# token of its species from more than one, so it stops at 2.
+SAT = 2
+
 
 # --------------------------------------------------------------------------
 # Wire messages
@@ -46,20 +50,15 @@ class ResT:
 
     uid: int = field(default=-1, compare=False)
 
-    def __str__(self) -> str:
-        return "ResT"
-
 
 @dataclass(frozen=True)
 class PushT:
-    def __str__(self) -> str:
-        return "PushT"
+    """The pusher."""
 
 
 @dataclass(frozen=True)
 class PrioT:
-    def __str__(self) -> str:
-        return "PrioT"
+    """The priority token."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def handle_push_t(st: ProcessState, q: int, msg: PushT, p: ProcParams) -> Handle
     if st.prio is None and not enabled and st.state != IN:
         _release_all(st, p, out)
     if p.is_root and q == p.delta - 1:
-        st.spush = min(st.spush + 1, 2)
+        st.spush = min(st.spush + 1, SAT)
     out.sends.append((forward_channel(q, p.delta), msg))
     return out
 
@@ -220,9 +219,9 @@ def handle_prio_t(st: ProcessState, q: int, msg: PrioT, p: ProcParams) -> Handle
 def _pick_up(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> tuple[int, int]:
     """The controller's counts once the receiver adds what it holds from
     channel q: its units to PT (capped at ell+1), its priority token to PPr
-    (capped at 2)."""
+    (capped at ``SAT``)."""
     return (min(msg.pt + st.rset_count(q), p.ell + 1),
-            min(msg.ppr + 1, 2) if st.prio == q else msg.ppr)
+            min(msg.ppr + 1, SAT) if st.prio == q else msg.ppr)
 
 
 def handle_ctrl_root(st: ProcessState, q: int, msg: Ctrl, p: ProcParams) -> HandlerOutput:
@@ -335,7 +334,7 @@ def local_actions(st: ProcessState, p: ProcParams, cs_done: bool) -> HandlerOutp
         st.state = OUT
     if pass_prio:
         if p.is_root and st.prio == p.delta - 1:
-            st.sprio = min(st.sprio + 1, 2)
+            st.sprio = min(st.sprio + 1, SAT)
         out.sends.append((forward_channel(st.prio, p.delta), PrioT()))
         st.prio = None
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .appmodel import RepeatingWorkload, Workload, WorkloadEvent
 from .monitor import check_fairness
-from .protocol import PrioT, PushT, ResT
+from .protocol import SAT, PrioT, PushT, ResT
 from .simnet import (
     Configuration,
     ReplayPolicy,
@@ -168,7 +168,7 @@ def livelock_config(sim: Simulator, with_priority: bool) -> Configuration:
         cfg.channels[("a", 0)].append(PrioT())
     root = cfg.states["r"]
     root.stoken = sim.params.ell + 1
-    root.spush = 2
+    root.spush = SAT
     return cfg
 
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import monitor
-from .appmodel import AppState, apply_workload
+from .appmodel import INF, AppState, apply_workload
 from .protocol import (
     IN,
     OUT,
     REQ,
+    SAT,
     Ctrl,
     Message,
     PrioT,
@@ -45,6 +46,9 @@ from .protocol import (
 from .topology import TreeTopology, content_lines
 
 ChannelKey = tuple[str, int]  # (receiver, receive-channel label)
+
+# a token's wire name is its class name; a Ctrl renders by its __str__
+_NAMES = {cls: cls.__name__ for cls in (ResT, PushT, PrioT)}
 
 DELIVER = "deliver"
 TIMEOUT = "timeout"
@@ -64,6 +68,8 @@ class SimParams:
     timeout: int | None  # steps of root silence before the timer fires; None disables
 
     def validate(self) -> None:
+        if self.ell < 1:
+            raise ValueError("ell must be at least 1")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.k > self.ell:
@@ -130,13 +136,9 @@ class Configuration:
                 s.state, s.prio, s.stoken, s.spush, s.sprio, s.reset,
                 self.app.remaining.get(pid, 0), self.app.armed_duration.get(pid),
             ))
-        chans = []
-        for key in sorted(self.channels):
-            chans.append((key, tuple(str(m) for m in self.channels[key])))
-        return (tuple(procs), tuple(chans))
-
-
-_NAMES = {ResT: "ResT", PushT: "PushT", PrioT: "PrioT"}  # a Ctrl renders by __str__
+        chans = tuple((key, tuple(_NAMES.get(m.__class__) or str(m) for m in q))
+                      for key, q in sorted(self.channels.items()))
+        return (tuple(procs), chans)
 
 
 class StepRecord(NamedTuple):
@@ -287,13 +289,6 @@ def format_replay(slots: list[int | None], topo: TreeTopology) -> str:
                    else f"{DELIVER} {keys[t][0]} {keys[t][1]}\n" for t in slots)
 
 
-def timeout_ready(cfg: Configuration, threshold: int | None) -> bool:
-    """Whether the root's timer fires: the threshold of scheduler steps has
-    passed since it last received a valid control message (or last fired).
-    Purely local to the root; nothing else in the network is consulted."""
-    return threshold is not None and cfg.timer >= threshold
-
-
 # --------------------------------------------------------------------------
 # Simulator
 # --------------------------------------------------------------------------
@@ -307,13 +302,12 @@ class Simulator:
         self.channel_keys: tuple[ChannelKey, ...] = topo.ring.keys
         # the step loop's tables, as plain attributes: ``pp`` per process;
         # slot -> the event's (receiver, receive label, its ProcParams, its
-        # ``Ring.dest`` row), the last slot the root's timeout; ``dest`` is
-        # ``Ring.dest``; ``order`` sorts processes as ``process_ids`` does.
+        # ``Ring.dest`` row), the last slot the root's timeout; ``order`` sorts
+        # processes as ``process_ids`` does.
         # No configuration enters them, so the first run or step builds them
         # (``_queues``), not set-up: a campaign builds all its simulators first
         self.pp: dict[str, ProcParams] | None = None
         self.rows: list[tuple[str, int | str, ProcParams, list[int]]] | None = None
-        self.dest: dict[str, list[int]] | None = None
         self.order: Callable[[str], int] | None = None
 
     def tally(self, cfg: Configuration) -> monitor.Tally:
@@ -378,8 +372,8 @@ class Simulator:
             s.prio = rng.choice((None, rng.randrange(d)))
             if pid == self.topo.root:
                 s.stoken = rng.randint(0, ell + 1)
-                s.spush = rng.randint(0, 2)
-                s.sprio = rng.randint(0, 2)
+                s.spush = rng.randint(0, SAT)
+                s.sprio = rng.randint(0, SAT)
                 s.reset = rng.random() < 0.25
             if s.state == IN and (left := rng.randint(0, 3)):
                 cfg.app.remaining[pid] = left  # only positive countdowns are kept
@@ -398,7 +392,7 @@ class Simulator:
                         c=a_counter(),
                         r=rng.random() < 0.3,
                         pt=rng.randint(0, ell + 1),
-                        ppr=rng.randint(0, 2),
+                        ppr=rng.randint(0, SAT),
                     ))
 
         self.stamp_uids(cfg)
@@ -432,22 +426,25 @@ class Simulator:
     def enabled_events(self, cfg: Configuration) -> list[int]:
         """The enabled events as ascending slots, which ``RoundRobinPolicy``
         relies on: the non-empty channels, then ``len(self.channel_keys)``
-        when the timeout is ready.  While a run or step holds ``cfg`` they
-        are a copy of its ``busy`` index; any other configuration's channels
-        are counted, and nothing is stored in it."""
+        when the root's timer fires, once ``params.timeout`` steps have
+        passed since it last received a valid control message (or last
+        fired); nothing else in the network is consulted.  While a run or
+        step holds ``cfg`` they are a copy of its ``busy`` index; any other
+        configuration's channels are counted, and nothing is stored in it."""
         if cfg.busy is None:
             enabled = [t for t, key in enumerate(self.channel_keys) if cfg.channels[key]]
         else:
             enabled = cfg.busy.copy()
-        if timeout_ready(cfg, self.params.timeout):
+        timeout = self.params.timeout
+        if timeout is not None and cfg.timer >= timeout:
             enabled.append(len(self.channel_keys))
         return enabled
 
     def _queues(self, cfg: Configuration) -> list[list[Message]]:
         """``cfg``'s channel lists by slot, for a run of steps on it (a clone
         that ``run`` or ``step`` took), with its ``busy`` index, which every
-        step keeps; on first use the simulator's ``pp``, ``rows``, ``dest``
-        and ``order`` too.  (Not a ``cached_property``: it writes to the
+        step keeps; on first use the simulator's ``pp``, ``rows`` and
+        ``order`` too.  (Not a ``cached_property``: it writes to the
         instance ``__dict__``, which on CPython 3.11 costs every later
         attribute load on the simulator its specialization.)"""
         if self.rows is None:
@@ -455,7 +452,7 @@ class Simulator:
             pp = self.pp = {pid: ProcParams(is_root=(pid == topo.root), delta=topo.degree(pid),
                                             ell=self.params.ell, counter_modulus=self.modulus)
                             for pid in topo.process_ids}
-            dest = self.dest = topo.ring.dest
+            dest = topo.ring.dest
             self.order = {pid: i for i, pid in enumerate(topo.process_ids)}.__getitem__
             root = topo.root
             self.rows = [(pid, ch, pp[pid], dest[pid]) for pid, ch in self.channel_keys]
@@ -499,7 +496,7 @@ class Simulator:
         if st.state != old:
             transitions.append((pid, old, st.state))
         if out.sends or st.state != old:
-            sends = self._enqueue(cfg, queues, self.dest[pid], out.sends, tally)
+            sends = self._enqueue(cfg, queues, self.topo.ring.dest[pid], out.sends, tally)
             lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
 
     def execute_step(self, cfg: Configuration, policy, workload,
@@ -663,7 +660,7 @@ class Simulator:
         settles the guards a start may hold true."""
         if cfg.busy:
             return True
-        if any(0 < left != float("inf") for left in cfg.app.remaining.values()):
+        if any(0 < left != INF for left in cfg.app.remaining.values()):
             return True
         return workload is not None and not workload.exhausted(cfg.step, cfg.states)
 

@@ -44,6 +44,10 @@ class TestValidation:
         assert code == USAGE
         assert "k must not exceed ell" in capsys.readouterr().err
 
+    def test_ell_zero_rejected_by_name(self, star_file, capsys):
+        assert main(["--topology", str(star_file), "--ell", "0"]) == USAGE
+        assert capsys.readouterr().err == "error: ell must be at least 1\n"
+
     def test_replay_policy_needs_file(self):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), policy="replay")
         with pytest.raises(UsageError, match="replay requires"):

@@ -39,6 +39,8 @@ from klexsim.simnet import (
 )
 from klexsim.topology import random_tree
 
+pytestmark = pytest.mark.pin
+
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

@@ -476,6 +476,7 @@ class TestKlLiveness:
         assert check_kl_liveness(scenario, trace) == LivenessVerdict(False, False, [])
 
 
+@pytest.mark.pin
 class TestConclusiveEndings:
     """Fairness and (k,l)-liveness are "eventually" claims, so a run that
     leaves them unmet refutes them only when nothing can ever happen again:
@@ -671,6 +672,7 @@ def reference_legit(sim, cfg):
         counted[ResT], counted[PrioT], counted[PushT])
 
 
+@pytest.mark.pin
 class TestLegitimacyReference:
     """``rec.legit``, which ``run`` counts from what each step touched,
     equals ``reference_legit`` at every configuration of seeded runs."""

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,7 @@ class TestPrioT:
         assert st_.prio is None
 
 
+@pytest.mark.pin
 class TestCtrlRoot:
     def test_wrap_without_replenishment(self):
         # counts add up exactly: no reset, nothing minted, counter bumped
@@ -206,6 +208,7 @@ class TestCtrlRoot:
         assert st_.myc == 0
 
 
+@pytest.mark.pin
 class TestCtrlNonRoot:
     def test_leaf_adopts_new_counter(self):
         st_ = ProcessState(myc=3, succ=0)
@@ -287,6 +290,7 @@ def ctrl_case_table() -> str:
 CTRL_TABLE_GOLDEN = "fdb16bdffd26fcee96707e5994dabfa3954878f6c217fba4ba7becbee3fd7776"
 
 
+@pytest.mark.pin
 def test_ctrl_case_table_is_pinned():
     # a refactor's oracle for the controller handlers, as the golden step
     # chain is for ``sim.step``
@@ -351,6 +355,7 @@ def full_guard_local_actions(st_: ProcessState, p: ProcParams, cs_done: bool):
     return out.sends, out.entered_cs
 
 
+@pytest.mark.pin
 class TestLocalActionsNoOp:
     def test_matches_full_guard_evaluation(self):
         shared = local_actions(ProcessState(), params(delta=2), False)
@@ -375,6 +380,7 @@ class TestLocalActionsNoOp:
         assert no_ops > 0
 
 
+@pytest.mark.pin
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.data())
 def test_dispatch_routes_by_message_class(is_root, data):
@@ -394,6 +400,7 @@ def test_dispatch_routes_by_message_class(is_root, data):
     assert s == ref
 
 
+@pytest.mark.pin
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.data())
 def test_dispatch_leaves_the_guards_of_a_settled_process(is_root, data):
@@ -414,6 +421,7 @@ def test_dispatch_leaves_the_guards_of_a_settled_process(is_root, data):
         assert local_actions(s, p, cs_done) is _NO_ACTIONS
 
 
+@pytest.mark.pin
 class TestCtrlForwardedAsItself:
     """A non-root sends on the control message it received, the very object,
     exactly when it adds nothing to its counts: no held unit and not the

@@ -37,7 +37,6 @@ from klexsim.simnet import (
     default_timeout,
     format_replay,
     parse_replay,
-    timeout_ready,
     traversal_allowance,
 )
 from klexsim.topology import forward_channel, parse_topology, random_tree
@@ -388,6 +387,7 @@ class FullScanRoundRobin:
         return None
 
 
+@pytest.mark.pin
 class TestRoundRobinMatchesFullScan:
     @pytest.mark.parametrize("seed", range(12))
     def test_same_choices(self, seed):
@@ -404,6 +404,7 @@ class TestRoundRobinMatchesFullScan:
                 assert rr._idx == ref._idx
 
 
+@pytest.mark.pin
 class TestClone:
     """``Configuration.clone`` copies everything a step may change."""
 
@@ -542,6 +543,7 @@ class TestWorkloadIntegration:
         assert max(seen) > 0
 
 
+@pytest.mark.pin
 class TestQuiescence:
     """With the timer off, a run ends quiescent once nothing can ever happen
     again: no message in any channel, no section counting down, and the
@@ -615,6 +617,7 @@ class RecordingPolicy:
         return t
 
 
+@pytest.mark.pin
 class TestWokenOnlySweep:
     """``run`` passes only over processes whose inputs changed; a ``sim.step``
     chain passes over every process each step.  Driven by the same choices
@@ -678,7 +681,7 @@ def scan_enabled(sim, cfg):
     the ring slots of the non-empty channels, ascending, then the timeout's."""
     ring = sim.topo.ring
     enabled = sorted(ring.slot[pid][ch] for (pid, ch), q in cfg.channels.items() if q)
-    if timeout_ready(cfg, sim.params.timeout):
+    if sim.params.timeout is not None and cfg.timer >= sim.params.timeout:
         enabled.append(len(sim.channel_keys))
     return enabled
 
@@ -710,6 +713,7 @@ def canonical_sim(topo, ell=3, k=2):
                                      timeout=default_timeout(topo, ell, 1)))
 
 
+@pytest.mark.pin
 class TestTallyMatchesScratch:
     """``run`` counts each configuration's census, legitimacy and violations
     from what the step touched, and keeps an index of the non-empty
@@ -947,6 +951,7 @@ class TestTallyMatchesScratch:
         assert [e.channel for e in st_.rset] == [1]
 
 
+@pytest.mark.pin
 class TestPureForward:
     """A delivery gives its receiver a local-action pass only when the
     handler changed the size of its RSet or its Prio, the only guard inputs
@@ -1289,11 +1294,12 @@ class TestPureForward:
         assert len(rendered) == delivered + len(built)
 
 
+@pytest.mark.pin
 class TestSetUpFootprint:
     """A campaign builds all its simulators and starts before it runs any,
     so set-up builds no per-slot or per-process table: the ring's ``slot``,
-    ``dest`` and ``places`` and the simulator's ``pp``, ``rows``, ``dest``
-    and ``order`` wait for the first run or step, and every later run or
+    ``dest`` and ``places`` and the simulator's ``pp``, ``rows`` and
+    ``order`` wait for the first run or step, and every later run or
     step of that simulator reuses them."""
 
     def test_set_up_builds_no_slot_tables(self):
@@ -1301,7 +1307,7 @@ class TestSetUpFootprint:
         sim = Simulator(topo, SimParams(k=2, ell=3, cmax=2, timeout=50))
         sim.inject_arbitrary(3)
         assert not {"slot", "dest", "places", "order"} & set(vars(topo.ring))
-        assert (sim.pp, sim.rows, sim.dest, sim.order) == (None, None, None, None)
+        assert (sim.pp, sim.rows, sim.order) == (None, None, None)
         sim.run(sim.inject_arbitrary(3), RoundRobinPolicy(), 5)
         assert {"slot", "dest", "places"} <= set(vars(topo.ring))
         assert len(sim.rows) == len(sim.channel_keys) + 1
@@ -1340,6 +1346,7 @@ class TestSetUpFootprint:
         assert [sim.order(p) for p in ("a", "b", "r")] == [1, 2, 0]
 
 
+@pytest.mark.pin
 class TestIndexContract:
     """``Configuration.busy``, the index of non-empty channels, lives only
     while a run or step holds the configuration: ``enabled_events`` counts
@@ -1390,6 +1397,7 @@ class TestIndexContract:
         assert out.busy is None
 
 
+@pytest.mark.pin
 class TestStepRecordFootprint:
     """A record is a step's outcome, frozen, slotted, with tuple event
     fields, and equal steps of a run share one record, so a long trace
@@ -1507,6 +1515,7 @@ class TestStepRecordFootprint:
         assert per_step <= 0.1
 
 
+@pytest.mark.pin
 class TestStepLines:
     """A record keeps its lines as a body without the ``step=N `` prefix;
     ``trace.lines()`` renders it again, numbered by the record's position."""
@@ -1581,3 +1590,72 @@ class TestRootHoldingsAtTheWrap:
         assert len(ends) > 5
         assert all(te.res_total == 1 and not te.new_reset for te in ends)
         assert all(rec.legit for rec in trace.records)
+
+
+
+class TestApplicationChoices:
+    """A state search over ``Simulator.step`` makes two application choices,
+    and neither needs an engine change.  On the 3-star, k = 1, ell = 2,
+    C_MAX = 1, no timeout, from the canonical start, with every process
+    requesting one unit for an ``inf`` (pinned) section, 300 seeded walks of
+    20 steps, each step an enabled delivery or the end of a pinned section,
+    reach about 1,100 distinct configurations, and at each:
+
+    - two enabled deliveries at distinct receivers commute: either order
+      reaches the same ``fingerprint``;
+    - setting one pinned section's countdown to 1 before an idle step ends
+      exactly that section: every other process and section is as the same
+      idle step leaves it without the end."""
+
+    @staticmethod
+    def end(cfg, pid):
+        """``cfg`` with ``pid``'s pinned section due to end in the next step."""
+        cfg = cfg.clone()
+        cfg.app.remaining[pid] = 1
+        return cfg
+
+    @pytest.fixture(scope="class")
+    def reached(self):
+        sim = make_sim(k=1, ell=2, cmax=1, timeout=None)
+        wl = RepeatingWorkload({pid: (1, float("inf")) for pid in STAR.process_ids}, k=1)
+        seen = {}
+        for seed in range(300):
+            rng = random.Random(seed)
+            cfg = sim.initial_configuration()
+            for _ in range(20):
+                seen.setdefault(cfg.fingerprint(), cfg)
+                t = rng.choice(sim.enabled_events(cfg) + sorted(cfg.app.remaining))
+                if isinstance(t, str):
+                    cfg, t = self.end(cfg, t), None
+                cfg = sim.step(cfg, t, wl)
+        return sim, wl, list(seen.values())
+
+    def test_deliveries_at_distinct_receivers_commute(self, reached):
+        sim, wl, configs = reached
+        pairs = 0
+        for cfg in configs:
+            enabled = sim.enabled_events(cfg)
+            for i, t in enumerate(enabled):
+                for u in enabled[i + 1:]:
+                    if sim.channel_keys[t][0] == sim.channel_keys[u][0]:
+                        continue
+                    pairs += 1
+                    tu = sim.step(sim.step(cfg, t, wl), u, wl)
+                    ut = sim.step(sim.step(cfg, u, wl), t, wl)
+                    assert tu.fingerprint() == ut.fingerprint()
+        assert pairs >= 1000
+
+    def test_a_countdown_set_to_one_ends_only_its_section(self, reached):
+        sim, wl, configs = reached
+        ends = 0
+        for cfg in configs:
+            for pid, left in cfg.app.remaining.items():
+                assert left == float("inf") and cfg.states[pid].state == IN
+                ends += 1
+                nxt = sim.step(self.end(cfg, pid), None, wl)
+                idle = sim.step(cfg, None, wl)
+                assert nxt.states[pid].state == OUT and not nxt.states[pid].rset
+                del nxt.states[pid], idle.states[pid], idle.app.remaining[pid]
+                assert nxt.states == idle.states
+                assert nxt.app.remaining == idle.app.remaining
+        assert ends >= 500

@@ -151,6 +151,7 @@ class TestVirtualRing:
         assert len(set(edges)) == len(edges)
 
 
+@pytest.mark.pin
 class TestRing:
     """``topo.ring`` numbers the virtual ring's channels once for every
     module: slots, their inverse, each send's destination slot, and each
