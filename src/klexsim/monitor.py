@@ -70,6 +70,10 @@ class Tally:
     ``scan`` is the last controller scan of ``step_checks``: (valid control
     messages, ``key``, the last control message scanned, its slot).  Moving
     a control message sets it to None, and ``step_checks`` scans again.
+    ``last`` is the last result of ``step_checks`` that had no violations,
+    or None once an input of the check has changed since: a token counted
+    in or out, one crossing the controller's place or landing behind a
+    control message, or a control message moving.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -92,6 +96,7 @@ class Tally:
         self.off = 0
         self.census = CensusReport(0, 0, 0, 0)
         self.scan: tuple | None = None
+        self.last: tuple | None = None
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(None, m, t)
@@ -99,6 +104,7 @@ class Tally:
     def _count(self, t: int, i: int, token, sign: int) -> None:
         """Count a token of species i (``token`` gives a resource's uid) in
         (sign 1) or out of (sign -1) slot t."""
+        self.last = None
         if not i:
             copies = self.copies
             left = copies.get(token.uid, 0) + sign
@@ -121,7 +127,7 @@ class Tally:
         the controller's place."""
         i = _SPECIES.get(m.__class__)
         if i is None:
-            self.scan = None
+            self.scan = self.last = None
             if frm is not None:
                 ctrls = self.ctrls[frm]
                 del ctrls[0]
@@ -145,8 +151,10 @@ class Tally:
                 crossed = (0 < to < place) - (0 < frm < place)
                 if crossed:
                     self.behind[i] += crossed
+                    self.last = None
         if to in self.after:
             self.after[to][i] += 1
+            self.last = None
 
     def process(self, pid, st) -> None:
         """Count one process's part again, for the current ``key``."""
@@ -270,7 +278,14 @@ def step_checks(tally: Tally,
     The traversal clauses are what make the predicate closed under
     execution; a merely nominal census can still carry inflated counts
     that trigger a spurious reset at the next wrap.
+
+    With ``procs`` empty and no input of the check changed since the last
+    one (``Tally.last`` set), the last result is returned as it is.  A
+    result with violations is never kept: a duplicated unit is reported
+    with the channel it is in, which any move can change.
     """
+    if not procs and tally.last is not None:
+        return tally.last
     ring = tally.ring
     root = tally.topo.root
     states = tally.cfg.states
@@ -326,16 +341,19 @@ def step_checks(tally: Tally,
         violations = tally.violations()
     if (key is None or tally.off or violations or cm.r
             or res != tally.ell or prio != 1 or push != 1):
-        return census, False, violations
-    rs = states[root]
-    b = tally.behind
-    after = tally.after[c_slot]
-    legit = (
-        cm.pt + rs.stoken == b[0] + after[0]
-        and cm.ppr + rs.sprio == b[1] + after[1]
-        and rs.spush == b[2] + after[2]
-    )
-    return census, legit, violations
+        legit = False
+    else:
+        rs = states[root]
+        b = tally.behind
+        after = tally.after[c_slot]
+        legit = (
+            cm.pt + rs.stoken == b[0] + after[0]
+            and cm.ppr + rs.sprio == b[1] + after[1]
+            and rs.spush == b[2] + after[2]
+        )
+    checks = census, legit, violations
+    tally.last = None if violations else checks
+    return checks
 
 
 # --------------------------------------------------------------------------

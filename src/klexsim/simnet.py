@@ -128,7 +128,10 @@ class Configuration:
 
     def fingerprint(self) -> tuple:
         """Protocol-visible identity of the configuration (monitor-only token
-        uids excluded), used for cycle detection."""
+        uids excluded), used for cycle detection.  It leaves out ``timer``
+        too, so with a timeout set, configurations whose enabled events
+        differ (the root's timeout enabled in one) can share a fingerprint:
+        a search keyed on it is sound only with the timeout off."""
         procs = []
         for pid, s in self.states.items():
             procs.append((

@@ -806,6 +806,27 @@ class TestTallyMatchesScratch:
         assert len(untagged(cfg)) == 3
         assert trace.final.next_uid >= cfg.next_uid + 3
 
+    def test_pinned_sections_over_ell(self):
+        # the only messages are a pusher and a unit; step 0 enters two
+        # sections that never end, 3 > ell units in use, without counting a
+        # token in or out, and later steps only pass tokens on: a step with
+        # violations leaves no checks to reuse
+        topo = random_tree(3, 6)
+        sim = Simulator(topo, SimParams(k=2, ell=2, cmax=1, timeout=None))
+        cfg = sim.initial_configuration()
+        for q in cfg.channels.values():
+            q.clear()
+        a, b = topo.process_ids[2], topo.process_ids[3]
+        for pid, rset in [(a, [Reserved(0), Reserved(0)]), (b, [Reserved(0)])]:
+            st_ = cfg.states[pid]
+            st_.state, st_.need, st_.rset = REQ, len(rset), rset
+            cfg.app.armed_duration[pid] = float("inf")
+        cfg.channels[sim.channel_keys[3]].append(PushT())
+        cfg.channels[sim.channel_keys[1]].append(ResT())
+        trace = run_checked(sim, cfg, RoundRobinPolicy(), 40)
+        assert sorted(trace.records[0].entries) == sorted([a, b])
+        assert all("3 > ell units in use" in rec.violations for rec in trace.records)
+
     def test_stale_second_controller(self):
         sim = canonical_sim(random_tree(4, 7))
         cfg = sim.initial_configuration()
@@ -913,6 +934,55 @@ class TestTallyMatchesScratch:
                 twin.counts, twin.tokens, twin.copies, twin.behind, twin.after)
         behind_controller[monitor._SPECIES[cls]] += 1
         assert tally.after[2] == behind_controller
+
+    def test_moves_clear_the_kept_checks(self):
+        # ``step_checks(tally, ())`` returns its last result while no input
+        # of the check moved.  Each move below changes one, from the
+        # legitimate start with the controller valid on slot 2 (slot 1
+        # holds a unit it has passed, slot 2 two units and the pusher ahead
+        # of it and the priority token behind it); a run's forwards only go
+        # to the next slot, which keeps the sums, so these are hand moves
+        sim = canonical_sim(CHAIN)
+        keys = sim.channel_keys
+
+        def ahead_to_behind(cfg, tally):
+            m = cfg.channels[keys[2]].pop(0)
+            cfg.channels[keys[1]].append(m)
+            tally.move(2, m, 1)
+
+        def into_the_controllers_slot(cfg, tally):
+            kept = monitor.step_checks(tally, ())
+            m = cfg.channels[keys[2]].pop(0)
+            cfg.channels[keys[3]].append(m)
+            tally.move(2, m, 3)  # neither behind the controller nor after it
+            assert monitor.step_checks(tally, ()) is kept == sim.check(cfg)
+            cfg.channels[keys[3]].pop(0)
+            cfg.channels[keys[2]].append(m)
+            tally.move(3, m, 2)
+
+        def counted_in(cfg, tally):
+            m = ResT(sim._take_uid(cfg))
+            cfg.channels[keys[3]].append(m)
+            tally.move(None, m, 3)
+
+        def counted_out(cfg, tally):
+            tally.move(1, cfg.channels[keys[1]].pop(0), None)
+
+        def control_message(cfg, tally):
+            (ctrl,) = [m for m in cfg.channels[keys[2]] if isinstance(m, Ctrl)]
+            cfg.channels[keys[2]].remove(ctrl)
+            cfg.channels[keys[3]].append(ctrl)
+            tally.move(2, ctrl, 3)
+
+        for edit in (ahead_to_behind, into_the_controllers_slot, counted_in,
+                     counted_out, control_message):
+            cfg = sim.run(sim.initial_configuration(), ReplayPolicy(self.CTRL_AT_2), 20).final
+            tally = sim.tally(cfg)
+            first = monitor.step_checks(tally, CHAIN.process_ids)
+            assert first == sim.check(cfg) and first[1]
+            edit(cfg, tally)
+            checks = monitor.step_checks(tally, ())
+            assert checks == sim.check(cfg) != first, edit.__name__
 
     def test_rset_edits_recount_the_changed_tail(self):
         # a tally counts a changed RSet again whole; no run edits an RSet in
