@@ -15,7 +15,9 @@ present in either file.  A timed metric's change is marked "within spread"
 when the two recordings' [q1, q3] ranges overlap: recordings made at
 different times are not alternating pairs, so host drift alone can move a
 median that far.  Per-layer metrics are marked as what they are, one traced
-run, with times in raw seconds.  Last comes one ``<workload>.digest:
+run, with times in raw seconds; each time is also given as a share of the
+same recording's ``simnet.run.s`` (``<layer>.share``), which host speed at
+recording time moves far less than the seconds.  Last comes one ``<workload>.digest:
 same|DIFFERS`` line per workload in both files: whether the two commits'
 traced runs gave the same output digest.
 """
@@ -137,14 +139,18 @@ def record(label: str) -> Path:
 def flatten(bench: dict) -> dict[str, tuple[float, str, tuple[float, float] | str]]:
     """Every metric of a recording as name -> (value, unit, how it was taken):
     the median and its [q1, q3] range for the timed metrics, a label for the
-    one-run ones."""
+    one-run ones; every per-layer time also as a share of ``simnet.run.s``."""
     flat = {}
     for workload, metrics in bench["workloads"].items():
         for name, m in metrics.items():
             if name == "per_layer":
+                run_s = m["simnet.run.s"]["value"]
                 for layer, v in m.items():
                     how = "one traced run" + (", raw s" if v["unit"] == "s" else "")
                     flat[f"{workload}.{layer}"] = (v["value"], v["unit"], how)
+                    if v["unit"] == "s" and layer != "simnet.run.s":
+                        flat[f"{workload}.{layer}.share"] = (v["value"] / run_s,
+                                                             "of simnet.run.s", "one traced run")
             elif isinstance(m, dict):
                 flat[f"{workload}.{name}"] = (m["median"], m["unit"], (m["q1"], m["q3"]))
     flat["tier1.wall_s"] = (bench["tier1"]["wall_s"]["value"], "s", "one run")

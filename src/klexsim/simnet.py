@@ -50,6 +50,12 @@ ChannelKey = tuple[str, int]  # (receiver, receive-channel label)
 # a token's wire name is its class name; a Ctrl renders by its __str__
 _NAMES = {cls: cls.__name__ for cls in (ResT, PushT, PrioT)}
 
+
+def _pass_line(pid: str, sends: str) -> str:
+    """The trace line of a local-action pass at ``pid`` that sent ``sends``."""
+    return f"proc={pid} event=local msg=actions ch=- sends=[{sends}]"
+
+
 DELIVER = "deliver"
 TIMEOUT = "timeout"
 SKIP = "skip"
@@ -489,18 +495,27 @@ class Simulator:
 
     def _local_pass(self, cfg: Configuration, queues: list[list[Message]], pid: str,
                     lines: list, entries: list, transitions: list,
-                    tally: monitor.Tally) -> None:
+                    tally: monitor.Tally, kept: Message | None = None) -> tuple:
+        """A local-action pass at ``pid``; one that sends or changes its state
+        puts its sends into their channels and renders its line.  It returns
+        ``()``, unless ``kept``, a token the step's event delivered to ``pid``
+        and its handler kept, is sent on instead: a pass that only sends one
+        token of its class, state as before, returns ``((label, kept),)``."""
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
+        sends = out.sends
         if out.entered_cs:
             cfg.app.enter_cs(pid)
             entries.append(pid)
         if st.state != old:
             transitions.append((pid, old, st.state))
-        if out.sends or st.state != old:
-            sends = self._enqueue(cfg, queues, self.topo.ring.dest[pid], out.sends, tally)
-            lines.append(f"proc={pid} event=local msg=actions ch=- sends=[{sends}]")
+        elif kept is not None and len(sends) == 1 and sends[0][1].__class__ is kept.__class__:
+            return ((sends[0][0], kept),)
+        if sends or st.state != old:
+            lines.append(_pass_line(pid, self._enqueue(cfg, queues, self.topo.ring.dest[pid],
+                                                       sends, tally)))
+        return ()
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
@@ -528,28 +543,33 @@ class Simulator:
         or the root's timeout, changed ``len(st.rset)`` or ``st.prio``.
         Those are the only guard inputs a handler writes (none writes
         ``state`` or ``need``, and no section ends during the event), so
-        otherwise its guards are as false as its last pass left them.
+        otherwise its guards are as false as its last pass left them.  A
+        handler that kept the delivered message (sent nothing, state as
+        before) has its receiver's pass run at once, before the message is
+        counted out.
 
-        A delivery whose handler's only send is the delivered message itself
-        moves that message on in one ``Tally.move``, whatever its class,
-        and renders the send by the name the delivery rendered it by, so a
-        controller sent on as itself is rendered once.  Its receiver is
-        counted again only when the message is a control message (a
-        non-root sends on the controller it received when its counts are
-        unchanged, ``protocol.handle_ctrl_nonroot``, but the hop changed its
-        Succ or counter), when the handler changed ``st.state``, or when
-        the channel is ring slot 0, the root's wrap channel (the forward
-        changed SToken or SPush).  Otherwise the step is a pure forward:
-        its handler kept, released and counted nothing.
+        A delivery whose only send is the delivered message itself, sent by
+        its handler or, in a prio pass (a priority token taken and handed
+        straight on), by the receiver's pass, moves that message on in one
+        ``Tally.move``, whatever its class, and renders the send by the name
+        the delivery rendered it by, so a controller sent on as itself is
+        rendered once.  The receiver is counted again only when the message
+        is a control message (a non-root sends on the controller it received
+        when its counts are unchanged, ``protocol.handle_ctrl_nonroot``, but
+        the hop changed its Succ or counter), when the handler changed
+        ``st.state``, or when the channel is ring slot 0, the root's wrap
+        channel (the forward changed SToken or SPush, the prio pass SPrio).  Otherwise the step
+        is a pure forward or a prio pass, and its receiver ends as it began.
 
         The step's record is looked up once in ``outcomes``, the caller's
         table of the records built so far, under (what happened, census,
         legitimacy, violations), and built only when no equal one is there,
-        so equal steps share one record.  A lone pure forward, one whose
-        application phase wrote no line, happened as its slot and its
-        token's class say: its key is (slot, class, census, legit,
-        violations), and its line is rendered only when that key is new.
-        Any other step's key is the record's own fields, its lines joined.
+        so equal steps share one record.  A lone pure forward or prio pass,
+        one whose application phase wrote no line, happened as its slot,
+        its token's class and whether it was passed say: its key is (slot,
+        class, passed, census, legit, violations), and its lines are
+        rendered only when that key is new.  Any other step's key is the
+        record's own fields, its lines joined.
         """
         lines: list[str] = []
         entries: list[str] = []
@@ -579,6 +599,7 @@ class Simulator:
             pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
             old, held, prio = st.state, len(st.rset), st.prio
+            at = len(lines)  # the event's line goes here, before its receiver's pass's
             if timeout_fired:
                 event, name = TIMEOUT, "-"
                 out = on_timeout_root(st, pp)
@@ -592,9 +613,17 @@ class Simulator:
                 cls = msg.__class__
                 event, name = DELIVER, _NAMES.get(cls) or str(msg)
                 out = dispatch(st, ch, msg, pp)
-                if len(out.sends) == 1 and out.sends[0][1] is msg:
-                    # msg sent on as itself: one move, rendered by its name
-                    out_ch = out.sends[0][0]
+                sent = out.sends
+                if not sent and st.state == old and (len(st.rset) != held or st.prio != prio):
+                    # msg kept: the receiver's pass runs at once and may send it
+                    # on; the rest of the step compares with what the pass left
+                    sent = self._local_pass(cfg, queues, pid, lines, entries, transitions,
+                                            tally, msg)
+                    old, held, prio = st.state, len(st.rset), st.prio
+                if len(sent) == 1 and sent[0][1] is msg:
+                    # msg sent on as itself, by its handler or by its receiver's
+                    # pass: one move, rendered by its name
+                    out_ch = sent[0][0]
                     to = dest[out_ch]
                     tally.move(t, msg, to)
                     queue = queues[to]
@@ -606,6 +635,9 @@ class Simulator:
                     else:
                         lone = not lines
                     sends = None if lone else f"{out_ch}:{name}"
+                    if sent is not out.sends and not lone:
+                        lines.append(_pass_line(pid, sends))
+                        sends = ""
                 else:
                     tally.move(t, msg, None)
                     sends = self._enqueue(cfg, queues, dest, out.sends, tally)
@@ -613,7 +645,7 @@ class Simulator:
             if not lone:
                 if st.state != old:
                     transitions.append((pid, old, st.state))
-                lines.append(f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
+                lines.insert(at, f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
                 traversal_end = out.traversal_end
                 restart = out.restart_timer
                 if len(st.rset) != held or st.prio != prio:
@@ -623,15 +655,18 @@ class Simulator:
         cfg.step += 1
         census, legit, violations = monitor.step_checks(tally, woken)
         if lone:
-            key = (t, cls, census, legit, violations)
+            passed = sent is not out.sends
+            key = (t, cls, passed, census, legit, violations)
         else:
             key = ("\n".join(lines), census, legit, tuple(entries), tuple(requests),
                    tuple(transitions), traversal_end, violations, timeout_fired)
         rec = outcomes.get(key)
         if rec is None:
             if lone:
-                rec = StepRecord(f"proc={pid} event={DELIVER} msg={name} ch={ch} "
-                                 f"sends=[{out_ch}:{name}]",
+                line = f"proc={pid} event={DELIVER} msg={name} ch={ch} sends="
+                sends = f"{out_ch}:{name}"
+                rec = StepRecord(f"{line}[]\n{_pass_line(pid, sends)}" if passed
+                                 else f"{line}[{sends}]",
                                  census, legit, (), (), (), None, violations, False)
             else:
                 rec = StepRecord._make(key)

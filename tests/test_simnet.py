@@ -1034,9 +1034,15 @@ class TestPureForward:
     process it names receives on a slot that holds one.  The root's forwards
     off its wrap channel change SToken or SPush, and a controller hop
     changes its receiver's Succ or counter, so neither is a pure forward.
-    A lone pure forward, with nothing else in its step, is looked up by its
-    slot, its token's class and its checks, and renders its line only when
-    that key is new."""
+    A prio pass, a priority token taken and handed straight on by its
+    receiver's pass, is a move too: the pass sends the delivered token in
+    its place, its receiver ends as it began and is not counted again (but
+    for the root on its wrap channel, where SPrio counts the token), and a
+    requester short of its need, which keeps the token, takes the path of
+    any other step.  A lone pure forward or prio pass, with nothing else in
+    its step, is looked up by its slot, its token's class, whether it was
+    passed and its checks, and renders its lines only when that key is
+    new."""
 
     @staticmethod
     def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
@@ -1362,6 +1368,167 @@ class TestPureForward:
         delivered = sum(" msg=Ctrl{" in line for line in trace.lines())
         assert 0 < len(built) < delivered
         assert len(rendered) == delivered + len(built)
+
+    # -- a priority token taken and handed on in one step: one move
+
+    @staticmethod
+    def logged_steps(monkeypatch, sim, cfg, replay, workload=None):
+        """``run_checked`` on ``replay`` from ``cfg``, and for the start and
+        each step, the local-action passes it ran and what the run's own
+        tally saw: its moves as (from, class, to), the processes it counted
+        again, and whether ``step_checks`` returned the checks object it
+        kept from the last step."""
+        make, move, process, checks = (sim.tally, monitor.Tally.move,
+                                       monitor.Tally.process, monitor.step_checks)
+        tallies, log = [], [{"passes": 0, "moves": [], "counted": []}]
+        mine = lambda tally: tallies and tally is tallies[0]  # noqa: E731
+
+        def logged_move(self, frm, m, to):
+            if mine(self):
+                log[-1]["moves"].append((frm, m.__class__, to))
+            move(self, frm, m, to)
+
+        def logged_process(self, pid, st):
+            if mine(self):
+                log[-1]["counted"].append(pid)
+            process(self, pid, st)
+
+        def logged_checks(tally, procs):
+            kept = tally.last
+            result = checks(tally, procs)
+            if mine(tally):
+                log[-1]["kept"] = result is kept
+                log.append({"passes": 0, "moves": [], "counted": []})
+            return result
+
+        def logged_local_actions(st, p, cs_done):
+            log[-1]["passes"] += 1
+            return local_actions(st, p, cs_done)
+
+        monkeypatch.setattr(sim, "tally", lambda c: tallies.append(make(c)) or tallies[-1])
+        monkeypatch.setattr(monitor.Tally, "move", logged_move)
+        monkeypatch.setattr(monitor.Tally, "process", logged_process)
+        monkeypatch.setattr(monitor, "step_checks", logged_checks)
+        monkeypatch.setattr(simnet, "local_actions", logged_local_actions)
+        trace = run_checked(sim, cfg, ReplayPolicy(replay), len(replay), workload)
+        monkeypatch.undo()
+        return trace, log[:-1]
+
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0);
+    # 3 (a, 1).  The canonical start's first token is the priority token, at
+    # slot 1; a takes it and hands it on to b (slot 2), b to a's channel 1
+    # (slot 3), a to the root's wrap channel (slot 0), and the root to a
+    PRIO_ROUND = [1, 2, 3, 0]
+
+    def test_prio_pass_at_a_non_root_is_one_move(self, monkeypatch):
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       self.PRIO_ROUND)
+        assert [rec.body for rec in trace.records[1:3]] == [
+            "proc=b event=deliver msg=PrioT ch=0 sends=[]\n"
+            "proc=b event=local msg=actions ch=- sends=[0:PrioT]",
+            "proc=a event=deliver msg=PrioT ch=1 sends=[]\n"
+            "proc=a event=local msg=actions ch=- sends=[0:PrioT]"]
+        # log[0] is the start's check, log[1] the first step's, which
+        # counts every process
+        assert log[2:4] == [
+            {"passes": 1, "moves": [(2, PrioT, 3)], "counted": [], "kept": True},
+            {"passes": 1, "moves": [(3, PrioT, 0)], "counted": [], "kept": True}]
+
+    def test_root_taking_the_prio_token_on_its_wrap_channel_is_counted_again(
+            self, monkeypatch):
+        # the root's pass adds the token it sends on off its wrap channel to
+        # SPrio, which the legitimacy clause reads
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       self.PRIO_ROUND)
+        assert trace.records[3].body == (
+            "proc=r event=deliver msg=PrioT ch=0 sends=[]\n"
+            "proc=r event=local msg=actions ch=- sends=[0:PrioT]")
+        assert log[4] == {"passes": 1, "moves": [(0, PrioT, 1)], "counted": ["r"],
+                          "kept": False}
+        assert trace.final.states["r"].sprio == 1
+
+    def test_requester_short_of_its_need_keeps_the_prio_token(self, monkeypatch):
+        # a requests two units and holds none: it keeps the token, which is
+        # counted out of its slot and held, and a is counted again; its one
+        # pass, run as it took the token, is not run again
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["a"].state, cfg.states["a"].need = REQ, 2
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1])
+        assert trace.records[1].body == "proc=a event=deliver msg=PrioT ch=0 sends=[]"
+        assert log[2] == {"passes": 1, "moves": [(1, PrioT, None)], "counted": ["a"],
+                          "kept": False}
+        assert trace.final.states["a"].prio == 0
+
+    def test_prio_pass_in_a_step_with_a_request_line(self, monkeypatch):
+        # the root requests as b takes the token and hands it on: the step
+        # renders all its lines, and the token still moves once
+        sim = canonical_sim(CHAIN)
+        workload = Workload([WorkloadEvent(1, "r", 1, 2)], 2)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       [1, 2], workload)
+        rec = trace.records[1]
+        assert rec.body == ("proc=r event=local msg=request{need=1} ch=- sends=[]\n"
+                            "proc=b event=deliver msg=PrioT ch=0 sends=[]\n"
+                            "proc=b event=local msg=actions ch=- sends=[0:PrioT]")
+        assert (rec.requests, rec.transitions) == ((("r", 1),), (("r", OUT, REQ),))
+        assert log[2] == {"passes": 2, "moves": [(2, PrioT, 3)], "counted": ["r"],
+                          "kept": False}
+
+    def test_prio_pass_and_forward_of_the_prio_token_differ(self):
+        # three priority tokens queue at b: b hands the first straight on,
+        # then requests and keeps the second, and its handler sends the
+        # third on as itself.  Both lone steps have b's slot, the class and
+        # the checks in common, but not their lines
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.channels[("b", 0)] = [PrioT(), PrioT(), PrioT()]
+        trace = run_checked(sim, cfg, ReplayPolicy([None, 2, 2, 2]), 4,
+                            Workload([WorkloadEvent(2, "b", 2, 1)], 2))
+        _, first, kept, forward = trace.records
+        assert (first.census, first.legit, first.violations) == (
+            forward.census, forward.legit, forward.violations)
+        assert first.body == ("proc=b event=deliver msg=PrioT ch=0 sends=[]\n"
+                              "proc=b event=local msg=actions ch=- sends=[0:PrioT]")
+        assert kept.body.endswith("proc=b event=deliver msg=PrioT ch=0 sends=[]")
+        assert forward.body == "proc=b event=deliver msg=PrioT ch=0 sends=[0:PrioT]"
+
+    def test_prio_passes_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every step
+        # equals the one in which each pass after a kept token is an
+        # ordinary pass, whose sends are put into their channels, so that
+        # the token is counted out and in and the step's record is looked
+        # up by its own fields
+        local_pass = Simulator._local_pass
+        passed = []
+
+        def counting_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
+                          kept=None):
+            sent = local_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
+                              kept)
+            passed.append(bool(sent))
+            return sent
+
+        def generic_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
+                         kept=None):
+            return local_pass(self, cfg, queues, pid, lines, entries, transitions, tally)
+
+        for seed in range(6):
+            topo = random_tree(700 + seed, 3 + seed % 5)
+            sim = canonical_sim(topo)
+            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
+                                          rate=0.05, max_duration=3)
+            monkeypatch.setattr(Simulator, "_local_pass", counting_pass)
+            trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.setattr(Simulator, "_local_pass", generic_pass)
+            ref = sim.run(cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.undo()
+            assert list(trace.lines()) == list(ref.lines())
+            assert trace.records == ref.records
+        assert passed.count(True) > 100
 
 
 @pytest.mark.pin
