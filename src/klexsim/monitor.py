@@ -3,7 +3,8 @@
 The verdicts over run traces are pure functions.  The per-step checks are
 not: ``Tally`` keeps counts of one configuration from step to step, which
 the simulator updates through ``Tally.move`` as messages enter, leave and
-cross channels and ``step_checks`` updates for the processes a step changed.
+cross channels (``Tally.hop`` for a controller hop) and ``step_checks``
+updates for the processes a step changed.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -46,6 +47,23 @@ _SPECIES = {ResT: 0, PrioT: 1, PushT: 2}  # anything else is a control message
 _NO_PROCESS = ((), None, 0, (), False)
 
 
+def _valid(st, q: int, c: int, is_root: bool) -> bool:
+    """Whether a control message with counter c, arriving on channel q at a
+    process in state st, is the traversal's (``CensusReport.ctrl_tokens``)."""
+    return q == st.succ and c == st.myc or q == 0 and not is_root and c != st.myc
+
+
+def _off(place: tuple, st, c: int, t_c: int) -> bool:
+    """Whether a process, its ``Ring.places`` row ``place`` and its state
+    st, is off the canonical traversal state for a controller with counter
+    c at place t_c (the traversal clause of ``step_checks``)."""
+    pos, is_root, last = place
+    visits = bisect_left(pos, t_c, 0, last)
+    if is_root or visits:
+        return st.myc != c or st.succ != visits % len(pos) or is_root and st.reset
+    return st.myc == c
+
+
 class Tally:
     """What ``step_checks`` keeps of a configuration from step to step:
     the token counts of every ring slot (``topology.Ring``) and the part of
@@ -74,6 +92,13 @@ class Tally:
     or None once an input of the check has changed since: a token counted
     in or out, one crossing the controller's place or landing behind a
     control message, or a control message moving.
+
+    The hop rule (``hop``) is the one exception: a controller hop from a
+    legitimate configuration, in a step that changed nothing else, moves
+    the controller one place on and leaves ``scan``, ``key`` and ``last``
+    as a scan and a check of the new configuration would, from the new
+    place and the receivers' states, without counting the old receiver
+    again; any hop it cannot read that way it leaves to ``step_checks``.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -156,6 +181,65 @@ class Tally:
             self.after[to][i] += 1
             self.last = None
 
+    def hop(self, frm: int, m, to: int) -> tuple | None:
+        """Count a controller hop as ``move(frm, m, to)``: the control
+        message at the front of slot ``frm`` delivered, and m, the one its
+        receiver's handler sent with the same counter (the message itself,
+        or a copy with the receiver's holdings picked up), onto slot
+        ``to``, in a step that changed nothing else: no process was passed,
+        and the receiver's RSet, Prio and state are as they were.
+
+        When the last checks were legitimate, the step changed only the
+        controller's place and the receiver's Succ (and its counter, on an
+        adoption), and the checks are read from those alone.  m must be
+        valid for its new receiver (the scan's rule) and one place on, with
+        the key's counter; the old receiver, re-derived from its state, must
+        be on the canonical traversal state at the new place.  It has passed
+        its channel there, so its counter is then the key's, the root's at
+        the last check and inside its domain.  Then ``key``, ``behind`` and
+        ``scan`` advance as ``step_checks`` advances them, the running-count
+        clause is read against the new place, and the checks, kept as
+        ``last``, are returned.  Otherwise it returns None: ``step_checks``
+        must then count the receiver again."""
+        last = self.last
+        self.move(frm, m, to)
+        if last is None or not last[1]:
+            return None
+        keys = self.ring.keys
+        states = self.cfg.states
+        c, place = self.key
+        new = to or len(keys)
+        pid, q = keys[to]
+        if m.c != c or new != place + 1 or not _valid(states[pid], q, c, pid == self.topo.root):
+            return None
+        pid = keys[place][0]
+        st = states[pid]
+        if _off(self.places[pid], st, c, new):
+            return None
+        self.advance(place)
+        self.key = key = (c, new)
+        self.scan = (1, key, m, to)
+        self.last = last if not m.r and self.flushed(m, to) else (last[0], False, ())
+        return self.last
+
+    def advance(self, left: int) -> None:
+        """Count the tokens of slot ``left``, which the controller has just
+        left for the next place, as behind it."""
+        counts, behind = self.counts[left], self.behind
+        behind[0] += counts[0]
+        behind[1] += counts[1]
+        behind[2] += counts[2]
+
+    def flushed(self, cm, c_slot: int) -> bool:
+        """The running-count clause of ``step_checks`` for the controller
+        cm at the front of slot ``c_slot``."""
+        rs = self.cfg.states[self.topo.root]
+        b = self.behind
+        after = self.after[c_slot]
+        return (cm.pt + rs.stoken == b[0] + after[0]
+                and cm.ppr + rs.sprio == b[1] + after[1]
+                and rs.spush == b[2] + after[2])
+
     def process(self, pid, st) -> None:
         """Count one process's part again, for the current ``key``."""
         rset = st.rset
@@ -167,22 +251,18 @@ class Tally:
             viol += (f"{pid} counter {st.myc} outside domain",)
         if st.stoken > self.ell + 1 or st.spush > SAT or st.sprio > SAT or held > self.k:
             viol += (f"{pid} bounded variable outside domain",)
-        pos, is_root, last = self.places[pid]
+        place = self.places[pid]
         off = False
         if self.key is not None:
             c, t_c = self.key
-            visits = bisect_left(pos, t_c, 0, last)
-            if is_root or visits:
-                off = (st.myc != c or st.succ != visits % len(pos)
-                       or is_root and st.reset)
-            else:
-                off = st.myc == c
+            off = _off(place, st, c, t_c)
         new = (tuple(rset), st.prio, held if st.state == IN else 0, viol, off)
         old = self.procs.get(pid, _NO_PROCESS)
         if new == old:
             return
         self.procs[pid] = new
         count = self._count
+        pos = place[0]
         was = old[0]
         if was != new[0]:
             for e in was:
@@ -283,6 +363,13 @@ def step_checks(tally: Tally,
     one (``Tally.last`` set), the last result is returned as it is.  A
     result with violations is never kept: a duplicated unit is reported
     with the channel it is in, which any move can change.
+
+    A controller hop the simulator hands to the hop rule (``Tally.hop``)
+    is checked there, and its checks kept as ``Tally.last``, when the last
+    checks were legitimate and the hop reads as a move one place on: the
+    controller valid for its new receiver, and the old receiver on the
+    canonical traversal state at the new place.  Any other hop falls back
+    to this function, its receiver in ``procs``.
     """
     if not procs and tally.last is not None:
         return tally.last
@@ -304,8 +391,7 @@ def step_checks(tally: Tally,
             st = states[pid]
             for cm in ctrls:
                 n_ctrl += 1
-                ctrl += ((q == st.succ and cm.c == st.myc)
-                         or (q == 0 and pid != root and cm.c != st.myc))
+                ctrl += _valid(st, q, cm.c, pid == root)
         key = None
         if n_ctrl == ctrl == 1:
             key = (cm.c, c_slot or len(ring.keys))
@@ -317,10 +403,7 @@ def step_checks(tally: Tally,
         behind = tally.behind
         if key is not None and tally.key == (key[0], key[1] - 1):
             left = key[1] - 1
-            counts = tally.counts[left]
-            behind[0] += counts[0]
-            behind[1] += counts[1]
-            behind[2] += counts[2]
+            tally.advance(left)
             procs = {*procs, ring.keys[left][0]}
         elif key is not None:
             behind[:] = (0, 0, 0)
@@ -343,14 +426,7 @@ def step_checks(tally: Tally,
             or res != tally.ell or prio != 1 or push != 1):
         legit = False
     else:
-        rs = states[root]
-        b = tally.behind
-        after = tally.after[c_slot]
-        legit = (
-            cm.pt + rs.stoken == b[0] + after[0]
-            and cm.ppr + rs.sprio == b[1] + after[1]
-            and rs.spush == b[2] + after[2]
-        )
+        legit = tally.flushed(cm, c_slot)
     checks = census, legit, violations
     tally.last = None if violations else checks
     return checks

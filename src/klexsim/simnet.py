@@ -83,7 +83,7 @@ class SimParams:
         if self.cmax < 0:
             raise ValueError("cmax must be non-negative")
         if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive or None")
+            raise ValueError("timeout must be at least 1 step")
 
 
 def default_timeout(topo: TreeTopology, ell: int, cmax: int) -> int:
@@ -477,8 +477,8 @@ class Simulator:
         slot)``; return their rendering for the trace line.  A unit without
         a uid gets one here: in a run, which stamps its start, only a unit
         the root mints.  A delivery whose one send is the delivered message
-        itself does not come here: ``execute_step`` moves that message on
-        and renders it by the name it rendered it by on delivery."""
+        itself, or a controller hop, does not come here: ``execute_step``
+        moves that message on itself."""
         rendered = []
         busy = cfg.busy
         for out_ch, msg in sends:
@@ -554,12 +554,24 @@ class Simulator:
         ``Tally.move``, whatever its class, and renders the send by the name
         the delivery rendered it by, so a controller sent on as itself is
         rendered once.  The receiver is counted again only when the message
-        is a control message (a non-root sends on the controller it received
-        when its counts are unchanged, ``protocol.handle_ctrl_nonroot``, but
-        the hop changed its Succ or counter), when the handler changed
+        is a control message (below), when the handler changed
         ``st.state``, or when the channel is ring slot 0, the root's wrap
-        channel (the forward changed SToken or SPush, the prio pass SPrio).  Otherwise the step
-        is a pure forward or a prio pass, and its receiver ends as it began.
+        channel (the forward changed SToken or SPush, the prio pass SPrio).
+        Otherwise the step is a pure forward or a prio pass, and its
+        receiver ends as it began.
+
+        A controller hop, a delivered control message whose handler's one
+        send is a control message that is no root wrap's (the message
+        itself, or a copy with the receiver's holdings picked up), moves in
+        one move too.  When the application phase woke no process and the
+        handler left the receiver's RSet, Prio and state as they were, the
+        move goes to the monitor's hop rule, ``Tally.hop``, which checks the
+        configuration itself when the last checks were legitimate, from the
+        new place and the two receivers' states; when it cannot, or the
+        step did more, the receiver, whose Succ or counter the hop changed,
+        goes into ``woken`` and ``step_checks`` counts it again.  A root
+        wrap, which builds a new counter and may mint, is an ordinary
+        delivery.
 
         The step's record is looked up once in ``outcomes``, the caller's
         table of the records built so far, under (what happened, census,
@@ -620,24 +632,31 @@ class Simulator:
                     sent = self._local_pass(cfg, queues, pid, lines, entries, transitions,
                                             tally, msg)
                     old, held, prio = st.state, len(st.rset), st.prio
-                if len(sent) == 1 and sent[0][1] is msg:
+                if len(sent) == 1 and (sent[0][1] is msg
+                                       or cls is Ctrl and out.traversal_end is None):
                     # msg sent on as itself, by its handler or by its receiver's
-                    # pass: one move, rendered by its name
-                    out_ch = sent[0][0]
+                    # pass, or a controller hop: one move
+                    out_ch, m = sent[0]
                     to = dest[out_ch]
-                    tally.move(t, msg, to)
                     queue = queues[to]
                     if not queue:
                         insort(busy, to)
-                    queue.append(msg)
-                    if cls is Ctrl or st.state != old or t == 0:
-                        woken.add(pid)
+                    queue.append(m)
+                    if (cls is Ctrl and not woken and st.state == old
+                            and len(st.rset) == held and st.prio == prio):
+                        if tally.hop(t, m, to) is None:
+                            woken.add(pid)
                     else:
-                        lone = not lines
-                    sends = None if lone else f"{out_ch}:{name}"
-                    if sent is not out.sends and not lone:
-                        lines.append(_pass_line(pid, sends))
-                        sends = ""
+                        tally.move(t, m, to)
+                        if cls is Ctrl or st.state != old or t == 0:
+                            woken.add(pid)
+                        else:
+                            lone = not lines
+                    if not lone:
+                        sends = f"{out_ch}:{name if m is msg else m}"
+                        if sent is not out.sends:
+                            lines.append(_pass_line(pid, sends))
+                            sends = ""
                 else:
                     tally.move(t, msg, None)
                     sends = self._enqueue(cfg, queues, dest, out.sends, tally)

@@ -48,6 +48,11 @@ class TestValidation:
         assert main(["--topology", str(star_file), "--ell", "0"]) == USAGE
         assert capsys.readouterr().err == "error: ell must be at least 1\n"
 
+    def test_timeout_zero_rejected(self, star_file, capsys):
+        # a flag cannot pass None, so the message names only what it can pass
+        assert main(["--topology", str(star_file), "--timeout", "0"]) == USAGE
+        assert capsys.readouterr().err == "error: timeout must be at least 1 step\n"
+
     def test_replay_policy_needs_file(self):
         cfg = RunConfig(topology=parse_topology(STAR_TEXT), policy="replay")
         with pytest.raises(UsageError, match="replay requires"):

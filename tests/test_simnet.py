@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klexsim import monitor, scenarios, simnet
+from klexsim import monitor, protocol, scenarios, simnet
 from klexsim.appmodel import RandomWorkload, RepeatingWorkload, Workload, WorkloadEvent
-from klexsim.monitor import check_fairness, check_safety, collect_requests, stabilization_time
+from klexsim.monitor import (
+    check_fairness,
+    check_safety,
+    closure_regressions,
+    collect_requests,
+    stabilization_time,
+)
 from klexsim.protocol import (
     IN,
     OUT,
@@ -1227,9 +1233,12 @@ class TestPureForward:
     @staticmethod
     def copy_forwards(monkeypatch):
         """Make a delivery whose one send is the delivered message send an
-        equal copy instead: the step then takes the path of any other step,
-        through ``_enqueue``, counting its receiver again and looking its
-        record up by the record's own fields, never by slot and class."""
+        equal copy instead: the step then looks its record up by the
+        record's own fields, never by slot and class.  A copied token takes
+        the path of any other step, through ``_enqueue``, counting its
+        receiver again; a copied controller that is no root wrap is still a
+        hop and goes through the hop rule, whose reference for the monitor
+        is ``TestControllerHop.test_hops_equal_generic_steps``."""
         def copying_dispatch(st, q, msg, p):
             out = dispatch(st, q, msg, p)
             if len(out.sends) == 1 and out.sends[0][1] is msg:
@@ -1355,7 +1364,9 @@ class TestPureForward:
     def test_controller_forwarded_as_itself_renders_once(self, monkeypatch):
         # a delivered controller is rendered for its ``msg=``; one sent on
         # as itself reuses that text, so only a newly built one is rendered
-        # again, for its send
+        # again, for its send.  (The equality holds as long as every
+        # delivered controller's line is rendered: a step that reused a
+        # record without rendering its line would break it)
         sim = canonical_sim(random_tree(10, 10))
         cfg = sim.initial_configuration()
         rendered, built = [], []
@@ -1529,6 +1540,235 @@ class TestPureForward:
             assert list(trace.lines()) == list(ref.lines())
             assert trace.records == ref.records
         assert passed.count(True) > 100
+
+
+@pytest.mark.pin
+class TestControllerHop:
+    """A controller hop, a delivered control message whose handler sends one
+    control message with the same counter (the message itself, or a copy
+    with what its receiver holds from the channel picked up), is counted by
+    the monitor's hop rule (``monitor.Tally.hop``) when the step's
+    application phase woke no process and the hop is not a root wrap: one
+    move, and when the last checks were legitimate, its receiver is not
+    counted again and the checks are read from the new place and the
+    states of the old and the new receiver.  Any other hop falls back to
+    ``step_checks``, which counts its receiver again.  A hop's record is
+    looked up by the record's own fields, as that of any step other than a
+    lone pure forward or prio pass."""
+
+    logged_steps = staticmethod(TestPureForward.logged_steps)
+
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0);
+    # 3 (a, 1).  Round robin from the canonical start passes the priority
+    # token, the units and the pusher round the ring first; then a adopts
+    # the controller (step 20), b adopts it (21), a sends it back to the
+    # root (22), and the root wraps (23)
+    ROUND = [1, 2, 3, 0] * 6
+    CTRL = "Ctrl{c=0,r=0,pt=0,ppr=0}"
+    HOPS = [f"proc=a event=deliver msg={CTRL} ch=0 sends=[1:{CTRL}]",
+            f"proc=b event=deliver msg={CTRL} ch=0 sends=[0:{CTRL}]",
+            f"proc=a event=deliver msg={CTRL} ch=1 sends=[0:{CTRL}]"]
+
+    def test_hop_is_one_move(self, monkeypatch):
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       self.ROUND)
+        assert [rec.body for rec in trace.records[20:23]] == self.HOPS
+        # log[i + 1] is step i; ``step_checks`` returns the checks the hop
+        # rule kept
+        assert log[21:24] == [
+            {"passes": 0, "moves": [(1, Ctrl, 2)], "counted": [], "kept": True},
+            {"passes": 0, "moves": [(2, Ctrl, 3)], "counted": [], "kept": True},
+            {"passes": 0, "moves": [(3, Ctrl, 0)], "counted": [], "kept": True}]
+        assert all(rec.legit for rec in trace.records)
+        # the root's wrap takes the general path: the new counter's place
+        # does not follow from the last, and every process is counted again
+        assert trace.records[23].body == (f"proc=r event=deliver msg={self.CTRL} ch=0 "
+                                          "sends=[0:Ctrl{c=1,r=0,pt=0,ppr=0}]")
+        assert log[24] == {"passes": 0, "moves": [(0, Ctrl, None), (None, Ctrl, 1)],
+                           "counted": list(CHAIN.process_ids), "kept": False}
+
+    def test_leaf_parent_duplicate(self, monkeypatch):
+        # the leaf b starts with the controller's counter, so the controller
+        # from its parent is a parent duplicate, valid at a leaf, which b
+        # sends on one place; b is off the canonical traversal state until
+        # it has passed.  The last checks were not legitimate: b is counted
+        # again, and its off flag flips
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["b"].myc = 0
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, self.ROUND)
+        assert trace.records[21].body == self.HOPS[1]
+        assert log[22]["moves"] == [(2, Ctrl, 3)] and log[22]["counted"] == ["b"]
+        assert [rec.legit for rec in trace.records[20:22]] == [False, True]
+
+    def test_capped_count_sent_on_as_itself(self, monkeypatch):
+        # the controller, at the front of a's channel, carries pt = ell+1,
+        # which the unit a holds from that channel cannot raise: a's handler
+        # sends it on as itself.  No legitimate configuration carries that
+        # count, so a is counted again and the checks stay not legitimate
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        q = cfg.channels[("a", 0)]
+        unit = q.pop(1)
+        q.pop()
+        q.insert(0, Ctrl(0, False, sim.params.ell + 1, 0))
+        a = cfg.states["a"]
+        a.state, a.need, a.rset = REQ, 2, [Reserved(0, unit.uid)]
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1])
+        ctrl = "Ctrl{c=0,r=0,pt=4,ppr=0}"
+        assert trace.records[1].body == f"proc=a event=deliver msg={ctrl} ch=0 sends=[1:{ctrl}]"
+        assert log[2] == {"passes": 0, "moves": [(1, Ctrl, 2)], "counted": ["a"],
+                          "kept": False}
+        assert not trace.initial_legit and not trace.records[1].legit
+
+    def test_hop_into_a_receiver_that_finds_it_invalid(self):
+        # a transient fault moves the root's counter on while a sends the
+        # controller back to it: the last checks were legitimate, but the
+        # root no longer takes the controller as valid, which only its state
+        # tells.  a is counted again, and no controller is valid
+        sim = canonical_sim(CHAIN)
+        counted = []
+
+        def observe(cfg, rec):
+            assert (rec.census, rec.legit, rec.violations) == sim.check(cfg), cfg.step - 1
+            if cfg.step == 22:
+                cfg.states["r"].myc = 1
+
+        process = monitor.Tally.process
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monitor.Tally, "process",
+                       lambda self, pid, st: counted.append(pid) or process(self, pid, st))
+            trace = sim.run(sim.initial_configuration(), ReplayPolicy(self.ROUND), 24,
+                            observer=observe)
+        hop = trace.records[22]
+        assert hop.body == self.HOPS[2] and trace.records[21].legit
+        assert (hop.census.ctrl_tokens, hop.legit) == (0, False)
+        assert "a" in counted
+
+    def test_hop_in_a_step_with_a_request_line(self, monkeypatch):
+        # b requests as a adopts the controller: the step renders both
+        # lines and counts both processes again
+        sim = canonical_sim(CHAIN)
+        workload = Workload([WorkloadEvent(20, "b", 1, 2)], 2)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       self.ROUND, workload)
+        assert trace.records[20].body == ("proc=b event=local msg=request{need=1} ch=- sends=[]\n"
+                                          + self.HOPS[0])
+        assert log[21]["moves"] == [(1, Ctrl, 2)]
+        assert sorted(log[21]["counted"]) == ["a", "b"]
+        # b adopts the controller the next step, with nothing else in it
+        assert log[22] == {"passes": 0, "moves": [(2, Ctrl, 3)], "counted": [], "kept": True}
+
+    def test_root_pickup_hop(self, monkeypatch):
+        # STAR's ring: slot 0 (r, 1), the root's wrap channel; 1 (a, 0);
+        # 2 (r, 0); 3 (b, 0).  The root, in its critical section with two
+        # units from channel 0, picks them up into a new controller as it
+        # sends the controller on to b: one move, its timer restarted, and
+        # the wrap that follows counts every unit once
+        # units the root reserves and holds (steps 5 and 7), then round robin
+        replay = [1, 2, 3, 0, 1, 2, 1, 2, 1, 2, 3, 0] + [1, 2, 3, 0] * 2
+        make = lambda: Workload([WorkloadEvent(4, "r", 2, 50)], 2)  # noqa: E731
+        sim = canonical_sim(STAR)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       replay, make())
+        assert trace.records[17].body == (f"proc=r event=deliver msg={self.CTRL} ch=0 "
+                                          "sends=[1:Ctrl{c=0,r=0,pt=2,ppr=0}]")
+        assert log[18] == {"passes": 0, "moves": [(2, Ctrl, 3)], "counted": [], "kept": True}
+        assert trace.records[19].traversal_end.res_total == sim.params.ell
+        assert all(rec.legit for rec in trace.records)
+        mid = sim.run(sim.initial_configuration(), ReplayPolicy(replay[:18]), 18, make())
+        assert mid.final.timer == 0
+
+    def test_hops_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every
+        # step equals the one in which the hop rule only moves the
+        # controller and leaves every check to ``step_checks``
+        hop = monitor.Tally.hop
+        ruled = []
+
+        def counting_hop(self, frm, m, to):
+            checks = hop(self, frm, m, to)
+            ruled.append(checks is not None)
+            return checks
+
+        def moving_hop(self, frm, m, to):
+            self.move(frm, m, to)
+
+        for seed in range(6):
+            topo = random_tree(800 + seed, 3 + seed % 6)
+            sim = canonical_sim(topo)
+            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
+                                          rate=0.03, max_duration=3)
+            monkeypatch.setattr(monitor.Tally, "hop", counting_hop)
+            trace = run_checked(sim, cfg, RoundRobinPolicy(), 1500, make())
+            monkeypatch.setattr(monitor.Tally, "hop", moving_hop)
+            ref = sim.run(cfg, RoundRobinPolicy(), 1500, make())
+            monkeypatch.undo()
+            assert list(trace.lines()) == list(ref.lines())
+            assert trace.records == ref.records
+        assert ruled.count(True) > 200 and ruled.count(False) > 20
+
+    # -- broken handlers: every check of the hop rule is read from the
+    # -- configuration, none assumed from closure
+
+    @staticmethod
+    def broken_run(monkeypatch, handler, seed):
+        """``run_checked`` with the non-root controller handler replaced by
+        ``handler(handle, st, q, msg, p)``, given the real one as
+        ``handle``, round robin from the canonical start on a seeded tree;
+        the run must leave legitimacy at least once."""
+        handle = protocol.handle_ctrl_nonroot
+        monkeypatch.setattr(protocol, "handle_ctrl_nonroot",
+                            lambda st, q, msg, p: handler(handle, st, q, msg, p))
+        sim = canonical_sim(random_tree(40 + seed, 6 + seed))
+        trace = run_checked(sim, sim.initial_configuration(), RoundRobinPolicy(), 400)
+        assert closure_regressions(trace) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hop_that_does_not_advance_succ(self, monkeypatch, seed):
+        # a hop sends the controller on to the next channel but leaves Succ
+        # where it was: the controller lands one place on, valid, and only
+        # its old receiver's state shows it off the canonical traversal
+        def stuck(handle, st, q, msg, p):
+            succ = st.succ
+            out = handle(st, q, msg, p)
+            if q and q == succ and msg.c == st.myc:
+                st.succ = succ
+            return out
+
+        self.broken_run(monkeypatch, stuck, seed)
+
+    @pytest.mark.parametrize("seed", range(1, 7))  # trees with a non-root of two children
+    def test_hop_past_a_child(self, monkeypatch, seed):
+        # a process that sends the controller down to a child that has a
+        # next sibling sends it to that sibling instead, Succ with it: its
+        # own state agrees with the place it lands on, valid for the new
+        # receiver, and only the place, not one on, tells
+        def skipping(handle, st, q, msg, p):
+            out = handle(st, q, msg, p)
+            nxt = forward_channel(st.succ, p.delta)
+            if out.sends and st.succ and nxt:
+                st.succ = nxt
+                out = HandlerOutput([(nxt, out.sends[0][1])])
+            return out
+
+        self.broken_run(monkeypatch, skipping, seed)
+
+    def test_hop_without_its_pickup(self, monkeypatch):
+        # the handlers never pick up what their receiver holds: a, in its
+        # critical section with two units from channel 0, sends the
+        # controller on as itself as it adopts it, and the running count
+        # falls short by those units, which only the count clause reads
+        monkeypatch.setattr(protocol, "_pick_up", lambda st, q, msg, p: (msg.pt, msg.ppr))
+        sim = canonical_sim(CHAIN)
+        trace = run_checked(sim, sim.initial_configuration(), RoundRobinPolicy(), 40,
+                            Workload([WorkloadEvent(0, "a", 2, 100)], 2))
+        (step,) = [i for i, rec in enumerate(trace.records)
+                   if rec.body == self.HOPS[0]]
+        assert trace.records[step - 1].legit and not trace.records[step].legit
+        assert trace.final.states["a"].state == IN
 
 
 @pytest.mark.pin
