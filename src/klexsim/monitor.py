@@ -3,8 +3,9 @@
 The verdicts over run traces are pure functions.  The per-step checks are
 not: ``Tally`` keeps counts of one configuration from step to step, which
 the simulator updates through ``Tally.move`` as messages enter, leave and
-cross channels (``Tally.hop`` for a controller hop) and ``step_checks``
-updates for the processes a step changed.
+cross channels (``Tally.hop`` for a controller hop, ``Tally.hold`` for a
+token kept where it arrived) and ``step_checks`` updates for the processes
+a step changed.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -73,7 +74,8 @@ class Tally:
     channel it arrived on.  A tally counts one configuration, ``cfg``, kept
     as ``tally.cfg``: it starts from its channels, its first ``step_checks``
     must name every process, and the simulator calls ``move`` for every
-    message a step puts into, takes from or passes between its channels.
+    message a step puts into, takes from or passes between its channels,
+    but ``hold`` for a token delivered and kept.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -99,6 +101,10 @@ class Tally:
     as a scan and a check of the new configuration would, from the new
     place and the receivers' states, without counting the old receiver
     again; any hop it cannot read that way it leaves to ``step_checks``.
+
+    A token its receiver's handler kept is held where it was counted free
+    (``hold``): only the RSet or Prio of the receiver's part changes, and
+    ``last`` stands.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -186,8 +192,9 @@ class Tally:
         message at the front of slot ``frm`` delivered, and m, the one its
         receiver's handler sent with the same counter (the message itself,
         or a copy with the receiver's holdings picked up), onto slot
-        ``to``, in a step that changed nothing else: no process was passed,
-        and the receiver's RSet, Prio and state are as they were.
+        ``to``, in a step that changed nothing else: no process was counted
+        again (a request whose pass did nothing counts none), and the
+        receiver's RSet, Prio and state are as they were.
 
         When the last checks were legitimate, the step changed only the
         controller's place and the receiver's Succ (and its counter, on an
@@ -221,6 +228,24 @@ class Tally:
         self.scan = (1, key, m, to)
         self.last = last if not m.r and self.flushed(m, to) else (last[0], False, ())
         return self.last
+
+    def hold(self, pid, st) -> bool:
+        """Count the token that the handler of ``pid`` (state st) just kept
+        as held: a unit appended to its RSet, or Prio set, from the front of
+        one of its channels, in a step that counted ``pid`` before it and
+        does not count it again.  A held token is counted at the slot of the
+        channel it arrived on, which is the slot it was delivered from, so
+        no count moves and only the RSet and Prio of its part are rewritten;
+        ``last`` is kept.  It returns False, changing nothing, when the new
+        RSet holds more than k units or ``pid`` is in its section: its
+        violations or units in use would change, and ``process`` must count
+        it again."""
+        rset = st.rset
+        if len(rset) > self.k or st.state == IN:
+            return False
+        _, _, in_use, viol, off = self.procs.get(pid, _NO_PROCESS)
+        self.procs[pid] = (tuple(rset), st.prio, in_use, viol, off)
+        return True
 
     def advance(self, left: int) -> None:
         """Count the tokens of slot ``left``, which the controller has just
@@ -318,18 +343,22 @@ def step_checks(tally: Tally,
     ``tally`` counts (``tally.cfg``).
 
     ``tally`` has already counted every message moved since it was last
-    checked (``Tally.move``); ``procs`` names the processes whose state
-    may have changed (every process, the first time a tally is checked).  Only those are counted
-    again, their held tokens at the slots they arrived on.  The control
-    messages are scanned again only when one moved since the last check or
-    a process in ``procs`` receives on a slot that holds one; otherwise
-    their validity is as the last scan found it (``Tally.scan``), as no
-    receiver of theirs changed.  The traversal fields of every process are
-    counted again when the controller's place does not follow from the last
-    one: on a wrap (the counter changes), a jump, a move backwards, or when
-    a single valid control message appears.  A move to the next channel
-    adds the slot it left, and counts again the process that channel leads
-    to.
+    checked (``Tally.move``) and every token held where it arrived
+    (``Tally.hold``); ``procs`` names the processes whose part may have
+    changed otherwise (every process, the first time a tally is checked).
+    Only those are counted again, their held tokens at the slots they
+    arrived on.  A process whose request arrived is not among them unless
+    its pass wrote a line: a request writes only ``state`` (Out to Req) and
+    ``need``, and no check reads ``need`` or a state other than In.  The
+    control messages are scanned again only when one moved since the last
+    check or a process in ``procs`` receives on a slot that holds one;
+    otherwise their validity is as the last scan found it (``Tally.scan``),
+    as no receiver of theirs changed.  The traversal fields of every process
+    are counted again when the controller's place does not follow from the
+    last one: on a wrap (the counter changes), a jump, a move backwards, or
+    when a single valid control message appears.  A move to the next
+    channel adds the slot it left, and counts again the process that channel
+    leads to.
 
     Safety violations reported: a unit represented twice (duplicate
     identity tag), more than k units held by a process in its critical
@@ -369,7 +398,9 @@ def step_checks(tally: Tally,
     checks were legitimate and the hop reads as a move one place on: the
     controller valid for its new receiver, and the old receiver on the
     canonical traversal state at the new place.  Any other hop falls back
-    to this function, its receiver in ``procs``.
+    to this function, its receiver in ``procs``.  So does a kept token
+    that ``Tally.hold`` cannot hold: one whose receiver would hold more
+    than k units or is in its section.
     """
     if not procs and tally.last is not None:
         return tally.last

@@ -528,7 +528,12 @@ class Simulator:
         the checks of the configuration produced, ``step_checks(tally,
         woken)``: the step counts each message it puts in, takes out or
         passes on with one ``Tally.move``, and ``woken`` holds only the
-        processes it changed.  A timeout changes none: ``on_timeout_root``
+        processes whose part of the checks it may have changed: the
+        ``dirty`` ones, and those whose pass wrote a line.  A request writes
+        only ``state`` (Out to Req) and ``need``, which no check reads, and
+        a pass that writes no line changes nothing, so a process the
+        application phase woke is passed but counted again only when its
+        pass wrote a line.  A timeout changes none: ``on_timeout_root``
         writes no state (its control message clears ``Tally.scan``).
         ``dirty`` processes may have true guards already, as only a start
         no step produced can.  ``queues`` is ``cfg``'s channel lists by
@@ -546,7 +551,10 @@ class Simulator:
         otherwise its guards are as false as its last pass left them.  A
         handler that kept the delivered message (sent nothing, state as
         before) has its receiver's pass run at once, before the message is
-        counted out.
+        counted out.  When that pass does nothing and the receiver is not
+        in ``woken``, the message is held where it was counted
+        (``Tally.hold``): no move, and the receiver is not counted again,
+        unless it then holds more than k units or is in its section.
 
         A delivery whose only send is the delivered message itself, sent by
         its handler or, in a prio pass (a priority token taken and handed
@@ -563,13 +571,13 @@ class Simulator:
         A controller hop, a delivered control message whose handler's one
         send is a control message that is no root wrap's (the message
         itself, or a copy with the receiver's holdings picked up), moves in
-        one move too.  When the application phase woke no process and the
-        handler left the receiver's RSet, Prio and state as they were, the
-        move goes to the monitor's hop rule, ``Tally.hop``, which checks the
-        configuration itself when the last checks were legitimate, from the
-        new place and the two receivers' states; when it cannot, or the
-        step did more, the receiver, whose Succ or counter the hop changed,
-        goes into ``woken`` and ``step_checks`` counts it again.  A root
+        one move too.  When ``woken`` is empty and the handler left the
+        receiver's RSet, Prio and state as they were, the move goes to the
+        monitor's hop rule, ``Tally.hop``, which checks the configuration
+        itself when the last checks were legitimate, from the new place and
+        the two receivers' states; when it cannot, or the step did more, the
+        receiver, whose Succ or counter the hop changed, goes into ``woken``
+        and ``step_checks`` counts it again.  A root
         wrap, which builds a new counter and may mint, is an ordinary
         delivery.
 
@@ -580,28 +588,35 @@ class Simulator:
         one whose application phase wrote no line, happened as its slot,
         its token's class and whether it was passed say: its key is (slot,
         class, passed, census, legit, violations), and its lines are
-        rendered only when that key is new.  Any other step's key is the
-        record's own fields, its lines joined.
+        rendered only when that key is new.  Any other step's key, a hold's
+        too, is the record's own fields, its lines joined.
         """
         lines: list[str] = []
         entries: list[str] = []
         requests: list[tuple[str, int]] = []
         transitions: list[tuple[str, str, str]] = []
         woken = set(dirty)
+        passes = woken  # who gets a pass: its own set once the application phase wakes anyone
         if workload is not None:
             due = workload.due(cfg.step, cfg.states)
-            apply_workload(due, cfg.app, cfg.states)
-            for ev in due:
-                woken.add(ev.process)
-                requests.append((ev.process, ev.need))
-                transitions.append((ev.process, OUT, REQ))
-                lines.append(f"proc={ev.process} event=local "
-                             f"msg=request{{need={ev.need}}} ch=- sends=[]")
+            if due:
+                apply_workload(due, cfg.app, cfg.states)
+                passes = woken.union(ev.process for ev in due)
+                for ev in due:
+                    requests.append((ev.process, ev.need))
+                    transitions.append((ev.process, OUT, REQ))
+                    lines.append(f"proc={ev.process} event=local "
+                                 f"msg=request{{need={ev.need}}} ch=- sends=[]")
         if cfg.app.remaining:
-            woken.update(cfg.app.tick())
-        if woken:
-            for pid in sorted(woken, key=self.order):
+            ended = cfg.app.tick()
+            if ended:
+                passes = passes.union(ended)
+        if passes:
+            for pid in sorted(passes, key=self.order):
+                at = len(lines)
                 self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
+                if len(lines) != at:
+                    woken.add(pid)
 
         t = policy.choose(self.enabled_events(cfg))
         timeout_fired = t == len(self.channel_keys)
@@ -626,13 +641,18 @@ class Simulator:
                 event, name = DELIVER, _NAMES.get(cls) or str(msg)
                 out = dispatch(st, ch, msg, pp)
                 sent = out.sends
+                kept = False
                 if not sent and st.state == old and (len(st.rset) != held or st.prio != prio):
                     # msg kept: the receiver's pass runs at once and may send it
                     # on; the rest of the step compares with what the pass left
                     sent = self._local_pass(cfg, queues, pid, lines, entries, transitions,
                                             tally, msg)
                     old, held, prio = st.state, len(st.rset), st.prio
-                if len(sent) == 1 and (sent[0][1] is msg
+                    kept = not sent and len(lines) == at  # and its pass did nothing
+                if kept and pid not in woken and tally.hold(pid, st):
+                    # msg held where it was counted: the receiver is not counted again
+                    sends = ""
+                elif len(sent) == 1 and (sent[0][1] is msg
                                        or cls is Ctrl and out.traversal_end is None):
                     # msg sent on as itself, by its handler or by its receiver's
                     # pass, or a controller hop: one move

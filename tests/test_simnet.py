@@ -1462,20 +1462,21 @@ class TestPureForward:
 
     def test_requester_short_of_its_need_keeps_the_prio_token(self, monkeypatch):
         # a requests two units and holds none: it keeps the token, which is
-        # counted out of its slot and held, and a is counted again; its one
-        # pass, run as it took the token, is not run again
+        # held where it was counted (``Tally.hold``), so nothing moves, a is
+        # not counted again and the last checks stand; its one pass, run as
+        # it took the token, is not run again
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["a"].state, cfg.states["a"].need = REQ, 2
         trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1])
         assert trace.records[1].body == "proc=a event=deliver msg=PrioT ch=0 sends=[]"
-        assert log[2] == {"passes": 1, "moves": [(1, PrioT, None)], "counted": ["a"],
-                          "kept": False}
+        assert log[2] == {"passes": 1, "moves": [], "counted": [], "kept": True}
         assert trace.final.states["a"].prio == 0
 
     def test_prio_pass_in_a_step_with_a_request_line(self, monkeypatch):
         # the root requests as b takes the token and hands it on: the step
-        # renders all its lines, and the token still moves once
+        # renders all its lines, and the token still moves once.  The
+        # root's pass does nothing, so the root is not counted again
         sim = canonical_sim(CHAIN)
         workload = Workload([WorkloadEvent(1, "r", 1, 2)], 2)
         trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
@@ -1485,8 +1486,7 @@ class TestPureForward:
                             "proc=b event=deliver msg=PrioT ch=0 sends=[]\n"
                             "proc=b event=local msg=actions ch=- sends=[0:PrioT]")
         assert (rec.requests, rec.transitions) == ((("r", 1),), (("r", OUT, REQ),))
-        assert log[2] == {"passes": 2, "moves": [(2, PrioT, 3)], "counted": ["r"],
-                          "kept": False}
+        assert log[2] == {"passes": 2, "moves": [(2, PrioT, 3)], "counted": [], "kept": True}
 
     def test_prio_pass_and_forward_of_the_prio_token_differ(self):
         # three priority tokens queue at b: b hands the first straight on,
@@ -1548,10 +1548,11 @@ class TestControllerHop:
     control message with the same counter (the message itself, or a copy
     with what its receiver holds from the channel picked up), is counted by
     the monitor's hop rule (``monitor.Tally.hop``) when the step's
-    application phase woke no process and the hop is not a root wrap: one
-    move, and when the last checks were legitimate, its receiver is not
-    counted again and the checks are read from the new place and the
-    states of the old and the new receiver.  Any other hop falls back to
+    application phase counts no process again (a request whose pass does
+    nothing counts none) and the hop is not a root wrap: one move, and
+    when the last checks were legitimate, its receiver is not counted
+    again and the checks are read from the new place and the states of the
+    old and the new receiver.  Any other hop falls back to
     ``step_checks``, which counts its receiver again.  A hop's record is
     looked up by the record's own fields, as that of any step other than a
     lone pure forward or prio pass."""
@@ -1648,15 +1649,15 @@ class TestControllerHop:
 
     def test_hop_in_a_step_with_a_request_line(self, monkeypatch):
         # b requests as a adopts the controller: the step renders both
-        # lines and counts both processes again
+        # lines, and as b's pass does nothing, the hop goes to the hop rule,
+        # which counts neither process again
         sim = canonical_sim(CHAIN)
         workload = Workload([WorkloadEvent(20, "b", 1, 2)], 2)
         trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
                                        self.ROUND, workload)
         assert trace.records[20].body == ("proc=b event=local msg=request{need=1} ch=- sends=[]\n"
                                           + self.HOPS[0])
-        assert log[21]["moves"] == [(1, Ctrl, 2)]
-        assert sorted(log[21]["counted"]) == ["a", "b"]
+        assert log[21] == {"passes": 1, "moves": [(1, Ctrl, 2)], "counted": [], "kept": True}
         # b adopts the controller the next step, with nothing else in it
         assert log[22] == {"passes": 0, "moves": [(2, Ctrl, 3)], "counted": [], "kept": True}
 
@@ -1769,6 +1770,239 @@ class TestControllerHop:
                    if rec.body == self.HOPS[0]]
         assert trace.records[step - 1].legit and not trace.records[step].legit
         assert trace.final.states["a"].state == IN
+
+
+@pytest.mark.pin
+class TestHold:
+    """A token its receiver's handler keeps (a unit reserved, or the
+    priority token taken by a requester short of its need) is held where
+    it was counted free, at the slot it was delivered from: when the
+    receiver's pass then does nothing and the step does not count the
+    receiver again for another reason, the step calls ``Tally.hold``, which
+    rewrites only the RSet and Prio of the receiver's part.  Nothing moves,
+    the receiver is not counted again, and the last checks stand.  A
+    hold's record is looked up by the record's own fields."""
+
+    logged_steps = staticmethod(TestPureForward.logged_steps)
+
+    @staticmethod
+    def record_holds(monkeypatch):
+        """Record every ``Tally.hold`` call as (step, process, whether it
+        held); ``logged_steps`` undoes the patch with its own."""
+        hold, calls = monitor.Tally.hold, []
+
+        def recording(self, pid, st):
+            held = hold(self, pid, st)
+            calls.append((self.cfg.step, pid, held))
+            return held
+
+        monkeypatch.setattr(monitor.Tally, "hold", recording)
+        return calls
+
+    HELD = {"passes": 1, "moves": [], "counted": [], "kept": True}
+
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0);
+    # 3 (a, 1).  The canonical start queues the priority token, the three
+    # units, the pusher and the controller at slot 1, in that order
+
+    def test_reservations_and_prio_keep_at_a_non_root(self, monkeypatch):
+        # a requests two units: it takes the priority token (step 1) and
+        # reserves a unit (step 2), each one hold; the second unit satisfies
+        # it, and its pass enters the section and hands the token on, so
+        # that keep is counted out and a counted again
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["a"].state, cfg.states["a"].need = REQ, 2
+        holds = self.record_holds(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1])
+        assert [rec.body for rec in trace.records[1:3]] == [
+            "proc=a event=deliver msg=PrioT ch=0 sends=[]",
+            "proc=a event=deliver msg=ResT ch=0 sends=[]"]
+        assert log[2:4] == [self.HELD, self.HELD]
+        assert holds == [(1, "a", True), (2, "a", True)]
+        assert trace.records[3].transitions == (("a", REQ, IN),)
+        assert log[4] == {"passes": 1, "moves": [(None, PrioT, 2), (1, ResT, None)],
+                          "counted": ["a"], "kept": False}
+        a = trace.final.states["a"]
+        assert (a.prio, [e.channel for e in a.rset], a.state) == (None, [0, 0], IN)
+        assert all(rec.legit for rec in trace.records)
+
+    def test_hold_on_the_roots_wrap_channel(self, monkeypatch):
+        # the root requests two units: the priority token reaches it on its
+        # wrap channel (slot 0) at step 4, a unit at step 8; each is held at
+        # slot 0, where the controller's pickup at the wrap counts it
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["r"].state, cfg.states["r"].need = REQ, 2
+        holds = self.record_holds(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None] + [1, 2, 3, 0] * 2)
+        assert [trace.records[i].body for i in (4, 8)] == [
+            "proc=r event=deliver msg=PrioT ch=0 sends=[]",
+            "proc=r event=deliver msg=ResT ch=0 sends=[]"]
+        assert [log[5], log[9]] == [self.HELD, self.HELD]
+        assert holds == [(4, "r", True), (8, "r", True)]
+        assert all(rec.legit for rec in trace.records)
+
+    def test_equal_holds_share_a_record(self, monkeypatch):
+        # b, asking for three units with k = 3, takes the priority token
+        # and then the units a forwarded to it: the first two units are
+        # holds with one body and one outcome, and share a record
+        sim = canonical_sim(CHAIN, k=3)
+        cfg = sim.initial_configuration()
+        cfg.states["b"].state, cfg.states["b"].need = REQ, 3
+        trace = run_checked(sim, cfg, ReplayPolicy([None, 1, 1, 1, 1, 2, 2, 2]), 8)
+        body = "proc=b event=deliver msg=ResT ch=0 sends=[]"
+        assert [rec.body for rec in trace.records[6:8]] == [body, body]
+        assert trace.records[6] is trace.records[7]
+
+    # -- what falls back to counting the token out and the receiver again
+
+    def test_dirty_first_step(self, monkeypatch):
+        # a keeps the priority token in the first step, which names every
+        # process: the token is counted out, every process counted again
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["a"].state, cfg.states["a"].need = REQ, 2
+        holds = self.record_holds(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [1])
+        assert trace.records[0].body == "proc=a event=deliver msg=PrioT ch=0 sends=[]"
+        assert log[1]["moves"] == [(1, PrioT, None)]
+        assert sorted(log[1]["counted"]) == sorted(CHAIN.process_ids)
+        assert holds == []
+
+    def test_functional_step(self, monkeypatch):
+        # ``sim.step`` counts its clone's tally for the first time in its
+        # one step: a, already holding a unit, keeps the priority token, and
+        # the step's checks are those of its successor counted from scratch
+        sim = canonical_sim(CHAIN, k=3)
+        cfg = sim.initial_configuration()
+        unit = cfg.channels[("a", 0)].pop(1)
+        a = cfg.states["a"]
+        a.state, a.need, a.rset = REQ, 3, [Reserved(0, unit.uid)]
+        holds = self.record_holds(monkeypatch)
+        execute, records = Simulator.execute_step, []
+        monkeypatch.setattr(Simulator, "execute_step",
+                            lambda self, *args: records.append(execute(self, *args))
+                            or records[-1])
+        nxt = sim.step(cfg, 1)
+        monkeypatch.undo()
+        (rec,) = records
+        assert (nxt.states["a"].prio, holds) == (0, [])
+        assert (rec.census, rec.legit, rec.violations) == sim.check(nxt)
+        assert rec.census.res_tokens == sim.params.ell
+
+    def test_more_than_k_units(self, monkeypatch):
+        # a hand-built start in which a asks for five units with k = 2: the
+        # priority token and two units are held, but the third unit would
+        # give a more than k, which is a violation only a count of a finds;
+        # it is reported at the step a reserves the unit
+        sim = canonical_sim(CHAIN, ell=5, k=2)
+        cfg = sim.initial_configuration()
+        cfg.states["a"].state, cfg.states["a"].need = REQ, 5
+        holds = self.record_holds(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1, 1])
+        assert holds == [(1, "a", True), (2, "a", True), (3, "a", True), (4, "a", False)]
+        assert log[2:5] == [self.HELD] * 3
+        assert log[5] == {"passes": 1, "moves": [(1, ResT, None)], "counted": ["a"],
+                          "kept": False}
+        assert [rec.violations for rec in trace.records] == [()] * 4 + [
+            ("a bounded variable outside domain",)]
+
+    def test_unit_kept_in_the_section(self, monkeypatch):
+        # a handler patched to reserve a unit for a process in its section
+        # that holds one already: with ell = 2 and a unit more than ell, r
+        # and b each hold one in their sections, and b's second puts three
+        # in use, which only a count of b finds
+        def reserving_dispatch(st, q, msg, p):
+            if msg.__class__ is ResT and st.state == IN and st.rset:
+                st.rset.append(Reserved(q, msg.uid))
+                return HandlerOutput()
+            return dispatch(st, q, msg, p)
+
+        monkeypatch.setattr(simnet, "dispatch", reserving_dispatch)
+        sim = canonical_sim(CHAIN, ell=2, k=2)
+        cfg = sim.initial_configuration()
+        q = cfg.channels[("a", 0)]
+        units = [m for m in q if isinstance(m, ResT)]
+        q[:] = [m for m in q if not isinstance(m, ResT)]
+        cfg.channels[("b", 0)].append(ResT())
+        for pid, unit in zip("br", units):
+            cfg.states[pid].state, cfg.states[pid].rset = IN, [Reserved(0, unit.uid)]
+            cfg.app.remaining[pid] = float("inf")
+        trace = run_checked(sim, cfg, ReplayPolicy([None, 2]), 2)
+        assert trace.records[1].body == "proc=b event=deliver msg=ResT ch=0 sends=[]"
+        assert [rec.violations for rec in trace.records] == [(), ("3 > ell units in use",)]
+
+    def test_holds_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every step
+        # equals the one in which no token is held, so that a kept token is
+        # counted out of its slot, its receiver counted again and its
+        # record looked up by the record's own fields
+        hold = monitor.Tally.hold
+        held = []
+
+        def counting_hold(self, pid, st):
+            ok = hold(self, pid, st)
+            held.append(ok)
+            return ok
+
+        for seed in range(6):
+            topo = random_tree(600 + seed, 3 + seed % 5)
+            sim = canonical_sim(topo)
+            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
+                                          rate=0.05, max_duration=3)
+            monkeypatch.setattr(monitor.Tally, "hold", counting_hold)
+            trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.setattr(monitor.Tally, "hold", lambda self, pid, st: False)
+            ref = sim.run(cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.undo()
+            assert list(trace.lines()) == list(ref.lines())
+            assert trace.records == ref.records
+        assert held.count(True) > 100
+
+
+@pytest.mark.pin
+class TestRequestWakesThePass:
+    """A request writes only ``state`` (Out to Req) and ``need``, which no
+    check reads: its process gets a local-action pass, and is counted again
+    only when that pass wrote a line."""
+
+    logged_steps = staticmethod(TestPureForward.logged_steps)
+
+    def test_request_whose_pass_does_nothing(self, monkeypatch):
+        # CHAIN round robin from the canonical start: the priority token
+        # goes round first (steps 0-3), then a forwards a unit to b (step
+        # 4), as b, holding nothing, requests one
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       [1, 2, 3, 0, 1],
+                                       Workload([WorkloadEvent(4, "b", 1, 2)], 2))
+        rec = trace.records[4]
+        assert rec.body == ("proc=b event=local msg=request{need=1} ch=- sends=[]\n"
+                            "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]")
+        assert (rec.requests, rec.transitions) == ((("b", 1),), (("b", OUT, REQ),))
+        assert log[5] == {"passes": 1, "moves": [(1, ResT, 2)], "counted": [], "kept": True}
+
+    def test_request_whose_pass_enters_the_section(self, monkeypatch):
+        # a hand-built start in which a, at Out, holds all three units, more
+        # than k = 2: its request for one unit takes it into its section at
+        # once, which the pass's line shows, and a is counted again, so the
+        # step reports the new violation
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        q = cfg.channels[("a", 0)]
+        cfg.states["a"].rset = [Reserved(0, m.uid) for m in q if isinstance(m, ResT)]
+        q[:] = [m for m in q if not isinstance(m, ResT)]
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, None],
+                                       Workload([WorkloadEvent(1, "a", 1, 2)], 2))
+        rec = trace.records[1]
+        assert rec.body == ("proc=a event=local msg=request{need=1} ch=- sends=[]\n"
+                            "proc=a event=local msg=actions ch=- sends=[]")
+        assert rec.entries == ("a",)
+        assert log[2] == {"passes": 1, "moves": [], "counted": ["a"], "kept": False}
+        assert "a in CS with 3 > k units" in rec.violations
+        assert "a in CS with 3 > k units" not in trace.records[0].violations
 
 
 @pytest.mark.pin
