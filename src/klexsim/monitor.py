@@ -5,7 +5,9 @@ not: ``Tally`` keeps counts of one configuration from step to step, which
 the simulator updates through ``Tally.move`` as messages enter, leave and
 cross channels (``Tally.hop`` for a controller hop, ``Tally.hold`` for a
 token kept where it arrived) and ``step_checks`` updates for the processes
-a step changed.
+a step changed.  A step that only shifted the running counts (a token
+passing the controller's place, landing behind a control message or leaving
+the root's wrap channel) re-reads that one clause, and keeps the rest.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -91,15 +93,20 @@ class Tally:
     messages, ``key``, the last control message scanned, its slot).  Moving
     a control message sets it to None, and ``step_checks`` scans again.
     ``last`` is the last result of ``step_checks`` that had no violations,
-    or None once an input of the check has changed since: a token counted
-    in or out, one crossing the controller's place or landing behind a
-    control message, or a control message moving.
+    or None once a token was counted in or out, a control message moved or
+    a process is counted again since.  ``base`` is whether every clause of
+    ``last`` but the running counts held.  A token that only shifts the
+    running counts, crossing the controller's place (``behind``), landing
+    behind a control message (``after``) or leaving the root's wrap channel
+    (slot 0: the root's handler or pass counted it into SToken, SPush or
+    SPrio), sets ``stale``: ``last`` stands, but for its verdict, which
+    ``step_checks`` reads again as ``base`` and the running-count clause.
 
     The hop rule (``hop``) is the one exception: a controller hop from a
     legitimate configuration, in a step that changed nothing else, moves
-    the controller one place on and leaves ``scan``, ``key`` and ``last``
-    as a scan and a check of the new configuration would, from the new
-    place and the receivers' states, without counting the old receiver
+    the controller one place on and leaves ``scan``, ``key``, ``base`` and
+    ``last`` as a scan and a check of the new configuration would, from the
+    new place and the receivers' states, without counting the old receiver
     again; any hop it cannot read that way it leaves to ``step_checks``.
 
     A token its receiver's handler kept is held where it was counted free
@@ -128,6 +135,8 @@ class Tally:
         self.census = CensusReport(0, 0, 0, 0)
         self.scan: tuple | None = None
         self.last: tuple | None = None
+        self.base = False
+        self.stale = False
         for t, key in enumerate(self.ring.keys):
             for m in cfg.channels[key]:
                 self.move(None, m, t)
@@ -154,8 +163,9 @@ class Tally:
         put in by a start or a handler (``frm``), or was delivered and not
         sent on as itself (``to``).  A control message is counted out and
         in; a token that passes from slot to slot keeps ``tokens`` and
-        ``copies`` as they are, and changes ``behind`` only when it crosses
-        the controller's place."""
+        ``copies`` as they are, changes ``behind`` only when it crosses the
+        controller's place, and leaves ``last`` standing but ``stale`` when
+        it crosses it, leaves slot 0 or lands behind a control message."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             self.scan = self.last = None
@@ -177,15 +187,17 @@ class Tally:
             counts = self.counts
             counts[frm][i] -= 1
             counts[to][i] += 1
+            if not frm:  # the root counted it into SToken, SPush or SPrio
+                self.stale = True
             if self.key is not None:
                 place = self.key[1]
                 crossed = (0 < to < place) - (0 < frm < place)
                 if crossed:
                     self.behind[i] += crossed
-                    self.last = None
+                    self.stale = True
         if to in self.after:
             self.after[to][i] += 1
-            self.last = None
+            self.stale = True
 
     def hop(self, frm: int, m, to: int) -> tuple | None:
         """Count a controller hop as ``move(frm, m, to)``: the control
@@ -204,10 +216,11 @@ class Tally:
         be on the canonical traversal state at the new place.  It has passed
         its channel there, so its counter is then the key's, the root's at
         the last check and inside its domain.  Then ``key``, ``behind`` and
-        ``scan`` advance as ``step_checks`` advances them, the running-count
-        clause is read against the new place, and the checks, kept as
-        ``last``, are returned.  Otherwise it returns None: ``step_checks``
-        must then count the receiver again."""
+        ``scan`` advance as ``step_checks`` advances them, ``base`` is read
+        from m's reset flag (every other clause is as the last checks found
+        it), the running-count clause against the new place, and the
+        checks, kept as ``last``, are returned.  Otherwise it returns None:
+        ``step_checks`` must then count the receiver again."""
         last = self.last
         self.move(frm, m, to)
         if last is None or not last[1]:
@@ -226,7 +239,8 @@ class Tally:
         self.advance(place)
         self.key = key = (c, new)
         self.scan = (1, key, m, to)
-        self.last = last if not m.r and self.flushed(m, to) else (last[0], False, ())
+        self.base = base = not m.r
+        self.last = last if base and self.flushed(m, to) else (last[0], False, ())
         return self.last
 
     def hold(self, pid, st) -> bool:
@@ -388,8 +402,17 @@ def step_checks(tally: Tally,
     execution; a merely nominal census can still carry inflated counts
     that trigger a spurious reset at the next wrap.
 
-    With ``procs`` empty and no input of the check changed since the last
-    one (``Tally.last`` set), the last result is returned as it is.  A
+    With ``procs`` empty and no token counted in or out and no control
+    message moved since the last check (``Tally.last`` set), the last
+    result is returned as it is, but for a token that only shifted the
+    running counts since (``Tally.stale``): its verdict is then read again
+    as ``Tally.base`` and the running-count clause.  A shift changes no
+    other clause: the census and the safety scan count tokens, not where
+    they are, and the traversal clauses read no token.  The root, whose
+    SToken, SPush or SPrio its forward or prio pass off its wrap channel
+    counts the token into, is not counted again for it (``execute_step``):
+    the handlers cap those counters inside their domains, so with the last
+    checks kept, which had no violation, the root still has none.  A
     result with violations is never kept: a duplicated unit is reported
     with the channel it is in, which any move can change.
 
@@ -402,8 +425,15 @@ def step_checks(tally: Tally,
     that ``Tally.hold`` cannot hold: one whose receiver would hold more
     than k units or is in its section.
     """
-    if not procs and tally.last is not None:
-        return tally.last
+    if not procs:
+        last = tally.last
+        if last is not None:
+            if tally.stale:
+                tally.stale = False
+                legit = tally.base and tally.flushed(*tally.scan[2:])
+                if legit != last[1]:
+                    last = tally.last = (last[0], legit, ())
+            return last
     ring = tally.ring
     root = tally.topo.root
     states = tally.cfg.states
@@ -453,13 +483,12 @@ def step_checks(tally: Tally,
     violations = ()
     if tally.n_bad or res != len(tally.copies) or tally.in_use > tally.ell:
         violations = tally.violations()
-    if (key is None or tally.off or violations or cm.r
-            or res != tally.ell or prio != 1 or push != 1):
-        legit = False
-    else:
-        legit = tally.flushed(cm, c_slot)
+    base = tally.base = not (key is None or tally.off or violations or cm.r
+                             or res != tally.ell or prio != 1 or push != 1)
+    legit = base and tally.flushed(cm, c_slot)
     checks = census, legit, violations
     tally.last = None if violations else checks
+    tally.stale = False
     return checks
 
 

@@ -562,11 +562,15 @@ class Simulator:
         ``Tally.move``, whatever its class, and renders the send by the name
         the delivery rendered it by, so a controller sent on as itself is
         rendered once.  The receiver is counted again only when the message
-        is a control message (below), when the handler changed
-        ``st.state``, or when the channel is ring slot 0, the root's wrap
-        channel (the forward changed SToken or SPush, the prio pass SPrio).
+        is a control message (below) or the handler changed ``st.state``.
         Otherwise the step is a pure forward or a prio pass, and its
-        receiver ends as it began.
+        receiver ends as it began, but for the root off ring slot 0, its
+        wrap channel, where the forward changed SToken or SPush and the
+        prio pass SPrio: only the running-count clause reads those, and the
+        tally's move off slot 0 has that clause read again
+        (``Tally.stale``).  The root is counted again there only when the
+        last checks are gone (``Tally.last`` None): a violation of its own
+        may then be standing, which the handlers' capping can clear.
 
         A controller hop, a delivered control message whose handler's one
         send is a control message that is no root wrap's (the message
@@ -668,7 +672,7 @@ class Simulator:
                             woken.add(pid)
                     else:
                         tally.move(t, m, to)
-                        if cls is Ctrl or st.state != old or t == 0:
+                        if cls is Ctrl or st.state != old or t == 0 and tally.last is None:
                             woken.add(pid)
                         else:
                             lone = not lines

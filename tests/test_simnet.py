@@ -863,14 +863,22 @@ class TestTallyMatchesScratch:
     # unit round to the root, and both back to slot 1
     CTRL_AT_2 = [1] * 6 + [2, 2, 3, 3, 0, 0, 1]
 
-    def test_shift_behind_the_controller(self):
+    def test_shift_behind_the_controller(self, monkeypatch):
         # a forwards a unit from slot 1, which the controller has passed,
-        # into slot 2, behind the controller: ``after[2]`` and ``behind``
+        # into slot 2, behind the controller: ``after[2]`` and ``behind``.
+        # Only the running counts moved: one move, nobody counted again,
+        # the kept checks returned with their verdict re-read.  The root's
+        # forwards of the priority token and a unit off slot 0 into slot 1
+        # (steps 10 and 11) pass the controller the other way
         sim = canonical_sim(CHAIN)
-        trace = run_checked(sim, sim.initial_configuration(),
-                            ReplayPolicy(self.CTRL_AT_2 + [1]), 20)
+        trace, log = TestPureForward.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                                  self.CTRL_AT_2 + [1])
         assert trace.records[-1].body == "proc=a event=deliver msg=ResT ch=0 sends=[1:ResT]"
         assert all(rec.legit for rec in trace.records)
+        reread = {"passes": 0, "counted": [], "kept": True, "reread": True}
+        assert log[14] == {**reread, "moves": [(1, ResT, 2)]}
+        assert log[12] == {**reread, "moves": [(0, ResT, 1)]}
+        assert log[11] == {**reread, "passes": 1, "moves": [(0, PrioT, 1)]}
 
     def test_shift_of_a_control_message(self):
         # ``Tally.move`` counts a control message out and in: from slot 3
@@ -1038,17 +1046,19 @@ class TestPureForward:
     counted again either, the token moves in one ``Tally.move``, and the
     monitor reuses its controller scan until a control message moves or a
     process it names receives on a slot that holds one.  The root's forwards
-    off its wrap channel change SToken or SPush, and a controller hop
-    changes its receiver's Succ or counter, so neither is a pure forward.
+    off its wrap channel change SToken or SPush, which only the running
+    counts read: the root is not counted again while the last checks stand,
+    and the step re-reads that clause.  A controller hop changes its
+    receiver's Succ or counter, so it is not a pure forward.
     A prio pass, a priority token taken and handed straight on by its
     receiver's pass, is a move too: the pass sends the delivered token in
-    its place, its receiver ends as it began and is not counted again (but
-    for the root on its wrap channel, where SPrio counts the token), and a
-    requester short of its need, which keeps the token, takes the path of
-    any other step.  A lone pure forward or prio pass, with nothing else in
-    its step, is looked up by its slot, its token's class, whether it was
-    passed and its checks, and renders its lines only when that key is
-    new."""
+    its place, its receiver ends as it began and is not counted again (the
+    root on its wrap channel, where SPrio counts the token, as on a
+    forward), and a requester short of its need, which keeps the token,
+    takes the path of any other step.  A lone pure forward or prio pass,
+    with nothing else in its step, is looked up by its slot, its token's
+    class, whether it was passed and its checks, and renders its lines only
+    when that key is new."""
 
     @staticmethod
     def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
@@ -1133,16 +1143,19 @@ class TestPureForward:
         assert len(later) == sum(ev[:1] + ev[2:] == ("deliver", PrioT, True)
                                  for ev in log[first:]) > 0
 
-    def test_root_forward_off_its_wrap_channel_changes_its_state(self):
+    def test_root_forward_off_its_wrap_channel_changes_its_state(self, monkeypatch):
         # SToken above ell+1 is outside its domain; the root's forward of a
         # unit off its wrap channel (slot 0) caps it at ell+1, which only
         # counting the root again after that delivery can see (after the
-        # first step, which counts every process)
+        # first step, which counts every process).  The violation leaves no
+        # checks kept, so the root is counted again
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["r"].stoken = sim.params.ell + 2
         cfg.channels[("r", 0)].append(cfg.channels[("a", 0)].pop(1))
-        trace = run_checked(sim, cfg, ReplayPolicy([1, 0]), 2)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [1, 0])
+        assert log[2] == {"passes": 0, "moves": [(0, ResT, 1)], "counted": ["r"],
+                          "kept": False}
         assert trace.initial_violations == ("r bounded variable outside domain",)
         assert trace.records[0].violations == trace.initial_violations
         assert trace.records[1].body == "proc=r event=deliver msg=ResT ch=0 sends=[0:ResT]"
@@ -1176,10 +1189,12 @@ class TestPureForward:
         trace = sim.run(sim.initial_configuration(), ReplayPolicy(replay), 24, observer=observe)
         assert len(tallies) == 1
         assert all(rec.legit for rec in trace.records)
-        # the root is counted again after a forward off its wrap channel only
+        # the root is counted again after no forward: off its wrap channel
+        # the step re-reads the running counts, which alone read SToken and
+        # SPush
         forwards = {(body, root) for body, root in steps
                     if body.startswith("proc=r") and body.endswith(("ResT]", "PushT]"))}
-        assert forwards == {(f"proc=r event=deliver msg={m} ch={ch} sends=[{1 - ch}:{m}]", ch == 1)
+        assert forwards == {(f"proc=r event=deliver msg={m} ch={ch} sends=[{1 - ch}:{m}]", False)
                             for m in ("ResT", "PushT") for ch in (0, 1)}
 
     def test_forward_of_a_unit_without_uid(self, monkeypatch):
@@ -1387,8 +1402,9 @@ class TestPureForward:
         """``run_checked`` on ``replay`` from ``cfg``, and for the start and
         each step, the local-action passes it ran and what the run's own
         tally saw: its moves as (from, class, to), the processes it counted
-        again, and whether ``step_checks`` returned the checks object it
-        kept from the last step."""
+        again, whether ``step_checks`` returned the checks object it kept
+        from the last step, and, only for a step after which it re-read
+        their verdict (``Tally.stale``), ``"reread": True``."""
         make, move, process, checks = (sim.tally, monitor.Tally.move,
                                        monitor.Tally.process, monitor.step_checks)
         tallies, log = [], [{"passes": 0, "moves": [], "counted": []}]
@@ -1405,10 +1421,12 @@ class TestPureForward:
             process(self, pid, st)
 
         def logged_checks(tally, procs):
-            kept = tally.last
+            kept, stale = tally.last, tally.stale
             result = checks(tally, procs)
             if mine(tally):
                 log[-1]["kept"] = result is kept
+                if stale and kept is not None and not procs:
+                    log[-1]["reread"] = True
                 log.append({"passes": 0, "moves": [], "counted": []})
             return result
 
@@ -1446,18 +1464,19 @@ class TestPureForward:
             {"passes": 1, "moves": [(2, PrioT, 3)], "counted": [], "kept": True},
             {"passes": 1, "moves": [(3, PrioT, 0)], "counted": [], "kept": True}]
 
-    def test_root_taking_the_prio_token_on_its_wrap_channel_is_counted_again(
-            self, monkeypatch):
+    def test_root_prio_pass_on_its_wrap_channel_rereads_the_counts(self, monkeypatch):
         # the root's pass adds the token it sends on off its wrap channel to
-        # SPrio, which the legitimacy clause reads
+        # SPrio, which only the running-count clause reads: the token moves
+        # behind the controller at slot 1, the root is not counted again,
+        # and the step re-reads that clause, which still holds
         sim = canonical_sim(CHAIN)
         trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
                                        self.PRIO_ROUND)
         assert trace.records[3].body == (
             "proc=r event=deliver msg=PrioT ch=0 sends=[]\n"
             "proc=r event=local msg=actions ch=- sends=[0:PrioT]")
-        assert log[4] == {"passes": 1, "moves": [(0, PrioT, 1)], "counted": ["r"],
-                          "kept": False}
+        assert log[4] == {"passes": 1, "moves": [(0, PrioT, 1)], "counted": [],
+                          "kept": True, "reread": True}
         assert trace.final.states["r"].sprio == 1
 
     def test_requester_short_of_its_need_keeps_the_prio_token(self, monkeypatch):
@@ -2003,6 +2022,144 @@ class TestRequestWakesThePass:
         assert log[2] == {"passes": 1, "moves": [], "counted": ["a"], "kept": False}
         assert "a in CS with 3 > k units" in rec.violations
         assert "a in CS with 3 > k units" not in trace.records[0].violations
+
+
+@pytest.mark.pin
+class TestRunningCountShift:
+    """A token that passes the controller's place, lands behind a control
+    message or leaves the root's wrap channel (slot 0, where the root
+    counts it into SToken, SPush or SPrio) changes only what the
+    running-count clause reads: the last checks stand but for their
+    verdict, which ``step_checks`` reads again as ``Tally.base`` and that
+    clause (``Tally.stale``).  The root is not counted again for a forward
+    or prio pass off slot 0 while the last checks stand, so the step is a
+    lone one; once they are gone it is counted again
+    (``TestPureForward.test_root_forward_off_its_wrap_channel_changes_its_state``).
+    A unit passing the controller under a replay is
+    ``TestTallyMatchesScratch.test_shift_behind_the_controller``."""
+
+    logged_steps = staticmethod(TestPureForward.logged_steps)
+    CTRL_AT_2 = TestTallyMatchesScratch.CTRL_AT_2
+    REREAD = {"passes": 0, "counted": [], "kept": True, "reread": True}
+
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0);
+    # 3 (a, 1).  The canonical start queues the priority token, the three
+    # units, the pusher and the controller at slot 1, in that order
+
+    def test_unit_behind_a_control_message(self, monkeypatch):
+        # the priority token and then the units go round once each: the
+        # root forwards each unit off slot 0 into slot 1, behind the
+        # controller still queued there.  The root is not counted again,
+        # and the equal forwards share one record, looked up by slot
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       [1, 2, 3, 0] * 3)
+        assert trace.records[7].body == "proc=r event=deliver msg=ResT ch=0 sends=[0:ResT]"
+        assert log[8] == log[12] == {**self.REREAD, "moves": [(0, ResT, 1)]}
+        assert trace.records[7] is trace.records[11]
+        assert trace.final.states["r"].stoken == 2
+        assert all(rec.legit for rec in trace.records)
+
+    def test_forward_off_the_wrap_channel_with_stoken_at_its_cap(self, monkeypatch):
+        # SToken at ell+1, the top of its domain: the running count is off
+        # from the start, every other clause holds.  The root forwards a
+        # unit off slot 0 into slot 1; SToken stays at ell+1 as the unit
+        # lands behind the controller, and the re-read clause reports it
+        # still false.  (No legitimate configuration has SToken at ell+1:
+        # the clause would need ell+1 units counted, one more than the
+        # census holds)
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["r"].stoken = sim.params.ell + 1
+        cfg.channels[("r", 0)].append(cfg.channels[("a", 0)].pop(1))
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 0])
+        assert trace.records[1].body == "proc=r event=deliver msg=ResT ch=0 sends=[0:ResT]"
+        assert log[2] == {**self.REREAD, "moves": [(0, ResT, 1)]}
+        assert trace.final.states["r"].stoken == sim.params.ell + 1
+        assert [rec.violations for rec in trace.records] == [(), ()]
+        assert not any(rec.legit for rec in trace.records)
+
+    # -- broken handlers: the re-read reads the configuration, and assumes
+    # -- nothing from closure
+
+    def test_forward_off_the_wrap_channel_to_the_wrong_child(self, monkeypatch):
+        # STAR's ring: slot 0 (r, 1), the root's wrap channel; 1 (a, 0);
+        # 2 (r, 0); 3 (b, 0).  The root's handler, patched to send a unit
+        # from its wrap channel back to b (slot 3) rather than on to a,
+        # counts it into SToken, but it lands neither behind the controller
+        # (valid on slot 1) nor behind a control message: only its leaving
+        # slot 0 shows the running count off, and the re-read finds it
+        def misrouting_dispatch(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            if p.is_root and q == p.delta - 1 and msg.__class__ is ResT:
+                out = HandlerOutput([(1, msg)])
+            return out
+
+        sim = canonical_sim(STAR)
+        cfg = sim.initial_configuration()
+        cfg.channels[("r", 1)].append(cfg.channels[("a", 0)].pop(1))
+        monkeypatch.setattr(simnet, "dispatch", misrouting_dispatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 0])
+        assert trace.records[1].body == "proc=r event=deliver msg=ResT ch=1 sends=[1:ResT]"
+        assert log[2] == {**self.REREAD, "moves": [(0, ResT, 3)], "kept": False}
+        assert [rec.legit for rec in trace.records] == [True, False]
+
+    def test_reset_flag_set_on_a_hop(self, monkeypatch):
+        # a's handler, patched to set the reset flag on the controller it
+        # adopts and sends on (step 5): the hop rule reads the flag, and
+        # the later shifts (steps 10-12) re-read the verdict from what the
+        # hop left, which stays false
+        handle = protocol.handle_ctrl_nonroot
+
+        def resetting(st, q, msg, p):
+            out = handle(st, q, msg, p)
+            if out.sends and not q:
+                ((label, m),) = out.sends
+                out = HandlerOutput([(label, dataclasses.replace(m, r=True))])
+            return out
+
+        monkeypatch.setattr(protocol, "handle_ctrl_nonroot", resetting)
+        sim = canonical_sim(CHAIN)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       self.CTRL_AT_2)
+        assert trace.records[5].body == ("proc=a event=deliver msg=Ctrl{c=0,r=0,pt=0,ppr=0} "
+                                         "ch=0 sends=[1:Ctrl{c=0,r=1,pt=0,ppr=0}]")
+        assert log[6] == {"passes": 0, "moves": [(1, Ctrl, 2)], "counted": [], "kept": True}
+        assert [log[i].get("reread") for i in (11, 12, 13)] == [True] * 3
+        assert [rec.legit for rec in trace.records] == [True] * 5 + [False] * 8
+
+    def test_shifts_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every step
+        # equals the one in which a token that shifts the running counts
+        # drops the last checks, so that the step checks in full and counts
+        # the root again after its forwards and prio passes off slot 0
+        move, checks = monitor.Tally.move, monitor.step_checks
+        rereads = []
+
+        def counting_checks(tally, procs):
+            rereads.append(not procs and tally.last is not None and tally.stale)
+            return checks(tally, procs)
+
+        def dropping_move(self, frm, m, to):
+            move(self, frm, m, to)
+            if self.stale:
+                self.last = None
+
+        for seed in range(6):
+            topo = random_tree(1000 + seed, 3 + seed % 5)
+            sim = canonical_sim(topo)
+            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
+                                          rate=0.05, max_duration=3)
+            monkeypatch.setattr(monitor, "step_checks", counting_checks)
+            trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.undo()
+            monkeypatch.setattr(monitor.Tally, "move", dropping_move)
+            ref = sim.run(cfg, RandomPolicy(seed), 800, make())
+            monkeypatch.undo()
+            assert list(trace.lines()) == list(ref.lines())
+            assert trace.records == ref.records
+        assert rereads.count(True) > 200
 
 
 @pytest.mark.pin
