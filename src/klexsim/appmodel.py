@@ -47,22 +47,46 @@ class WorkloadEvent:
             )
 
 
-class Workload:
-    """A static request schedule, usually parsed from a scenario file."""
+def _overlap(ev: WorkloadEvent, state: str) -> str:
+    """The message for request ``ev`` landing on a process in ``state``."""
+    return f"request for {ev.process!r} at step {ev.at_step} while its state is {state}"
 
-    def __init__(self, events: list[WorkloadEvent], k: int):
+
+class Workload:
+    """A static request schedule, usually parsed from a scenario file.
+    ``lines``, when given, is each event's line in that file, and an event
+    that overlaps another or lands on a process that is not idle is
+    reported at its line."""
+
+    def __init__(self, events: list[WorkloadEvent], k: int, lines: list[int] | None = None):
         for ev in events:
             ev.check(k)
-        self.events = sorted(events, key=lambda e: (e.at_step, e.process))
-        for a, b in zip(self.events, self.events[1:]):
+        order = sorted(range(len(events)),
+                       key=lambda i: (events[i].at_step, events[i].process))
+        self.events = [events[i] for i in order]
+        self.lines = None if lines is None else [lines[i] for i in order]
+        for i in range(1, len(self.events)):
+            a, b = self.events[i - 1], self.events[i]
             if (a.at_step, a.process) == (b.at_step, b.process):
-                raise ScenarioError(f"two events for {b.process!r} at step {b.at_step}")
+                raise ScenarioError(f"{self._where(i)}two events for {b.process!r} "
+                                    f"at step {b.at_step}")
         self._cursor = 0
 
+    def _where(self, i: int) -> str:
+        """The prefix naming event ``i``'s line, if known."""
+        return "" if self.lines is None else f"line {self.lines[i]}: "
+
     def due(self, step: int, states: dict[str, ProcessState]) -> list[WorkloadEvent]:
+        """The events due by ``step``.  One landing on a process that
+        ``states`` shows not idle is a scenario defect, reported here at its
+        line (a process ``states`` leaves out is not checked)."""
         out = []
         while self._cursor < len(self.events) and self.events[self._cursor].at_step <= step:
-            out.append(self.events[self._cursor])
+            ev = self.events[self._cursor]
+            st = states.get(ev.process)
+            if st is not None and st.state != OUT:
+                raise ScenarioError(self._where(self._cursor) + _overlap(ev, st.state))
+            out.append(ev)
             self._cursor += 1
         return out
 
@@ -186,10 +210,7 @@ def apply_workload(events: list[WorkloadEvent], app: AppState,
     for ev in events:
         st = states[ev.process]
         if st.state != OUT:
-            raise ScenarioError(
-                f"request for {ev.process!r} at step {ev.at_step} "
-                f"while its state is {st.state}"
-            )
+            raise ScenarioError(_overlap(ev, st.state))
         st.state = REQ
         st.need = ev.need
         app.armed_duration[ev.process] = ev.duration
@@ -199,7 +220,7 @@ def parse_scenario(text: str, k: int, topo: TreeTopology) -> Workload:
     """Parse a scenario file: one ``req <step> <process> <need> <duration|inf>``
     per line, each naming a process of ``topo``; blank lines and ``#``
     comments allowed."""
-    events = []
+    events, lines = [], []
     for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "req":
@@ -218,4 +239,5 @@ def parse_scenario(text: str, k: int, topo: TreeTopology) -> Workload:
         if ev.process not in topo.process_ids:
             raise ScenarioError(f"line {lineno}: unknown process {ev.process!r}")
         events.append(ev)
-    return Workload(events, k)
+        lines.append(lineno)
+    return Workload(events, k, lines)

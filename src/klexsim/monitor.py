@@ -3,11 +3,13 @@
 The verdicts over run traces are pure functions.  The per-step checks are
 not: ``Tally`` keeps counts of one configuration from step to step, which
 the simulator updates through ``Tally.move`` as messages enter, leave and
-cross channels (``Tally.hop`` for a controller hop, ``Tally.hold`` for a
-token kept where it arrived) and ``step_checks`` updates for the processes
-a step changed.  A step that only shifted the running counts (a token
-passing the controller's place, landing behind a control message or leaving
-the root's wrap channel) re-reads that one clause, and keeps the rest.
+cross channels (``Tally.hop`` for a controller hop, ``Tally.settle`` for a
+local-action pass that changed a process's holdings) and ``step_checks``
+updates for the processes a step changed.  A token kept stays counted where
+it arrived, and a token released moves from where it was held.  A step that
+only shifted the running counts (a token passing the controller's place,
+landing behind a control message or leaving the root's wrap channel)
+re-reads that one clause, and keeps the rest.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -77,7 +79,7 @@ class Tally:
     as ``tally.cfg``: it starts from its channels, its first ``step_checks``
     must name every process, and the simulator calls ``move`` for every
     message a step puts into, takes from or passes between its channels,
-    but ``hold`` for a token delivered and kept.
+    but ``settle`` for a pass whose changes the tally can read as moves.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -102,16 +104,18 @@ class Tally:
     SPrio), sets ``stale``: ``last`` stands, but for its verdict, which
     ``step_checks`` reads again as ``base`` and the running-count clause.
 
-    The hop rule (``hop``) is the one exception: a controller hop from a
+    The hop rule (``hop``) is one exception: a controller hop from a
     legitimate configuration, in a step that changed nothing else, moves
     the controller one place on and leaves ``scan``, ``key``, ``base`` and
     ``last`` as a scan and a check of the new configuration would, from the
     new place and the receivers' states, without counting the old receiver
     again; any hop it cannot read that way it leaves to ``step_checks``.
 
-    A token its receiver's handler kept is held where it was counted free
-    (``hold``): only the RSet or Prio of the receiver's part changes, and
-    ``last`` stands.
+    The other is a local-action pass that changed a process's holdings, at
+    a process the step does not count again otherwise, read as moves
+    (``settle``): a kept token stays where it was counted, and a released
+    one moves from where it was held.  A section's entry and end then count
+    no process again, and ``last`` stands.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -243,21 +247,74 @@ class Tally:
         self.last = last if base and self.flushed(m, to) else (last[0], False, ())
         return self.last
 
-    def hold(self, pid, st) -> bool:
-        """Count the token that the handler of ``pid`` (state st) just kept
-        as held: a unit appended to its RSet, or Prio set, from the front of
-        one of its channels, in a step that counted ``pid`` before it and
-        does not count it again.  A held token is counted at the slot of the
-        channel it arrived on, which is the slot it was delivered from, so
-        no count moves and only the RSet and Prio of its part are rewritten;
-        ``last`` is kept.  It returns False, changing nothing, when the new
-        RSet holds more than k units or ``pid`` is in its section: its
-        violations or units in use would change, and ``process`` must count
-        it again."""
+    def settle(self, pid, st, placed, t: int | None = None, kept=None) -> bool:
+        """Count what a local-action pass at ``pid`` (state st now) changed
+        of its holdings, in a step that counted ``pid`` before it and does
+        not count it again: ``placed`` is the (message, slot) of each token
+        the pass put into a channel, and ``kept``, when given, the token the
+        step's event delivered from slot t and the handler kept.
+
+        Each placed token must be one ``pid`` held before the step, a unit
+        matched by its uid, the priority token by its old Prio label; it
+        moves from the slot it was held at to its channel's with
+        ``move(held, m, to)``, which marks the running count stale when it
+        crosses the controller's place or leaves slot 0, as for any token.
+        ``kept`` is the one holding ``pid`` may have gained: it was counted
+        free at slot t, the slot of the channel it arrived on, where a held
+        token is counted, so it stays counted there.  Only the RSet, Prio
+        and units in use of the part are rewritten; ``last`` stands.
+
+        It returns False, changing nothing, when a placed token matches
+        nothing held, a held unit or Prio is gone and not placed, a holding
+        was gained that is not ``kept`` at slot t, or the part has or would
+        gain a violation (more than k units, units in use over ell, a root
+        counter outside its domain): ``process`` must then count ``pid``
+        again."""
+        old_rset, prio, old_use, viol, off = self.procs.get(pid, _NO_PROCESS)
         rset = st.rset
-        if len(rset) > self.k or st.state == IN:
+        in_use = len(rset) if st.state == IN else 0
+        if (viol or len(rset) > self.k or self.in_use + in_use - old_use > self.ell
+                or st.stoken > self.ell + 1 or st.spush > SAT or st.sprio > SAT):
             return False
-        _, _, in_use, viol, off = self.procs.get(pid, _NO_PROCESS)
+        gained = rset.copy()
+        released = []
+        for e in old_rset:
+            if e in gained:
+                gained.remove(e)
+            else:
+                released.append(e)
+        pos = self.places[pid][0]
+        moves = []
+        for m, to in placed:
+            cls = m.__class__
+            if cls is ResT:
+                for e in released:
+                    if e.uid == m.uid:
+                        released.remove(e)
+                        moves.append((pos[e.channel], m, to))
+                        break
+                else:
+                    return False
+            elif cls is PrioT and prio is not None:
+                moves.append((pos[prio], m, to))
+                prio = None
+            else:
+                return False
+        if released:
+            return False
+        cls = kept.__class__
+        if cls is ResT:
+            if (len(gained) != 1 or gained[0].uid != kept.uid or pos[gained[0].channel] != t
+                    or st.prio != prio):
+                return False
+        elif cls is PrioT:
+            if gained or prio is not None or st.prio is None or pos[st.prio] != t:
+                return False
+        elif kept is not None or gained or st.prio != prio:
+            return False
+        for frm, m, to in moves:
+            self.move(frm, m, to)
+        self.in_use += in_use - old_use
         self.procs[pid] = (tuple(rset), st.prio, in_use, viol, off)
         return True
 
@@ -357,8 +414,8 @@ def step_checks(tally: Tally,
     ``tally`` counts (``tally.cfg``).
 
     ``tally`` has already counted every message moved since it was last
-    checked (``Tally.move``) and every token held where it arrived
-    (``Tally.hold``); ``procs`` names the processes whose part may have
+    checked (``Tally.move``) and every pass it read as moves
+    (``Tally.settle``); ``procs`` names the processes whose part may have
     changed otherwise (every process, the first time a tally is checked).
     Only those are counted again, their held tokens at the slots they
     arrived on.  A process whose request arrived is not among them unless
@@ -421,9 +478,10 @@ def step_checks(tally: Tally,
     checks were legitimate and the hop reads as a move one place on: the
     controller valid for its new receiver, and the old receiver on the
     canonical traversal state at the new place.  Any other hop falls back
-    to this function, its receiver in ``procs``.  So does a kept token
-    that ``Tally.hold`` cannot hold: one whose receiver would hold more
-    than k units or is in its section.
+    to this function, its receiver in ``procs``.  So does a pass that
+    ``Tally.settle`` refuses: one that released a token its process did not
+    hold, lost one, or would leave its process with more than k units or
+    more than ell units in use.
     """
     if not procs:
         last = tally.last

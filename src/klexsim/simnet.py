@@ -470,16 +470,19 @@ class Simulator:
         cfg.busy = [t for t, queue in enumerate(queues) if queue]
         return queues
 
-    def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
-                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
+    def _place(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
+               sends: list[tuple[int, Message]]) -> tuple[str, list[tuple[Message, int]]]:
         """Put ``sends`` into their channels, a send on label ``out`` into
-        slot ``dest[out]``, each counted in by ``tally.move(None, msg,
-        slot)``; return their rendering for the trace line.  A unit without
-        a uid gets one here: in a run, which stamps its start, only a unit
-        the root mints.  A delivery whose one send is the delivered message
-        itself, or a controller hop, does not come here: ``execute_step``
-        moves that message on itself."""
+        slot ``dest[out]``; return their rendering for the trace line and
+        each placed message with its slot, which the caller counts: in, by
+        ``Tally.move(None, msg, slot)`` (``_enqueue``), or moved from where
+        its sender held it (``Tally.settle``).  A unit without a uid gets
+        one here: in a run, which stamps its start, only a unit the root
+        mints.  A delivery whose one send is the delivered message itself,
+        or a controller hop, does not come here: ``execute_step`` moves that
+        message on itself."""
         rendered = []
+        placed = []
         busy = cfg.busy
         for out_ch, msg in sends:
             if msg.__class__ is ResT and msg.uid < 0:
@@ -489,18 +492,35 @@ class Simulator:
             if not queue:
                 insort(busy, t)
             queue.append(msg)
-            tally.move(None, msg, t)
+            placed.append((msg, t))
             rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
-        return ",".join(rendered)
+        return ",".join(rendered), placed
+
+    def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
+                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
+        """``_place`` ``sends``, each counted in by ``tally.move(None, msg,
+        slot)``; return their rendering."""
+        rendered, placed = self._place(cfg, queues, dest, sends)
+        for msg, t in placed:
+            tally.move(None, msg, t)
+        return rendered
 
     def _local_pass(self, cfg: Configuration, queues: list[list[Message]], pid: str,
-                    lines: list, entries: list, transitions: list,
-                    tally: monitor.Tally, kept: Message | None = None) -> tuple:
+                    lines: list, entries: list, transitions: list, tally: monitor.Tally,
+                    settle: bool, t: int | None = None, kept: Message | None = None
+                    ) -> tuple | None:
         """A local-action pass at ``pid``; one that sends or changes its state
-        puts its sends into their channels and renders its line.  It returns
-        ``()``, unless ``kept``, a token the step's event delivered to ``pid``
-        and its handler kept, is sent on instead: a pass that only sends one
-        token of its class, state as before, returns ``((label, kept),)``."""
+        puts its sends into their channels and renders its line.  ``kept``
+        is a token the step's event delivered to ``pid`` from slot ``t`` and
+        its handler kept.  It returns None when ``pid`` must be counted
+        again: the pass's sends are then counted in.  Otherwise it returns
+        ``()``: the pass changed nothing the checks read (it wrote no line,
+        and there is no ``kept``), or, with ``settle`` (``pid`` is not
+        counted again for another reason), the tally took its changes and
+        ``kept`` with ``Tally.settle``: each released token moved from the
+        slot it was held at, ``kept`` held where it was counted.  A pass
+        that only sends one token of ``kept``'s class, state as before,
+        sends ``kept`` on instead, and returns ``((label, kept),)``."""
         st = cfg.states[pid]
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
@@ -513,9 +533,17 @@ class Simulator:
         elif kept is not None and len(sends) == 1 and sends[0][1].__class__ is kept.__class__:
             return ((sends[0][0], kept),)
         if sends or st.state != old:
-            lines.append(_pass_line(pid, self._enqueue(cfg, queues, self.topo.ring.dest[pid],
-                                                       sends, tally)))
-        return ()
+            rendered, placed = self._place(cfg, queues, self.topo.ring.dest[pid], sends)
+            lines.append(_pass_line(pid, rendered))
+        elif kept is None:
+            return ()
+        else:
+            placed = ()
+        if settle and tally.settle(pid, st, placed, t, kept):
+            return ()
+        for msg, to in placed:
+            tally.move(None, msg, to)
+        return None
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
@@ -529,11 +557,15 @@ class Simulator:
         woken)``: the step counts each message it puts in, takes out or
         passes on with one ``Tally.move``, and ``woken`` holds only the
         processes whose part of the checks it may have changed: the
-        ``dirty`` ones, and those whose pass wrote a line.  A request writes
-        only ``state`` (Out to Req) and ``need``, which no check reads, and
-        a pass that writes no line changes nothing, so a process the
-        application phase woke is passed but counted again only when its
-        pass wrote a line.  A timeout changes none: ``on_timeout_root``
+        ``dirty`` ones, and those whose pass wrote a line the tally could
+        not read as moves.  A request writes only ``state`` (Out to Req) and
+        ``need``, which no check reads, and a pass that writes no line
+        changes nothing, so a process the application phase woke is passed
+        but counted again only when its pass wrote a line.  Even then, at a
+        process not ``dirty``, the pass goes to ``Tally.settle`` first: a
+        section's end, whose pass releases its units, moves each from the
+        slot it was held at, and counts nobody again unless the tally
+        refuses.  A timeout changes none: ``on_timeout_root``
         writes no state (its control message clears ``Tally.scan``).
         ``dirty`` processes may have true guards already, as only a start
         no step produced can.  ``queues`` is ``cfg``'s channel lists by
@@ -551,10 +583,12 @@ class Simulator:
         otherwise its guards are as false as its last pass left them.  A
         handler that kept the delivered message (sent nothing, state as
         before) has its receiver's pass run at once, before the message is
-        counted out.  When that pass does nothing and the receiver is not
-        in ``woken``, the message is held where it was counted
-        (``Tally.hold``): no move, and the receiver is not counted again,
-        unless it then holds more than k units or is in its section.
+        counted out.  When the receiver is not in ``woken``, that pass goes
+        to ``Tally.settle`` with the message, whether it did nothing or
+        entered the section: the message is held where it was counted, any
+        token the pass sent on moves from the slot it was held at, and the
+        receiver is not counted again, unless the tally refuses (more than
+        k units, more than ell in use, a token it cannot match).
 
         A delivery whose only send is the delivered message itself, sent by
         its handler or, in a prio pass (a priority token taken and handed
@@ -592,8 +626,8 @@ class Simulator:
         one whose application phase wrote no line, happened as its slot,
         its token's class and whether it was passed say: its key is (slot,
         class, passed, census, legit, violations), and its lines are
-        rendered only when that key is new.  Any other step's key, a hold's
-        too, is the record's own fields, its lines joined.
+        rendered only when that key is new.  Any other step's key, a
+        settled pass's too, is the record's own fields, its lines joined.
         """
         lines: list[str] = []
         entries: list[str] = []
@@ -617,9 +651,8 @@ class Simulator:
                 passes = passes.union(ended)
         if passes:
             for pid in sorted(passes, key=self.order):
-                at = len(lines)
-                self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
-                if len(lines) != at:
+                if self._local_pass(cfg, queues, pid, lines, entries, transitions, tally,
+                                    pid not in woken) is None:
                     woken.add(pid)
 
         t = policy.choose(self.enabled_events(cfg))
@@ -650,11 +683,13 @@ class Simulator:
                     # msg kept: the receiver's pass runs at once and may send it
                     # on; the rest of the step compares with what the pass left
                     sent = self._local_pass(cfg, queues, pid, lines, entries, transitions,
-                                            tally, msg)
+                                            tally, pid not in woken, t, msg)
                     old, held, prio = st.state, len(st.rset), st.prio
-                    kept = not sent and len(lines) == at  # and its pass did nothing
-                if kept and pid not in woken and tally.hold(pid, st):
-                    # msg held where it was counted: the receiver is not counted again
+                    kept = not sent  # not sent on by the pass
+                    if sent is None:  # the tally refused: msg counted out, pid again
+                        tally.move(t, msg, None)
+                        woken.add(pid)
+                if kept:
                     sends = ""
                 elif len(sent) == 1 and (sent[0][1] is msg
                                        or cls is Ctrl and out.traversal_end is None):
@@ -692,7 +727,9 @@ class Simulator:
                 traversal_end = out.traversal_end
                 restart = out.restart_timer
                 if len(st.rset) != held or st.prio != prio:
-                    self._local_pass(cfg, queues, pid, lines, entries, transitions, tally)
+                    if self._local_pass(cfg, queues, pid, lines, entries, transitions, tally,
+                                        pid not in woken) is None:
+                        woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1

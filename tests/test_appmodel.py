@@ -93,6 +93,27 @@ def test_scenario_same_step_collision_rejected():
         Workload([WorkloadEvent(3, "a", 1, 1), WorkloadEvent(3, "a", 2, 1)], k=3)
 
 
+def test_scenario_collision_names_its_line():
+    with pytest.raises(ScenarioError, match="^line 3: two events for 'a' at step 3$"):
+        parse_scenario("req 3 a 1 1\nreq 0 b 1 1\nreq 3 a 2 1\n", 3, STAR)
+
+
+def test_scenario_request_on_a_busy_process_names_its_line():
+    # the events are sorted by step, and each keeps its own line
+    wl = parse_scenario("# busy\nreq 4 b 1 1\nreq 0 a 1 50\n\nreq 1 a 1 2\n", 3, STAR)
+    states = {pid: ProcessState(state=OUT) for pid in STAR.process_ids}
+    apply_workload(wl.due(0, states), AppState(), states)
+    with pytest.raises(ScenarioError, match="^line 5: request for 'a' at step 1 "
+                                            "while its state is Req$"):
+        wl.due(1, states)
+
+
+def test_workload_without_lines_reports_no_line():
+    wl = Workload([WorkloadEvent(2, "a", 1, 1)], k=1)
+    with pytest.raises(ScenarioError, match="^request for 'a' at step 2 while its state is In$"):
+        wl.due(2, {"a": ProcessState(state=IN)})
+
+
 def test_scenario_bad_duration_rejected():
     with pytest.raises(ScenarioError, match="line 1: .*duration"):
         parse_scenario("req 0 a 1 0\n", 3, STAR)

@@ -92,6 +92,13 @@ class TestValidation:
         assert main(["--topology", str(star_file), "--scenario", str(f)]) == USAGE
         assert capsys.readouterr().err == "error: line 2: unknown process 'zz'\n"
 
+    def test_request_on_a_busy_process_names_its_line(self, star_file, tmp_path, capsys):
+        f = tmp_path / "busy.scn"
+        f.write_text("req 0 a 1 50\nreq 1 a 1 2\n")
+        assert main(["--topology", str(star_file), "--scenario", str(f)]) == USAGE
+        assert capsys.readouterr().err == (
+            "error: line 2: request for 'a' at step 1 while its state is Req\n")
+
     @pytest.mark.parametrize("line, problem", [
         ("deliver zz 0", "unknown process 'zz'"), ("deliver a 1", "no channel 1")])
     def test_bad_replay_event_names_its_line(self, line, problem, star_file, tmp_path,

@@ -1400,13 +1400,15 @@ class TestPureForward:
     @staticmethod
     def logged_steps(monkeypatch, sim, cfg, replay, workload=None):
         """``run_checked`` on ``replay`` from ``cfg``, and for the start and
-        each step, the local-action passes it ran and what the run's own
-        tally saw: its moves as (from, class, to), the processes it counted
-        again, whether ``step_checks`` returned the checks object it kept
-        from the last step, and, only for a step after which it re-read
-        their verdict (``Tally.stale``), ``"reread": True``."""
-        make, move, process, checks = (sim.tally, monitor.Tally.move,
-                                       monitor.Tally.process, monitor.step_checks)
+        each step, the local-action passes it ran (``simnet``'s pass, a
+        patched one too) and what the run's own tally saw: its moves as
+        (from, class, to), the processes it counted again, whether
+        ``step_checks`` returned the checks object it kept from the last
+        step, and, only for a step after which it re-read their verdict
+        (``Tally.stale``), ``"reread": True``."""
+        make, move, process, checks, actions = (sim.tally, monitor.Tally.move,
+                                                monitor.Tally.process, monitor.step_checks,
+                                                simnet.local_actions)
         tallies, log = [], [{"passes": 0, "moves": [], "counted": []}]
         mine = lambda tally: tallies and tally is tallies[0]  # noqa: E731
 
@@ -1432,7 +1434,7 @@ class TestPureForward:
 
         def logged_local_actions(st, p, cs_done):
             log[-1]["passes"] += 1
-            return local_actions(st, p, cs_done)
+            return actions(st, p, cs_done)
 
         monkeypatch.setattr(sim, "tally", lambda c: tallies.append(make(c)) or tallies[-1])
         monkeypatch.setattr(monitor.Tally, "move", logged_move)
@@ -1481,7 +1483,7 @@ class TestPureForward:
 
     def test_requester_short_of_its_need_keeps_the_prio_token(self, monkeypatch):
         # a requests two units and holds none: it keeps the token, which is
-        # held where it was counted (``Tally.hold``), so nothing moves, a is
+        # held where it was counted (``Tally.settle``), so nothing moves, a is
         # not counted again and the last checks stand; its one pass, run as
         # it took the token, is not run again
         sim = canonical_sim(CHAIN)
@@ -1528,22 +1530,26 @@ class TestPureForward:
     def test_prio_passes_equal_generic_steps(self, monkeypatch):
         # runs with requests from arbitrary and canonical starts: every step
         # equals the one in which each pass after a kept token is an
-        # ordinary pass, whose sends are put into their channels, so that
-        # the token is counted out and in and the step's record is looked
-        # up by its own fields
+        # ordinary pass, whose sends are counted into their channels, so
+        # that the token is counted out and in, its receiver counted again
+        # and the step's record looked up by its own fields
         local_pass = Simulator._local_pass
         passed = []
 
         def counting_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                          kept=None):
+                          settle, t=None, kept=None):
             sent = local_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                              kept)
+                              settle, t, kept)
             passed.append(bool(sent))
             return sent
 
         def generic_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                         kept=None):
-            return local_pass(self, cfg, queues, pid, lines, entries, transitions, tally)
+                         settle, t=None, kept=None):
+            if kept is None:
+                return local_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
+                                  settle)
+            local_pass(self, cfg, queues, pid, lines, entries, transitions, tally, False)
+            return None
 
         for seed in range(6):
             topo = random_tree(700 + seed, 3 + seed % 5)
@@ -1795,27 +1801,28 @@ class TestControllerHop:
 class TestHold:
     """A token its receiver's handler keeps (a unit reserved, or the
     priority token taken by a requester short of its need) is held where
-    it was counted free, at the slot it was delivered from: when the
-    receiver's pass then does nothing and the step does not count the
-    receiver again for another reason, the step calls ``Tally.hold``, which
-    rewrites only the RSet and Prio of the receiver's part.  Nothing moves,
-    the receiver is not counted again, and the last checks stand.  A
-    hold's record is looked up by the record's own fields."""
+    it was counted free, at the slot it was delivered from: when the step
+    does not count the receiver again for another reason, its pass goes to
+    ``Tally.settle``, which rewrites only the RSet, Prio and units in use
+    of the receiver's part and moves each token the pass released from the
+    slot it was held at.  Nothing is counted in or out, the receiver is not
+    counted again, and the last checks stand.  A hold's record is looked
+    up by the record's own fields."""
 
     logged_steps = staticmethod(TestPureForward.logged_steps)
 
     @staticmethod
-    def record_holds(monkeypatch):
-        """Record every ``Tally.hold`` call as (step, process, whether it
-        held); ``logged_steps`` undoes the patch with its own."""
-        hold, calls = monitor.Tally.hold, []
+    def record_settles(monkeypatch):
+        """Record every ``Tally.settle`` call as (step, process, whether it
+        settled); ``logged_steps`` undoes the patch with its own."""
+        settle, calls = monitor.Tally.settle, []
 
-        def recording(self, pid, st):
-            held = hold(self, pid, st)
-            calls.append((self.cfg.step, pid, held))
-            return held
+        def recording(self, pid, st, placed, t=None, kept=None):
+            settled = settle(self, pid, st, placed, t, kept)
+            calls.append((self.cfg.step, pid, settled))
+            return settled
 
-        monkeypatch.setattr(monitor.Tally, "hold", recording)
+        monkeypatch.setattr(monitor.Tally, "settle", recording)
         return calls
 
     HELD = {"passes": 1, "moves": [], "counted": [], "kept": True}
@@ -1827,21 +1834,22 @@ class TestHold:
     def test_reservations_and_prio_keep_at_a_non_root(self, monkeypatch):
         # a requests two units: it takes the priority token (step 1) and
         # reserves a unit (step 2), each one hold; the second unit satisfies
-        # it, and its pass enters the section and hands the token on, so
-        # that keep is counted out and a counted again
+        # it, and its pass enters the section and hands the token on: the
+        # unit is held where it was counted, the token moves from the slot
+        # it was held at (a's channel 0, slot 1) to b's (slot 2), and a is
+        # not counted again
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["a"].state, cfg.states["a"].need = REQ, 2
-        holds = self.record_holds(monkeypatch)
+        holds = self.record_settles(monkeypatch)
         trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1])
         assert [rec.body for rec in trace.records[1:3]] == [
             "proc=a event=deliver msg=PrioT ch=0 sends=[]",
             "proc=a event=deliver msg=ResT ch=0 sends=[]"]
         assert log[2:4] == [self.HELD, self.HELD]
-        assert holds == [(1, "a", True), (2, "a", True)]
+        assert holds == [(1, "a", True), (2, "a", True), (3, "a", True)]
         assert trace.records[3].transitions == (("a", REQ, IN),)
-        assert log[4] == {"passes": 1, "moves": [(None, PrioT, 2), (1, ResT, None)],
-                          "counted": ["a"], "kept": False}
+        assert log[4] == {"passes": 1, "moves": [(1, PrioT, 2)], "counted": [], "kept": True}
         a = trace.final.states["a"]
         assert (a.prio, [e.channel for e in a.rset], a.state) == (None, [0, 0], IN)
         assert all(rec.legit for rec in trace.records)
@@ -1853,7 +1861,7 @@ class TestHold:
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["r"].state, cfg.states["r"].need = REQ, 2
-        holds = self.record_holds(monkeypatch)
+        holds = self.record_settles(monkeypatch)
         trace, log = self.logged_steps(monkeypatch, sim, cfg, [None] + [1, 2, 3, 0] * 2)
         assert [trace.records[i].body for i in (4, 8)] == [
             "proc=r event=deliver msg=PrioT ch=0 sends=[]",
@@ -1882,7 +1890,7 @@ class TestHold:
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["a"].state, cfg.states["a"].need = REQ, 2
-        holds = self.record_holds(monkeypatch)
+        holds = self.record_settles(monkeypatch)
         trace, log = self.logged_steps(monkeypatch, sim, cfg, [1])
         assert trace.records[0].body == "proc=a event=deliver msg=PrioT ch=0 sends=[]"
         assert log[1]["moves"] == [(1, PrioT, None)]
@@ -1898,7 +1906,7 @@ class TestHold:
         unit = cfg.channels[("a", 0)].pop(1)
         a = cfg.states["a"]
         a.state, a.need, a.rset = REQ, 3, [Reserved(0, unit.uid)]
-        holds = self.record_holds(monkeypatch)
+        holds = self.record_settles(monkeypatch)
         execute, records = Simulator.execute_step, []
         monkeypatch.setattr(Simulator, "execute_step",
                             lambda self, *args: records.append(execute(self, *args))
@@ -1918,7 +1926,7 @@ class TestHold:
         sim = canonical_sim(CHAIN, ell=5, k=2)
         cfg = sim.initial_configuration()
         cfg.states["a"].state, cfg.states["a"].need = REQ, 5
-        holds = self.record_holds(monkeypatch)
+        holds = self.record_settles(monkeypatch)
         trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1, 1])
         assert holds == [(1, "a", True), (2, "a", True), (3, "a", True), (4, "a", False)]
         assert log[2:5] == [self.HELD] * 3
@@ -1954,15 +1962,17 @@ class TestHold:
 
     def test_holds_equal_generic_steps(self, monkeypatch):
         # runs with requests from arbitrary and canonical starts: every step
-        # equals the one in which no token is held, so that a kept token is
-        # counted out of its slot, its receiver counted again and its
-        # record looked up by the record's own fields
-        hold = monitor.Tally.hold
-        held = []
+        # equals the one in which the tally settles no pass, so that a kept
+        # token is counted out of its slot, a released one into its channel,
+        # its receiver counted again and its record looked up by the
+        # record's own fields.  Among the settled passes are section
+        # entries, with or without the priority token handed on, and ends
+        settle = monitor.Tally.settle
+        settled = []
 
-        def counting_hold(self, pid, st):
-            ok = hold(self, pid, st)
-            held.append(ok)
+        def counting_settle(self, pid, st, placed, t=None, kept=None):
+            ok = settle(self, pid, st, placed, t, kept)
+            settled.append((ok, kept is None, bool(placed)))
             return ok
 
         for seed in range(6):
@@ -1971,14 +1981,194 @@ class TestHold:
             cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
             make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
                                           rate=0.05, max_duration=3)
-            monkeypatch.setattr(monitor.Tally, "hold", counting_hold)
+            monkeypatch.setattr(monitor.Tally, "settle", counting_settle)
             trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
-            monkeypatch.setattr(monitor.Tally, "hold", lambda self, pid, st: False)
+            monkeypatch.setattr(monitor.Tally, "settle", lambda self, *args: False)
             ref = sim.run(cfg, RandomPolicy(seed), 800, make())
             monkeypatch.undo()
             assert list(trace.lines()) == list(ref.lines())
             assert trace.records == ref.records
-        assert held.count(True) > 100
+        assert settled.count((True, False, False)) > 100  # holds and plain entries
+        assert settled.count((True, False, True)) > 50  # entries handing Prio on
+        assert settled.count((True, True, True)) > 50  # section ends
+
+
+@pytest.mark.pin
+class TestSettle:
+    """A section's entry and end cost moves, not a recount: the pass of a
+    process the step does not count again for another reason goes to
+    ``Tally.settle``, which moves each token the pass released from the
+    slot it was held at, matched to what the process held (a unit by uid,
+    the priority token by its old Prio label), keeps a token kept this step
+    where it was counted, and rewrites the RSet, Prio and units in use of
+    its part.  Whatever it cannot read that way, it refuses, and the step
+    counts the sends in and the process again."""
+
+    logged_steps = staticmethod(TestPureForward.logged_steps)
+    record_settles = staticmethod(TestHold.record_settles)
+
+    # CHAIN's ring: slot 0 (r, 0), the wrap channel; 1 (a, 0); 2 (b, 0);
+    # 3 (a, 1).  The canonical start queues the priority token, the three
+    # units, the pusher and the controller at slot 1, in that order
+
+    def test_section_entry(self, monkeypatch):
+        # the priority token goes round first (steps 0-3), and a requests
+        # one unit at step 3; the unit it takes at step 4 satisfies it, and
+        # its pass enters the section: the unit is held where it was
+        # counted, nothing moves and nobody is counted again.  Two steps on,
+        # the section ends, and the unit moves from a's channel 0 (slot 1),
+        # where it was held, to b's (slot 2)
+        sim = canonical_sim(CHAIN)
+        settles = self.record_settles(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, sim.initial_configuration(),
+                                       [1, 2, 3, 0, 1, None, None],
+                                       Workload([WorkloadEvent(3, "a", 1, 2)], 2))
+        entry = trace.records[4]
+        assert entry.body == ("proc=a event=deliver msg=ResT ch=0 sends=[]\n"
+                              "proc=a event=local msg=actions ch=- sends=[]")
+        assert (entry.entries, entry.transitions) == (("a",), (("a", REQ, IN),))
+        assert log[5] == {"passes": 1, "moves": [], "counted": [], "kept": True}
+        assert trace.records[6].body == "proc=a event=local msg=actions ch=- sends=[1:ResT]"
+        assert log[7] == {"passes": 1, "moves": [(1, ResT, 2)], "counted": [], "kept": True}
+        assert settles == [(4, "a", True), (6, "a", True)]
+        assert all(rec.legit for rec in trace.records)
+
+    @staticmethod
+    def keeping_prio(monkeypatch):
+        """A pass patched to keep the priority token through its section,
+        which it passes on only as the section ends, with its units."""
+        def keeping(st, p, cs_done):
+            prio = st.prio
+            if prio is not None and (st.state == IN and not cs_done
+                                     or st.state == REQ and len(st.rset) >= st.need):
+                st.prio = None
+                out = local_actions(st, p, cs_done)
+                st.prio = prio
+                return out
+            return local_actions(st, p, cs_done)
+
+        monkeypatch.setattr(simnet, "local_actions", keeping)
+
+    def test_section_end_releases_units_and_prio(self, monkeypatch):
+        # a requests two units: it takes the priority token (step 1) and
+        # two units (steps 2 and 3), and keeps the token in its one-step
+        # section.  As the section ends (step 4), its pass releases the
+        # units and the token, each one move from a's channel 0 (slot 1),
+        # where it was held, to b's (slot 2), and a is not counted again
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["a"].state, cfg.states["a"].need = REQ, 2
+        self.keeping_prio(monkeypatch)
+        settles = self.record_settles(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1, None])
+        assert trace.records[3].entries == ("a",)
+        assert trace.records[4].body == (
+            "proc=a event=local msg=actions ch=- sends=[1:ResT,1:ResT,1:PrioT]")
+        assert log[5] == {"passes": 1, "moves": [(1, ResT, 2), (1, ResT, 2), (1, PrioT, 2)],
+                          "counted": [], "kept": True}
+        assert settles == [(1, "a", True), (2, "a", True), (3, "a", True), (4, "a", True)]
+        held = [m.uid for m in cfg.channels[("a", 0)][1:3]]
+        assert [getattr(m, "uid", None) for m in trace.final.channels[("b", 0)]] == (
+            held + [None])
+        assert all(rec.legit for rec in trace.records)
+
+    def test_root_releases_off_its_wrap_channel(self, monkeypatch):
+        # the root requests two units: it holds the priority token (step 4)
+        # and a unit (step 8) from its wrap channel (slot 0); the second
+        # unit (step 12) satisfies it, and its pass enters and hands the
+        # token on, one move off slot 0.  Its one-step section ends at step
+        # 13, and it releases both units off slot 0, counting them into
+        # SToken: the running count is read again, and the root is not
+        # counted again
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        cfg.states["r"].state, cfg.states["r"].need = REQ, 2
+        settles = self.record_settles(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg,
+                                       [None] + [1, 2, 3, 0] * 3 + [None])
+        assert trace.records[12].entries == ("r",)
+        assert log[13] == {"passes": 1, "moves": [(0, PrioT, 1)], "counted": [],
+                           "kept": True, "reread": True}
+        assert trace.records[13].body == "proc=r event=local msg=actions ch=- sends=[0:ResT,0:ResT]"
+        assert log[14] == {"passes": 1, "moves": [(0, ResT, 1), (0, ResT, 1)], "counted": [],
+                           "kept": True, "reread": True}
+        assert settles[-2:] == [(12, "r", True), (13, "r", True)]
+        assert all(rec.legit for rec in trace.records)
+
+    # -- refusals: the process is counted again
+
+    def test_units_in_use_over_ell(self, monkeypatch):
+        # ell = 2 and a unit more than ell, the first at the front of b's
+        # channel: a enters its section with two units (step 3), settled,
+        # and hands the priority token to b; b's entry with the third unit
+        # (step 4) would put three units in use, which the tally refuses:
+        # b is counted again, and the step reports the violation
+        sim = canonical_sim(CHAIN, ell=2, k=2)
+        cfg = sim.initial_configuration()
+        cfg.channels[("b", 0)].append(ResT())
+        for pid, need in [("a", 2), ("b", 1)]:
+            cfg.states[pid].state, cfg.states[pid].need = REQ, need
+            cfg.app.armed_duration[pid] = float("inf")
+        settles = self.record_settles(monkeypatch)
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, [None, 1, 1, 1, 2, 2])
+        assert [rec.entries for rec in trace.records[3:5]] == [("a",), ("b",)]
+        assert settles[:4] == [(1, "a", True), (2, "a", True), (3, "a", True), (4, "b", False)]
+        assert log[5] == {"passes": 1, "moves": [(2, ResT, None)], "counted": ["b"],
+                          "kept": False}
+        assert [rec.violations for rec in trace.records[3:]] == [()] + [
+            ("3 > ell units in use",)] * 2
+
+    # -- broken handlers: the held slot comes from the holdings, and a
+    # -- released unit that vanished is found
+
+    @staticmethod
+    def broken_runs(monkeypatch):
+        """``run_checked`` from canonical and arbitrary starts on seeded
+        trees, with requests, under whatever the caller patched; returns
+        the outcomes of ``Tally.settle`` for a pass that released a unit."""
+        settle, outcomes = monitor.Tally.settle, []
+
+        def recording(self, pid, st, placed, t=None, kept=None):
+            settled = settle(self, pid, st, placed, t, kept)
+            if any(m.__class__ is ResT for m, _ in placed):
+                outcomes.append(settled)
+            return settled
+
+        monkeypatch.setattr(monitor.Tally, "settle", recording)
+        for seed in range(4):
+            topo = random_tree(300 + seed, 3 + seed)
+            sim = canonical_sim(topo, ell=3, k=2)
+            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+            run_checked(sim, cfg, RandomPolicy(seed), 600,
+                        RandomWorkload(topo.process_ids, 2, seed, rate=0.08, max_duration=3))
+        return outcomes
+
+    def test_release_onto_the_arrival_channel(self, monkeypatch):
+        # a release sends each unit back on the channel it arrived on,
+        # never to the next ring slot: each moves from the slot it was
+        # held at all the same
+        def back(st, p, out):
+            for e in st.rset:
+                out.sends.append((e.channel, ResT(uid=e.uid)))
+            st.rset.clear()
+
+        monkeypatch.setattr(protocol, "_release_all", back)
+        outcomes = self.broken_runs(monkeypatch)
+        assert outcomes.count(True) > 100
+
+    def test_pass_that_drops_a_released_unit(self, monkeypatch):
+        # a section's end loses the first unit it releases: the tally finds
+        # a held unit gone and refuses, and the process is counted again
+        def dropping(st, p, cs_done):
+            out = local_actions(st, p, cs_done)
+            units = [i for i, (_, m) in enumerate(out.sends) if m.__class__ is ResT]
+            if units:
+                del out.sends[units[0]]
+            return out
+
+        monkeypatch.setattr(simnet, "local_actions", dropping)
+        outcomes = self.broken_runs(monkeypatch)
+        assert len(outcomes) > 20 and not any(outcomes)
 
 
 @pytest.mark.pin
