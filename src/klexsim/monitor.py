@@ -1,15 +1,15 @@
 """Global oracles: token census, legitimacy, safety/fairness/liveness verdicts.
 
 The verdicts over run traces are pure functions.  The per-step checks are
-not: ``Tally`` keeps counts of one configuration from step to step, which
-the simulator updates through ``Tally.move`` as messages enter, leave and
-cross channels (``Tally.hop`` for a controller hop, ``Tally.settle`` for a
-local-action pass that changed a process's holdings) and ``step_checks``
-updates for the processes a step changed.  A token kept stays counted where
-it arrived, and a token released moves from where it was held.  A step that
-only shifted the running counts (a token passing the controller's place,
-landing behind a control message or leaving the root's wrap channel)
-re-reads that one clause, and keeps the rest.
+not: ``Tally`` keeps counts of one configuration from step to step.  The
+simulator hands it each step's event and pass in one ``Tally.settle`` call,
+which pairs every message the step placed with where it was counted (the
+delivered message sent on, a holding its process released) and moves it
+from there, counts in or out only what it cannot pair, and leaves to
+``step_checks`` the processes whose part it cannot read as those moves.  A
+step that only shifted the running counts (a token passing the
+controller's place, landing behind a control message or leaving the root's
+wrap channel) re-reads that one clause, and keeps the rest.
 Nothing here feeds back into the protocol.  Resource tokens carry a
 monitor-only identity tag, which is what lets the safety checker assert
 that a unit is never in two places at once rather than merely counting.
@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
-from .protocol import IN, OUT, REQ, SAT, PrioT, PushT, ResT
+from .protocol import IN, OUT, REQ, SAT, Ctrl, PrioT, PushT, ResT
 from .topology import TreeTopology, virtual_ring  # noqa: F401 (perfbench/tracer.py patches it)
 
 
@@ -69,6 +69,17 @@ def _off(place: tuple, st, c: int, t_c: int) -> bool:
     return st.myc == c
 
 
+def _sent_on(m, msg) -> bool:
+    """Whether m, a message a step placed, is msg, the one it delivered,
+    sent on: the same unit, the pusher or the priority token, or a control
+    message with msg's counter (msg itself, or a copy with its receiver's
+    holdings picked up; a root wrap's has a new counter)."""
+    cls = m.__class__
+    if cls is not msg.__class__:  # msg None too
+        return False
+    return m.uid == msg.uid if cls is ResT else m.c == msg.c if cls is Ctrl else True
+
+
 class Tally:
     """What ``step_checks`` keeps of a configuration from step to step:
     the token counts of every ring slot (``topology.Ring``) and the part of
@@ -77,9 +88,9 @@ class Tally:
     its slot: a free token at its channel's, a held one at the slot of the
     channel it arrived on.  A tally counts one configuration, ``cfg``, kept
     as ``tally.cfg``: it starts from its channels, its first ``step_checks``
-    must name every process, and the simulator calls ``move`` for every
-    message a step puts into, takes from or passes between its channels,
-    but ``settle`` for a pass whose changes the tally can read as moves.
+    must name every process, and the simulator counts every step's event
+    and pass with one ``settle`` call, which counts each message the step
+    put into, took from or passed between its channels with ``move``.
 
     A process's part is (its RSet, its Prio, units in use, violations, off
     the canonical traversal state).  An RSet that changed is counted again
@@ -104,18 +115,17 @@ class Tally:
     SPrio), sets ``stale``: ``last`` stands, but for its verdict, which
     ``step_checks`` reads again as ``base`` and the running-count clause.
 
-    The hop rule (``hop``) is one exception: a controller hop from a
-    legitimate configuration, in a step that changed nothing else, moves
-    the controller one place on and leaves ``scan``, ``key``, ``base`` and
-    ``last`` as a scan and a check of the new configuration would, from the
-    new place and the receivers' states, without counting the old receiver
-    again; any hop it cannot read that way it leaves to ``step_checks``.
-
-    The other is a local-action pass that changed a process's holdings, at
-    a process the step does not count again otherwise, read as moves
-    (``settle``): a kept token stays where it was counted, and a released
-    one moves from where it was held.  A section's entry and end then count
-    no process again, and ``last`` stands.
+    ``settle`` reads a step as moves by the pairing rule: a token sent on
+    moves from the slot it was delivered from, a token kept stays where it
+    was counted, and a token released moves from where it was held, so a
+    forward, a prio pass, a hold and a section's entry or end count no
+    process again, and ``last`` stands.  A controller hop from a
+    legitimate configuration, alone in its step, is read by the hop rule:
+    the controller moves one place on, and ``scan``, ``key``, ``base`` and
+    ``last`` are left as a scan and a check of the new configuration would
+    leave them, from the new place and the receivers' states, without
+    counting the old receiver again.  Whatever ``settle`` cannot read that
+    way it leaves to ``step_checks``.
     """
 
     def __init__(self, topo: TreeTopology, k: int, ell: int, modulus: int, cfg):
@@ -128,7 +138,7 @@ class Tally:
         self.ctrls: dict = {}  # slot -> its control messages, front first
         self.after: dict = {}  # slot -> tokens behind its last control message
         self.copies: dict[int, int] = {}  # resource uid -> copies
-        self.procs: dict = {}
+        self.procs = dict.fromkeys(topo.process_ids, _NO_PROCESS)  # uncounted: no part
         self.n_bad = 0  # processes with violations
         self.in_use = 0
         self.key: tuple[int, int] | None = None
@@ -165,11 +175,12 @@ class Tally:
         """Count message m off the front of slot ``frm`` and onto the back of
         slot ``to``.  ``None`` stands for an end that is no channel: m was
         put in by a start or a handler (``frm``), or was delivered and not
-        sent on as itself (``to``).  A control message is counted out and
-        in; a token that passes from slot to slot keeps ``tokens`` and
-        ``copies`` as they are, changes ``behind`` only when it crosses the
-        controller's place, and leaves ``last`` standing but ``stale`` when
-        it crosses it, leaves slot 0 or lands behind a control message."""
+        sent on (``to``).  A held token's slot is that of the channel it
+        arrived on.  A control message is counted out and in; a token that
+        passes from slot to slot keeps ``tokens`` and ``copies`` as they
+        are, changes ``behind`` only when it crosses the controller's place,
+        and leaves ``last`` standing but ``stale`` when it crosses it,
+        leaves slot 0 or lands behind a control message."""
         i = _SPECIES.get(m.__class__)
         if i is None:
             self.scan = self.last = None
@@ -203,120 +214,125 @@ class Tally:
             self.after[to][i] += 1
             self.stale = True
 
-    def hop(self, frm: int, m, to: int) -> tuple | None:
-        """Count a controller hop as ``move(frm, m, to)``: the control
-        message at the front of slot ``frm`` delivered, and m, the one its
-        receiver's handler sent with the same counter (the message itself,
-        or a copy with the receiver's holdings picked up), onto slot
-        ``to``, in a step that changed nothing else: no process was counted
-        again (a request whose pass did nothing counts none), and the
-        receiver's RSet, Prio and state are as they were.
+    def settle(self, pid, st, t: int | None, msg, placed, woken: set) -> bool:
+        """Count one step's event at ``pid`` (state st now) with the pass it
+        woke, or one pass of the application phase: ``msg`` was delivered
+        from slot t (None for the root's timeout or an application-phase
+        pass), and ``placed`` is the (message, slot) of every message the
+        handler and then the pass put into a channel.  ``woken`` holds the
+        processes ``step_checks`` counts again this step; ``pid`` joins it
+        when its part cannot be read as the moves below.
 
-        When the last checks were legitimate, the step changed only the
-        controller's place and the receiver's Succ (and its counter, on an
-        adoption), and the checks are read from those alone.  m must be
-        valid for its new receiver (the scan's rule) and one place on, with
-        the key's counter; the old receiver, re-derived from its state, must
-        be on the canonical traversal state at the new place.  It has passed
-        its channel there, so its counter is then the key's, the root's at
-        the last check and inside its domain.  Then ``key``, ``behind`` and
-        ``scan`` advance as ``step_checks`` advances them, ``base`` is read
-        from m's reset flag (every other clause is as the last checks found
-        it), the running-count clause against the new place, and the
-        checks, kept as ``last``, are returned.  Otherwise it returns None:
-        ``step_checks`` must then count the receiver again."""
-        last = self.last
-        self.move(frm, m, to)
-        if last is None or not last[1]:
-            return None
-        keys = self.ring.keys
-        states = self.cfg.states
-        c, place = self.key
-        new = to or len(keys)
-        pid, q = keys[to]
-        if m.c != c or new != place + 1 or not _valid(states[pid], q, c, pid == self.topo.root):
-            return None
-        pid = keys[place][0]
-        st = states[pid]
-        if _off(self.places[pid], st, c, new):
-            return None
-        self.advance(place)
-        self.key = key = (c, new)
-        self.scan = (1, key, m, to)
-        self.base = base = not m.r
-        self.last = last if base and self.flushed(m, to) else (last[0], False, ())
-        return self.last
+        The pairing rule: each placed message is paired with where it was
+        counted and moves from there, one ``move``.  msg sent on (the same
+        unit, the pusher or the priority token, or a control message with
+        msg's counter: a hop) moves from slot t; a holding ``pid`` released
+        (a unit by its uid, the priority token by its old Prio label) moves
+        from the slot it was held at.  What cannot be paired is counted in
+        (a mint, a root wrap's new controller) or out (msg sunk, dropped or
+        wrapped), but msg held: a unit reserved or the priority token taken
+        stays counted at slot t, the slot of the channel it arrived on,
+        where a held token is counted.  Only the RSet, Prio and units in
+        use of ``pid``'s part are then rewritten, and ``last`` stands.
 
-    def settle(self, pid, st, placed, t: int | None = None, kept=None) -> bool:
-        """Count what a local-action pass at ``pid`` (state st now) changed
-        of its holdings, in a step that counted ``pid`` before it and does
-        not count it again: ``placed`` is the (message, slot) of each token
-        the pass put into a channel, and ``kept``, when given, the token the
-        step's event delivered from slot t and the handler kept.
+        ``pid`` is counted again instead, every holding it released counted
+        in and a kept msg out, when it is in ``woken`` already, when a
+        holding it released is not placed or one it gained is not msg, when
+        its part has or would gain a violation (more than k units, units in
+        use over ell, a root counter outside its domain: a token sent on
+        off slot 0, the root's wrap channel, is counted into one), and when
+        msg is a control message (it changes Succ or the counter) that the
+        hop rule does not read.  The hop rule reads a hop alone in its step
+        (``woken`` empty), its one send, the receiver's part as it was,
+        from legitimate last checks: the controller valid for its new
+        receiver and one place on, and the old receiver, re-derived from
+        its state, on the canonical traversal state at the new place, where
+        its counter is the key's, the root's at the last check and inside
+        its domain.  Then ``key``, ``behind`` and ``scan`` advance as
+        ``step_checks`` advances them, ``base`` is read from the reset flag
+        and the running-count clause against the new place, and the checks
+        are kept as ``last``.
 
-        Each placed token must be one ``pid`` held before the step, a unit
-        matched by its uid, the priority token by its old Prio label; it
-        moves from the slot it was held at to its channel's with
-        ``move(held, m, to)``, which marks the running count stale when it
-        crosses the controller's place or leaves slot 0, as for any token.
-        ``kept`` is the one holding ``pid`` may have gained: it was counted
-        free at slot t, the slot of the channel it arrived on, where a held
-        token is counted, so it stays counted there.  Only the RSet, Prio
-        and units in use of the part are rewritten; ``last`` stands.
-
-        It returns False, changing nothing, when a placed token matches
-        nothing held, a held unit or Prio is gone and not placed, a holding
-        was gained that is not ``kept`` at slot t, or the part has or would
-        gain a violation (more than k units, units in use over ell, a root
-        counter outside its domain): ``process`` must then count ``pid``
-        again."""
-        old_rset, prio, old_use, viol, off = self.procs.get(pid, _NO_PROCESS)
+        Returns whether the step was a pure move: msg, a token, sent on as
+        the one message placed, ``pid``'s part as it was."""
+        was, prio, use, viol, off = self.procs[pid]
         rset = st.rset
         in_use = len(rset) if st.state == IN else 0
-        if (viol or len(rset) > self.k or self.in_use + in_use - old_use > self.ell
-                or st.stoken > self.ell + 1 or st.spush > SAT or st.sprio > SAT):
-            return False
-        gained = rset.copy()
-        released = []
-        for e in old_rset:
-            if e in gained:
-                gained.remove(e)
-            else:
-                released.append(e)
+        same = st.prio == prio and was == tuple(rset) and in_use == use
+        if same and len(placed) == 1:
+            m, to = placed[0]
+            if m is msg or _sent_on(m, msg):
+                if msg.__class__ is not Ctrl:
+                    self.move(t, m, to)
+                    if viol or not t and (st.stoken > self.ell + 1 or st.spush > SAT
+                                          or st.sprio > SAT):
+                        woken.add(pid)
+                    return True
+                last = self.last
+                self.move(t, m, to)
+                if not woken and last is not None and last[1]:  # the hop rule
+                    keys = self.ring.keys
+                    c, place = self.key
+                    new = to or len(keys)
+                    nxt, q = keys[to]
+                    if (new == place + 1 and _valid(self.cfg.states[nxt], q, c, nxt == self.topo.root)
+                            and not _off(self.places[pid], st, c, new)):
+                        self.advance(place)
+                        self.key = key = (c, new)
+                        self.scan = (1, key, m, to)
+                        self.base = base = not m.r
+                        self.last = last if base and self.flushed(m, to) else (last[0], False, ())
+                        return False
+                woken.add(pid)
+                return False
+        refused = (viol or pid in woken or msg.__class__ is Ctrl or len(rset) > self.k
+                   or self.in_use + in_use - use > self.ell
+                   or st.stoken > self.ell + 1 or st.spush > SAT or st.sprio > SAT)
+        gained = released = ()
+        got = gone = None
+        if not (refused or same):
+            gained, released = rset.copy(), []
+            for e in was:
+                if e in gained:
+                    gained.remove(e)
+                else:
+                    released.append(e)
+            if st.prio != prio:
+                got, gone = st.prio, prio
         pos = self.places[pid][0]
-        moves = []
+        moves, sent = [], None
         for m, to in placed:
-            cls = m.__class__
-            if cls is ResT:
+            frm = None
+            if sent is None and (m is msg or _sent_on(m, msg)):
+                sent, frm = m, t
+            elif m.__class__ is ResT:
                 for e in released:
                     if e.uid == m.uid:
                         released.remove(e)
-                        moves.append((pos[e.channel], m, to))
+                        frm = pos[e.channel]
                         break
-                else:
-                    return False
-            elif cls is PrioT and prio is not None:
-                moves.append((pos[prio], m, to))
-                prio = None
-            else:
-                return False
-        if released:
-            return False
-        cls = kept.__class__
-        if cls is ResT:
-            if (len(gained) != 1 or gained[0].uid != kept.uid or pos[gained[0].channel] != t
-                    or st.prio != prio):
-                return False
-        elif cls is PrioT:
-            if gained or prio is not None or st.prio is None or pos[st.prio] != t:
-                return False
-        elif kept is not None or gained or st.prio != prio:
-            return False
+            elif m.__class__ is PrioT and gone is not None:
+                frm, gone = pos[gone], None
+            moves.append((frm, m, to))
+        kept = False
+        if sent is None:
+            if (msg.__class__ is ResT and gained and gained[0].uid == msg.uid
+                    and pos[gained[0].channel] == t):
+                kept = True
+                del gained[0]
+            elif msg.__class__ is PrioT and got is not None and pos[got] == t:
+                kept, got = True, None
+        refused = refused or gained or released or got is not None or gone is not None
+        if sent is None and msg is not None and (refused or not kept):
+            self.move(t, msg, None)
         for frm, m, to in moves:
-            self.move(frm, m, to)
-        self.in_use += in_use - old_use
-        self.procs[pid] = (tuple(rset), st.prio, in_use, viol, off)
-        return True
+            self.move(None if refused and m is not sent else frm, m, to)
+        if refused:
+            woken.add(pid)
+        elif not same:
+            self.in_use += in_use - use
+            self.procs[pid] = (tuple(rset), st.prio, in_use, viol, off)
+        return False
 
     def advance(self, left: int) -> None:
         """Count the tokens of slot ``left``, which the controller has just
@@ -353,7 +369,7 @@ class Tally:
             c, t_c = self.key
             off = _off(place, st, c, t_c)
         new = (tuple(rset), st.prio, held if st.state == IN else 0, viol, off)
-        old = self.procs.get(pid, _NO_PROCESS)
+        old = self.procs[pid]
         if new == old:
             return
         self.procs[pid] = new
@@ -395,7 +411,7 @@ class Tally:
                                        f"(channel {key[0]}:{key[1]})")
                         seen.add(m.uid)
         for pid in self.topo.process_ids:
-            rset, _, _, viol, _ = self.procs.get(pid, _NO_PROCESS)
+            rset, _, _, viol, _ = self.procs[pid]
             if seen is not None:
                 for e in rset:
                     if e.uid >= 0:
@@ -413,10 +429,9 @@ def step_checks(tally: Tally,
     """Census, legitimacy verdict, and safety scan of the configuration
     ``tally`` counts (``tally.cfg``).
 
-    ``tally`` has already counted every message moved since it was last
-    checked (``Tally.move``) and every pass it read as moves
-    (``Tally.settle``); ``procs`` names the processes whose part may have
-    changed otherwise (every process, the first time a tally is checked).
+    ``tally`` has already counted every step since it was last checked
+    (``Tally.settle``); ``procs`` names the processes whose part it could
+    not read as moves (every process, the first time a tally is checked).
     Only those are counted again, their held tokens at the slots they
     arrived on.  A process whose request arrived is not among them unless
     its pass wrote a line: a request writes only ``state`` (Out to Req) and
@@ -467,21 +482,19 @@ def step_checks(tally: Tally,
     other clause: the census and the safety scan count tokens, not where
     they are, and the traversal clauses read no token.  The root, whose
     SToken, SPush or SPrio its forward or prio pass off its wrap channel
-    counts the token into, is not counted again for it (``execute_step``):
-    the handlers cap those counters inside their domains, so with the last
-    checks kept, which had no violation, the root still has none.  A
-    result with violations is never kept: a duplicated unit is reported
-    with the channel it is in, which any move can change.
+    counts the token into, is not counted again for it while its part has
+    no violation and those counters are inside their domains
+    (``Tally.settle`` reads both).  A result with violations is never kept:
+    a duplicated unit is reported with the channel it is in, which any move
+    can change.
 
-    A controller hop the simulator hands to the hop rule (``Tally.hop``)
-    is checked there, and its checks kept as ``Tally.last``, when the last
-    checks were legitimate and the hop reads as a move one place on: the
-    controller valid for its new receiver, and the old receiver on the
-    canonical traversal state at the new place.  Any other hop falls back
-    to this function, its receiver in ``procs``.  So does a pass that
-    ``Tally.settle`` refuses: one that released a token its process did not
-    hold, lost one, or would leave its process with more than k units or
-    more than ell units in use.
+    A controller hop that ``Tally.settle``'s hop rule reads is checked
+    there, and its checks kept as ``Tally.last``.  Any other step that
+    ``Tally.settle`` cannot read as moves falls back to this function, its
+    process in ``procs``: a hop the rule refuses, a root wrap, a pass that
+    released a token its process did not hold or lost one, one that would
+    leave its process with more than k units or more than ell units in
+    use.
     """
     if not procs:
         last = tally.last

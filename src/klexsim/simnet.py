@@ -56,6 +56,14 @@ def _pass_line(pid: str, sends: str) -> str:
     return f"proc={pid} event=local msg=actions ch=- sends=[{sends}]"
 
 
+def _render(sends, msg: Message | None = None, name: str = "") -> str:
+    """``sends`` as a trace line shows them; ``msg``, the step's delivered
+    message, sent on as itself is rendered by ``name``, the name its
+    delivery was rendered by."""
+    return ",".join([f"{out_ch}:{name if m is msg else _NAMES.get(m.__class__) or m}"
+                     for out_ch, m in sends])
+
+
 DELIVER = "deliver"
 TIMEOUT = "timeout"
 SKIP = "skip"
@@ -471,79 +479,39 @@ class Simulator:
         return queues
 
     def _place(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
-               sends: list[tuple[int, Message]]) -> tuple[str, list[tuple[Message, int]]]:
+               sends: list[tuple[int, Message]], msg: Message | None
+               ) -> list[tuple[Message, int]]:
         """Put ``sends`` into their channels, a send on label ``out`` into
-        slot ``dest[out]``; return their rendering for the trace line and
-        each placed message with its slot, which the caller counts: in, by
-        ``Tally.move(None, msg, slot)`` (``_enqueue``), or moved from where
-        its sender held it (``Tally.settle``).  A unit without a uid gets
-        one here: in a run, which stamps its start, only a unit the root
-        mints.  A delivery whose one send is the delivered message itself,
-        or a controller hop, does not come here: ``execute_step`` moves that
-        message on itself."""
-        rendered = []
+        slot ``dest[out]``, and return each placed message with its slot,
+        for ``Tally.settle`` to count.  A unit without a uid gets one here,
+        but ``msg``, the step's delivered message, sent on as itself: in a
+        run, which stamps its start, only a unit the root mints."""
         placed = []
-        busy = cfg.busy
-        for out_ch, msg in sends:
-            if msg.__class__ is ResT and msg.uid < 0:
-                msg = ResT(self._take_uid(cfg))
+        for out_ch, m in sends:
+            if m is not msg and m.__class__ is ResT and m.uid < 0:
+                m = ResT(self._take_uid(cfg))
             t = dest[out_ch]
             queue = queues[t]
             if not queue:
-                insort(busy, t)
-            queue.append(msg)
-            placed.append((msg, t))
-            rendered.append(f"{out_ch}:{_NAMES.get(msg.__class__) or msg}")
-        return ",".join(rendered), placed
+                insort(cfg.busy, t)
+            queue.append(m)
+            placed.append((m, t))
+        return placed
 
-    def _enqueue(self, cfg: Configuration, queues: list[list[Message]], dest: list[int],
-                 sends: list[tuple[int, Message]], tally: monitor.Tally) -> str:
-        """``_place`` ``sends``, each counted in by ``tally.move(None, msg,
-        slot)``; return their rendering."""
-        rendered, placed = self._place(cfg, queues, dest, sends)
-        for msg, t in placed:
-            tally.move(None, msg, t)
-        return rendered
-
-    def _local_pass(self, cfg: Configuration, queues: list[list[Message]], pid: str,
-                    lines: list, entries: list, transitions: list, tally: monitor.Tally,
-                    settle: bool, t: int | None = None, kept: Message | None = None
-                    ) -> tuple | None:
-        """A local-action pass at ``pid``; one that sends or changes its state
-        puts its sends into their channels and renders its line.  ``kept``
-        is a token the step's event delivered to ``pid`` from slot ``t`` and
-        its handler kept.  It returns None when ``pid`` must be counted
-        again: the pass's sends are then counted in.  Otherwise it returns
-        ``()``: the pass changed nothing the checks read (it wrote no line,
-        and there is no ``kept``), or, with ``settle`` (``pid`` is not
-        counted again for another reason), the tally took its changes and
-        ``kept`` with ``Tally.settle``: each released token moved from the
-        slot it was held at, ``kept`` held where it was counted.  A pass
-        that only sends one token of ``kept``'s class, state as before,
-        sends ``kept`` on instead, and returns ``((label, kept),)``."""
-        st = cfg.states[pid]
+    def _local_pass(self, cfg: Configuration, pid: str, st: ProcessState, entries: list,
+                    transitions: list) -> list | None:
+        """A local-action pass at ``pid`` (state st): its sends, or None when
+        it has no line to write (it sent nothing and kept its state)."""
         old = st.state
         out = local_actions(st, self.pp[pid], cfg.app.release_cs(pid))
-        sends = out.sends
         if out.entered_cs:
             cfg.app.enter_cs(pid)
             entries.append(pid)
         if st.state != old:
             transitions.append((pid, old, st.state))
-        elif kept is not None and len(sends) == 1 and sends[0][1].__class__ is kept.__class__:
-            return ((sends[0][0], kept),)
-        if sends or st.state != old:
-            rendered, placed = self._place(cfg, queues, self.topo.ring.dest[pid], sends)
-            lines.append(_pass_line(pid, rendered))
-        elif kept is None:
-            return ()
-        else:
-            placed = ()
-        if settle and tally.settle(pid, st, placed, t, kept):
-            return ()
-        for msg, to in placed:
-            tally.move(None, msg, to)
-        return None
+        elif not out.sends:
+            return None
+        return out.sends
 
     def execute_step(self, cfg: Configuration, policy, workload,
                      dirty: Iterable[str], tally: monitor.Tally,
@@ -554,22 +522,11 @@ class Simulator:
         each process that requested, finished its section or is ``dirty``,
         in ``process_ids`` order), then the event ``policy`` chooses, then
         the checks of the configuration produced, ``step_checks(tally,
-        woken)``: the step counts each message it puts in, takes out or
-        passes on with one ``Tally.move``, and ``woken`` holds only the
-        processes whose part of the checks it may have changed: the
-        ``dirty`` ones, and those whose pass wrote a line the tally could
-        not read as moves.  A request writes only ``state`` (Out to Req) and
-        ``need``, which no check reads, and a pass that writes no line
-        changes nothing, so a process the application phase woke is passed
-        but counted again only when its pass wrote a line.  Even then, at a
-        process not ``dirty``, the pass goes to ``Tally.settle`` first: a
-        section's end, whose pass releases its units, moves each from the
-        slot it was held at, and counts nobody again unless the tally
-        refuses.  A timeout changes none: ``on_timeout_root``
-        writes no state (its control message clears ``Tally.scan``).
-        ``dirty`` processes may have true guards already, as only a start
-        no step produced can.  ``queues`` is ``cfg``'s channel lists by
-        slot (``_queues``), with ``cfg.busy`` built; the countdowns are
+        woken)``.  ``woken`` holds the processes whose part of the checks
+        the step may have changed otherwise: the ``dirty`` ones, which may
+        have true guards already, as only a start no step produced can, and
+        those ``Tally.settle`` adds.  ``queues`` is ``cfg``'s channel lists
+        by slot (``_queues``), with ``cfg.busy`` built; the countdowns are
         ticked only while a section runs.
 
         The application phase can enable deliveries (a finished critical
@@ -580,54 +537,31 @@ class Simulator:
         or the root's timeout, changed ``len(st.rset)`` or ``st.prio``.
         Those are the only guard inputs a handler writes (none writes
         ``state`` or ``need``, and no section ends during the event), so
-        otherwise its guards are as false as its last pass left them.  A
-        handler that kept the delivered message (sent nothing, state as
-        before) has its receiver's pass run at once, before the message is
-        counted out.  When the receiver is not in ``woken``, that pass goes
-        to ``Tally.settle`` with the message, whether it did nothing or
-        entered the section: the message is held where it was counted, any
-        token the pass sent on moves from the slot it was held at, and the
-        receiver is not counted again, unless the tally refuses (more than
-        k units, more than ell in use, a token it cannot match).
+        otherwise its guards are as false as its last pass left them.
 
-        A delivery whose only send is the delivered message itself, sent by
-        its handler or, in a prio pass (a priority token taken and handed
-        straight on), by the receiver's pass, moves that message on in one
-        ``Tally.move``, whatever its class, and renders the send by the name
-        the delivery rendered it by, so a controller sent on as itself is
-        rendered once.  The receiver is counted again only when the message
-        is a control message (below) or the handler changed ``st.state``.
-        Otherwise the step is a pure forward or a prio pass, and its
-        receiver ends as it began, but for the root off ring slot 0, its
-        wrap channel, where the forward changed SToken or SPush and the
-        prio pass SPrio: only the running-count clause reads those, and the
-        tally's move off slot 0 has that clause read again
-        (``Tally.stale``).  The root is counted again there only when the
-        last checks are gone (``Tally.last`` None): a violation of its own
-        may then be standing, which the handlers' capping can clear.
-
-        A controller hop, a delivered control message whose handler's one
-        send is a control message that is no root wrap's (the message
-        itself, or a copy with the receiver's holdings picked up), moves in
-        one move too.  When ``woken`` is empty and the handler left the
-        receiver's RSet, Prio and state as they were, the move goes to the
-        monitor's hop rule, ``Tally.hop``, which checks the configuration
-        itself when the last checks were legitimate, from the new place and
-        the two receivers' states; when it cannot, or the step did more, the
-        receiver, whose Succ or counter the hop changed, goes into ``woken``
-        and ``step_checks`` counts it again.  A root
-        wrap, which builds a new counter and may mint, is an ordinary
-        delivery.
+        One counting rule: the event with its receiver's pass, and each
+        application-phase pass that has a line to write, make one
+        ``Tally.settle`` call once their sends, the handler's and then the
+        pass's, are in their channels (``_place``).  It pairs each message
+        placed with where it was counted, the delivered message sent on or a
+        holding its process released, and moves it from there; it counts in
+        or out what it cannot pair, and puts the process into ``woken`` when
+        its part cannot be read as those moves.  A request writes only
+        ``state`` (Out to Req) and ``need``, which no check reads, and a
+        pass with no line to write changes nothing, so neither is counted.
 
         The step's record is looked up once in ``outcomes``, the caller's
         table of the records built so far, under (what happened, census,
         legitimacy, violations), and built only when no equal one is there,
-        so equal steps share one record.  A lone pure forward or prio pass,
-        one whose application phase wrote no line, happened as its slot,
-        its token's class and whether it was passed say: its key is (slot,
+        so equal steps share one record.  A lone pure move, one that
+        ``Tally.settle`` reports as a pure move (a delivered token sent on
+        by its handler, or by its receiver's pass in a prio pass: the
+        priority token taken and handed straight on) in a step that wrote
+        no other line and changed no state, happened as its slot, its
+        token's class and whether it was passed say: its key is (slot,
         class, passed, census, legit, violations), and its lines are
-        rendered only when that key is new.  Any other step's key, a
-        settled pass's too, is the record's own fields, its lines joined.
+        rendered only when that key is new.  Any other step's key is the
+        record's own fields, its lines joined.
         """
         lines: list[str] = []
         entries: list[str] = []
@@ -650,101 +584,65 @@ class Simulator:
             if ended:
                 passes = passes.union(ended)
         if passes:
+            dest = self.topo.ring.dest
             for pid in sorted(passes, key=self.order):
-                if self._local_pass(cfg, queues, pid, lines, entries, transitions, tally,
-                                    pid not in woken) is None:
-                    woken.add(pid)
+                st = cfg.states[pid]
+                sends = self._local_pass(cfg, pid, st, entries, transitions)
+                if sends is not None:
+                    lines.append(_pass_line(pid, _render(sends)))
+                    tally.settle(pid, st, None, None,
+                                 self._place(cfg, queues, dest[pid], sends, None), woken)
 
         t = policy.choose(self.enabled_events(cfg))
-        timeout_fired = t == len(self.channel_keys)
-        restart = lone = False
+        restart = lone = timeout_fired = False
         traversal_end = None
         if t is not None:
             pid, ch, pp, dest = self.rows[t]
             st = cfg.states[pid]
             old, held, prio = st.state, len(st.rset), st.prio
-            at = len(lines)  # the event's line goes here, before its receiver's pass's
-            if timeout_fired:
-                event, name = TIMEOUT, "-"
+            if ch == "-":  # the root's timeout, the last slot
+                timeout_fired, msg = True, None
                 out = on_timeout_root(st, pp)
-                sends = self._enqueue(cfg, queues, dest, out.sends, tally)
             else:
                 queue = queues[t]
                 msg = queue.pop(0)
-                busy = cfg.busy
                 if not queue:
-                    del busy[bisect_left(busy, t)]
-                cls = msg.__class__
-                event, name = DELIVER, _NAMES.get(cls) or str(msg)
+                    del cfg.busy[bisect_left(cfg.busy, t)]
                 out = dispatch(st, ch, msg, pp)
-                sent = out.sends
-                kept = False
-                if not sent and st.state == old and (len(st.rset) != held or st.prio != prio):
-                    # msg kept: the receiver's pass runs at once and may send it
-                    # on; the rest of the step compares with what the pass left
-                    sent = self._local_pass(cfg, queues, pid, lines, entries, transitions,
-                                            tally, pid not in woken, t, msg)
-                    old, held, prio = st.state, len(st.rset), st.prio
-                    kept = not sent  # not sent on by the pass
-                    if sent is None:  # the tally refused: msg counted out, pid again
-                        tally.move(t, msg, None)
-                        woken.add(pid)
-                if kept:
-                    sends = ""
-                elif len(sent) == 1 and (sent[0][1] is msg
-                                       or cls is Ctrl and out.traversal_end is None):
-                    # msg sent on as itself, by its handler or by its receiver's
-                    # pass, or a controller hop: one move
-                    out_ch, m = sent[0]
-                    to = dest[out_ch]
-                    queue = queues[to]
-                    if not queue:
-                        insort(busy, to)
-                    queue.append(m)
-                    if (cls is Ctrl and not woken and st.state == old
-                            and len(st.rset) == held and st.prio == prio):
-                        if tally.hop(t, m, to) is None:
-                            woken.add(pid)
-                    else:
-                        tally.move(t, m, to)
-                        if cls is Ctrl or st.state != old or t == 0 and tally.last is None:
-                            woken.add(pid)
-                        else:
-                            lone = not lines
-                    if not lone:
-                        sends = f"{out_ch}:{name if m is msg else m}"
-                        if sent is not out.sends:
-                            lines.append(_pass_line(pid, sends))
-                            sends = ""
-                else:
-                    tally.move(t, msg, None)
-                    sends = self._enqueue(cfg, queues, dest, out.sends, tally)
-                    woken.add(pid)
+            if st.state != old:
+                transitions.append((pid, old, st.state))
+            sends = out.sends
+            passed = None
+            if len(st.rset) != held or st.prio != prio:
+                passed = self._local_pass(cfg, pid, st, entries, transitions)
+                if passed:
+                    sends = [*sends, *passed] if sends else passed
+            lone = (tally.settle(pid, st, t, msg, self._place(cfg, queues, dest, sends, msg), woken)
+                    and not (lines or transitions))
             if not lone:
-                if st.state != old:
-                    transitions.append((pid, old, st.state))
-                lines.insert(at, f"proc={pid} event={event} msg={name} ch={ch} sends=[{sends}]")
+                event, name = (TIMEOUT, "-") if timeout_fired else (
+                    DELIVER, _NAMES.get(msg.__class__) or str(msg))
+                lines.append(f"proc={pid} event={event} msg={name} ch={ch} "
+                             f"sends=[{_render(out.sends, msg, name)}]")
+                if passed is not None:
+                    lines.append(_pass_line(pid, _render(passed)))
                 traversal_end = out.traversal_end
                 restart = out.restart_timer
-                if len(st.rset) != held or st.prio != prio:
-                    if self._local_pass(cfg, queues, pid, lines, entries, transitions, tally,
-                                        pid not in woken) is None:
-                        woken.add(pid)
 
         cfg.timer = 0 if restart else cfg.timer + 1
         cfg.step += 1
         census, legit, violations = monitor.step_checks(tally, woken)
         if lone:
-            passed = sent is not out.sends
-            key = (t, cls, passed, census, legit, violations)
+            key = (t, msg.__class__, passed is not None, census, legit, violations)
         else:
             key = ("\n".join(lines), census, legit, tuple(entries), tuple(requests),
                    tuple(transitions), traversal_end, violations, timeout_fired)
         rec = outcomes.get(key)
         if rec is None:
             if lone:
+                name = _NAMES[msg.__class__]
                 line = f"proc={pid} event={DELIVER} msg={name} ch={ch} sends="
-                sends = f"{out_ch}:{name}"
+                sends = f"{(passed or out.sends)[0][0]}:{name}"
                 rec = StepRecord(f"{line}[]\n{_pass_line(pid, sends)}" if passed
                                  else f"{line}[{sends}]",
                                  census, legit, (), (), (), None, violations, False)
@@ -759,9 +657,10 @@ class Simulator:
         must be enabled once the application phase has run, or be ``None``
         for an idle step.  Unlike ``run`` it stamps no start (it is the
         successor function of a state search): a unit without a uid keeps
-        -1 when it is sent on as itself, and gets one when ``_enqueue``
-        sends it, minted or released.  (Kept: stamping the clone would slow
-        a search, and ``_enqueue`` cannot tell a mint from a release.)"""
+        -1 when it is sent on as itself, and gets one when ``_place`` puts
+        it in a channel, minted or released.  (Kept: stamping the clone
+        would slow a search, and ``_place`` cannot tell a mint from a
+        release.)"""
         nxt = cfg.clone()
         self.execute_step(nxt, ReplayPolicy([t]), workload, self.topo.process_ids,
                           self.tally(nxt), {}, self._queues(nxt))

@@ -714,6 +714,81 @@ def run_checked(sim, cfg0, policy, budget, workload=None):
     return trace
 
 
+def refusing_settle(tally, pid, st, t, msg, placed, woken):
+    """``Tally.settle`` forced to refuse: every send counted in, the
+    delivered message out and the receiver counted again, so that no step
+    is a pure move and every record is looked up by its own fields."""
+    if msg is not None:
+        tally.move(t, msg, None)
+    for m, to in placed:
+        tally.move(None, m, to)
+    woken.add(pid)
+    return False
+
+
+def settle_kind(msg, placed, st):
+    """What a ``Tally.settle`` call counted: a prio pass, a hop or other
+    control message, a hold (a unit reserved or the priority token kept),
+    an entry handing the priority token on, a section end, a release the
+    pusher forces, a forward or a pass."""
+    sent = [m.__class__ for m, _ in placed]
+    cls = msg.__class__
+    if msg is None:
+        return "section end" if ResT in sent else "pass"
+    if cls is Ctrl:
+        hop = len(placed) == 1 and sent[0] is Ctrl and placed[0][0].c == msg.c
+        return "hop" if hop else "control"
+    if cls is PushT and ResT in sent:
+        return "pusher release"
+    if cls is ResT and any(e.uid == msg.uid for e in st.rset):
+        return "entry handing Prio on" if PrioT in sent else "hold"
+    if cls is PrioT and PrioT not in sent and st.prio is not None:
+        return "hold"
+    if cls is PrioT and placed and placed[0][0] is not msg:
+        return "prio pass"
+    return "forward"
+
+
+def refused_settle_runs(monkeypatch, first_tree, span, round_robin, rate, budget):
+    """Six runs with requests from canonical (even seeds) and arbitrary
+    (odd seeds) starts on trees ``first_tree + seed`` of ``3 + seed % span``
+    processes, each held to ``run_checked`` and to the run in which the
+    tally refuses to settle (``refusing_settle``): every send counted in,
+    the delivered message out, the receiver again, and the step's record
+    looked up by its own fields.  Returns, for every ``Tally.settle`` call
+    the checks read (a hop only when it is alone in its step, as the hop
+    rule reads it), (its ``settle_kind``, whether it was counted without a
+    recount: a pure move for a prio pass, its process not counted again
+    for any other)."""
+    settle, seen = monitor.Tally.settle, []
+
+    def counting(self, pid, st, t, msg, placed, woken):
+        alone = not woken
+        pure = settle(self, pid, st, t, msg, placed, woken)
+        kind = settle_kind(msg, placed, st)
+        if kind != "hop" or alone:
+            seen.append((kind, pure if kind == "prio pass" else pid not in woken))
+        return pure
+
+    for seed in range(6):
+        topo = random_tree(first_tree + seed, 3 + seed % span)
+        sim = canonical_sim(topo)
+        cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
+
+        def args():
+            return (RoundRobinPolicy() if round_robin else RandomPolicy(seed), budget,
+                    RandomWorkload(topo.process_ids, 2, seed, rate=rate, max_duration=3))
+
+        monkeypatch.setattr(monitor.Tally, "settle", counting)
+        trace = run_checked(sim, cfg, *args())
+        monkeypatch.setattr(monitor.Tally, "settle", refusing_settle)
+        ref = sim.run(cfg, *args())
+        monkeypatch.undo()
+        assert list(trace.lines()) == list(ref.lines())
+        assert trace.records == ref.records
+    return seen
+
+
 def canonical_sim(topo, ell=3, k=2):
     return Simulator(topo, SimParams(k=k, ell=ell, cmax=1,
                                      timeout=default_timeout(topo, ell, 1)))
@@ -1042,23 +1117,25 @@ class TestPureForward:
     a handler writes: otherwise the guards are as false as the receiver's
     last pass left them.  A pure forward, a delivery whose handler's only
     send is the delivered token itself, at a non-root or at the root off any
-    channel but its wrap channel, changed nothing at its receiver: it is not
-    counted again either, the token moves in one ``Tally.move``, and the
-    monitor reuses its controller scan until a control message moves or a
-    process it names receives on a slot that holds one.  The root's forwards
-    off its wrap channel change SToken or SPush, which only the running
-    counts read: the root is not counted again while the last checks stand,
-    and the step re-reads that clause.  A controller hop changes its
-    receiver's Succ or counter, so it is not a pure forward.
+    channel but its wrap channel, changed nothing at its receiver:
+    ``Tally.settle`` pairs the token with the slot it was delivered from,
+    moves it in one ``Tally.move``, and finds the receiver's part as it was,
+    so it is not counted again; the monitor reuses its controller scan
+    until a control message moves or a process it names receives on a slot
+    that holds one.  The root's forwards off its wrap channel change SToken
+    or SPush, which only the running counts read: the root is not counted
+    again while its part has no violation and those counters stay inside
+    their domains, and the step re-reads that clause.  A controller hop
+    changes its receiver's Succ or counter, so it is not a pure forward.
     A prio pass, a priority token taken and handed straight on by its
-    receiver's pass, is a move too: the pass sends the delivered token in
-    its place, its receiver ends as it began and is not counted again (the
-    root on its wrap channel, where SPrio counts the token, as on a
-    forward), and a requester short of its need, which keeps the token,
-    takes the path of any other step.  A lone pure forward or prio pass,
-    with nothing else in its step, is looked up by its slot, its token's
-    class, whether it was passed and its checks, and renders its lines only
-    when that key is new."""
+    receiver's pass, is a pure move too: the token the pass sends is paired
+    with the delivered one, its receiver ends as it began and is not
+    counted again (the root on its wrap channel, where SPrio counts the
+    token, as on a forward), and a requester short of its need, which keeps
+    the token, holds it where it was counted.  A lone pure forward or prio
+    pass, with nothing else in its step, is looked up by its slot, its
+    token's class, whether it was passed and its checks, and renders its
+    lines only when that key is new."""
 
     @staticmethod
     def logged_run(monkeypatch, sim, force_passes, budget=1500, rate=0.05):
@@ -1147,8 +1224,8 @@ class TestPureForward:
         # SToken above ell+1 is outside its domain; the root's forward of a
         # unit off its wrap channel (slot 0) caps it at ell+1, which only
         # counting the root again after that delivery can see (after the
-        # first step, which counts every process).  The violation leaves no
-        # checks kept, so the root is counted again
+        # first step, which counts every process).  The root's part holds
+        # the violation, so the tally counts the root again
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["r"].stoken = sim.params.ell + 2
@@ -1246,22 +1323,11 @@ class TestPureForward:
     # -- a lone pure forward: its record by slot, class and checks
 
     @staticmethod
-    def copy_forwards(monkeypatch):
-        """Make a delivery whose one send is the delivered message send an
-        equal copy instead: the step then looks its record up by the
-        record's own fields, never by slot and class.  A copied token takes
-        the path of any other step, through ``_enqueue``, counting its
-        receiver again; a copied controller that is no root wrap is still a
-        hop and goes through the hop rule, whose reference for the monitor
-        is ``TestControllerHop.test_hops_equal_generic_steps``."""
-        def copying_dispatch(st, q, msg, p):
-            out = dispatch(st, q, msg, p)
-            if len(out.sends) == 1 and out.sends[0][1] is msg:
-                out = HandlerOutput([(out.sends[0][0], dataclasses.replace(msg))],
-                                    out.entered_cs, out.restart_timer, out.traversal_end)
-            return out
-
-        monkeypatch.setattr(simnet, "dispatch", copying_dispatch)
+    def generic_steps(monkeypatch):
+        """Make every step take the generic path: ``Tally.settle`` refuses
+        (``refusing_settle``), so no step is a pure move, and each looks its
+        record up by the record's own fields, never by slot and class."""
+        monkeypatch.setattr(monitor.Tally, "settle", refusing_settle)
 
     @staticmethod
     def lone_pure_forward(sim, rec):
@@ -1275,8 +1341,9 @@ class TestPureForward:
     def test_reused_records_equal_full_lookups(self, monkeypatch):
         # arbitrary starts with a unit duplicated and a stale controller:
         # every record equals the checks counted from scratch
-        # (``run_checked``), and the run equals one in which every forward
-        # sends a copy, so that no step reuses a record by slot and class.
+        # (``run_checked``), and the run equals one in which every step
+        # takes the generic path, so that no step reuses a record by slot
+        # and class.
         # Among the pure forwards, some repeat at a slot after the census,
         # the legitimacy verdict or the violations changed
         changed = set()
@@ -1295,7 +1362,7 @@ class TestPureForward:
                 Ctrl(rng.randrange(sim.modulus), False, 0, 0))
             policy = RoundRobinPolicy if seed % 2 else lambda: RandomPolicy(seed)
             trace = run_checked(sim, cfg, policy(), 6 * allowance)
-            self.copy_forwards(monkeypatch)
+            self.generic_steps(monkeypatch)
             ref = sim.run(cfg, policy(), 6 * allowance)
             monkeypatch.undo()
             assert list(trace.lines()) == list(ref.lines())
@@ -1328,11 +1395,12 @@ class TestPureForward:
     def test_each_class_renders_its_own_line(self, monkeypatch):
         # on a legitimate run with no requests the units and the pusher pass
         # every process but the root's wrap channel, with the same checks
-        # each time: the run equals one in which every forward sends a copy.
-        # (Only a second priority token is ever passed on by a handler)
+        # each time: the run equals one in which every step takes the
+        # generic path.  (Only a second priority token is ever passed on by
+        # a handler)
         sim = canonical_sim(random_tree(10, 10))
         trace = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500)
-        self.copy_forwards(monkeypatch)
+        self.generic_steps(monkeypatch)
         ref = sim.run(sim.initial_configuration(), RoundRobinPolicy(), 1500)
         assert list(trace.lines()) == list(ref.lines())
         assert trace.records == ref.records
@@ -1529,55 +1597,24 @@ class TestPureForward:
 
     def test_prio_passes_equal_generic_steps(self, monkeypatch):
         # runs with requests from arbitrary and canonical starts: every step
-        # equals the one in which each pass after a kept token is an
-        # ordinary pass, whose sends are counted into their channels, so
-        # that the token is counted out and in, its receiver counted again
-        # and the step's record looked up by its own fields
-        local_pass = Simulator._local_pass
-        passed = []
-
-        def counting_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                          settle, t=None, kept=None):
-            sent = local_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                              settle, t, kept)
-            passed.append(bool(sent))
-            return sent
-
-        def generic_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                         settle, t=None, kept=None):
-            if kept is None:
-                return local_pass(self, cfg, queues, pid, lines, entries, transitions, tally,
-                                  settle)
-            local_pass(self, cfg, queues, pid, lines, entries, transitions, tally, False)
-            return None
-
-        for seed in range(6):
-            topo = random_tree(700 + seed, 3 + seed % 5)
-            sim = canonical_sim(topo)
-            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
-            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
-                                          rate=0.05, max_duration=3)
-            monkeypatch.setattr(Simulator, "_local_pass", counting_pass)
-            trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
-            monkeypatch.setattr(Simulator, "_local_pass", generic_pass)
-            ref = sim.run(cfg, RandomPolicy(seed), 800, make())
-            monkeypatch.undo()
-            assert list(trace.lines()) == list(ref.lines())
-            assert trace.records == ref.records
-        assert passed.count(True) > 100
+        # equals the one in which the tally refuses to settle, so that a
+        # passed priority token is counted out and in, its receiver counted
+        # again and the step's record looked up by its own fields
+        seen = refused_settle_runs(monkeypatch, 700, 5, False, 0.05, 800)
+        assert seen.count(("prio pass", True)) > 100
 
 
 @pytest.mark.pin
 class TestControllerHop:
     """A controller hop, a delivered control message whose handler sends one
     control message with the same counter (the message itself, or a copy
-    with what its receiver holds from the channel picked up), is counted by
-    the monitor's hop rule (``monitor.Tally.hop``) when the step's
-    application phase counts no process again (a request whose pass does
-    nothing counts none) and the hop is not a root wrap: one move, and
-    when the last checks were legitimate, its receiver is not counted
-    again and the checks are read from the new place and the states of the
-    old and the new receiver.  Any other hop falls back to
+    with what its receiver holds from the channel picked up), is paired by
+    ``Tally.settle`` with the one delivered, and counted by its hop rule
+    when the step's application phase counts no process again (a request
+    whose pass does nothing counts none) and the hop is not a root wrap:
+    one move, and when the last checks were legitimate, its receiver is not
+    counted again and the checks are read from the new place and the states
+    of the old and the new receiver.  Any other hop falls back to
     ``step_checks``, which counts its receiver again.  A hop's record is
     looked up by the record's own fields, as that of any step other than a
     lone pure forward or prio pass."""
@@ -1706,36 +1743,6 @@ class TestControllerHop:
         mid = sim.run(sim.initial_configuration(), ReplayPolicy(replay[:18]), 18, make())
         assert mid.final.timer == 0
 
-    def test_hops_equal_generic_steps(self, monkeypatch):
-        # runs with requests from arbitrary and canonical starts: every
-        # step equals the one in which the hop rule only moves the
-        # controller and leaves every check to ``step_checks``
-        hop = monitor.Tally.hop
-        ruled = []
-
-        def counting_hop(self, frm, m, to):
-            checks = hop(self, frm, m, to)
-            ruled.append(checks is not None)
-            return checks
-
-        def moving_hop(self, frm, m, to):
-            self.move(frm, m, to)
-
-        for seed in range(6):
-            topo = random_tree(800 + seed, 3 + seed % 6)
-            sim = canonical_sim(topo)
-            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
-            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
-                                          rate=0.03, max_duration=3)
-            monkeypatch.setattr(monitor.Tally, "hop", counting_hop)
-            trace = run_checked(sim, cfg, RoundRobinPolicy(), 1500, make())
-            monkeypatch.setattr(monitor.Tally, "hop", moving_hop)
-            ref = sim.run(cfg, RoundRobinPolicy(), 1500, make())
-            monkeypatch.undo()
-            assert list(trace.lines()) == list(ref.lines())
-            assert trace.records == ref.records
-        assert ruled.count(True) > 200 and ruled.count(False) > 20
-
     # -- broken handlers: every check of the hop rule is read from the
     # -- configuration, none assumed from closure
 
@@ -1796,16 +1803,24 @@ class TestControllerHop:
         assert trace.records[step - 1].legit and not trace.records[step].legit
         assert trace.final.states["a"].state == IN
 
+    def test_hops_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every
+        # step equals the one in which the tally refuses to settle and
+        # leaves every check to ``step_checks``.  The hop rule reads many
+        # hops and refuses some
+        seen = refused_settle_runs(monkeypatch, 800, 6, True, 0.03, 1500)
+        assert seen.count(("hop", True)) > 200 and seen.count(("hop", False)) > 20
+
 
 @pytest.mark.pin
 class TestHold:
     """A token its receiver's handler keeps (a unit reserved, or the
     priority token taken by a requester short of its need) is held where
     it was counted free, at the slot it was delivered from: when the step
-    does not count the receiver again for another reason, its pass goes to
-    ``Tally.settle``, which rewrites only the RSet, Prio and units in use
-    of the receiver's part and moves each token the pass released from the
-    slot it was held at.  Nothing is counted in or out, the receiver is not
+    does not count the receiver again for another reason,
+    ``Tally.settle`` rewrites only the RSet, Prio and units in use of the
+    receiver's part and moves each token its pass released from the slot
+    it was held at.  Nothing is counted in or out, the receiver is not
     counted again, and the last checks stand.  A hold's record is looked
     up by the record's own fields."""
 
@@ -1813,14 +1828,16 @@ class TestHold:
 
     @staticmethod
     def record_settles(monkeypatch):
-        """Record every ``Tally.settle`` call as (step, process, whether it
-        settled); ``logged_steps`` undoes the patch with its own."""
+        """Record every ``Tally.settle`` call that is not a pure move as
+        (step, process, whether it settled: the process is not counted
+        again); ``logged_steps`` undoes the patch with its own."""
         settle, calls = monitor.Tally.settle, []
 
-        def recording(self, pid, st, placed, t=None, kept=None):
-            settled = settle(self, pid, st, placed, t, kept)
-            calls.append((self.cfg.step, pid, settled))
-            return settled
+        def recording(self, pid, st, t, msg, placed, woken):
+            pure = settle(self, pid, st, t, msg, placed, woken)
+            if not pure:
+                calls.append((self.cfg.step, pid, pid not in woken))
+            return pure
 
         monkeypatch.setattr(monitor.Tally, "settle", recording)
         return calls
@@ -1886,7 +1903,8 @@ class TestHold:
 
     def test_dirty_first_step(self, monkeypatch):
         # a keeps the priority token in the first step, which names every
-        # process: the token is counted out, every process counted again
+        # process: the tally refuses to settle it, the token is counted out
+        # and every process counted again
         sim = canonical_sim(CHAIN)
         cfg = sim.initial_configuration()
         cfg.states["a"].state, cfg.states["a"].need = REQ, 2
@@ -1895,12 +1913,13 @@ class TestHold:
         assert trace.records[0].body == "proc=a event=deliver msg=PrioT ch=0 sends=[]"
         assert log[1]["moves"] == [(1, PrioT, None)]
         assert sorted(log[1]["counted"]) == sorted(CHAIN.process_ids)
-        assert holds == []
+        assert holds == [(0, "a", False)]
 
     def test_functional_step(self, monkeypatch):
         # ``sim.step`` counts its clone's tally for the first time in its
-        # one step: a, already holding a unit, keeps the priority token, and
-        # the step's checks are those of its successor counted from scratch
+        # one step, which names every process: a, already holding a unit,
+        # keeps the priority token, the tally refuses to settle it, and the
+        # step's checks are those of its successor counted from scratch
         sim = canonical_sim(CHAIN, k=3)
         cfg = sim.initial_configuration()
         unit = cfg.channels[("a", 0)].pop(1)
@@ -1914,7 +1933,7 @@ class TestHold:
         nxt = sim.step(cfg, 1)
         monkeypatch.undo()
         (rec,) = records
-        assert (nxt.states["a"].prio, holds) == (0, [])
+        assert (nxt.states["a"].prio, holds) == (0, [(0, "a", False)])
         assert (rec.census, rec.legit, rec.violations) == sim.check(nxt)
         assert rec.census.res_tokens == sim.params.ell
 
@@ -1965,44 +1984,26 @@ class TestHold:
         # equals the one in which the tally settles no pass, so that a kept
         # token is counted out of its slot, a released one into its channel,
         # its receiver counted again and its record looked up by the
-        # record's own fields.  Among the settled passes are section
-        # entries, with or without the priority token handed on, and ends
-        settle = monitor.Tally.settle
-        settled = []
-
-        def counting_settle(self, pid, st, placed, t=None, kept=None):
-            ok = settle(self, pid, st, placed, t, kept)
-            settled.append((ok, kept is None, bool(placed)))
-            return ok
-
-        for seed in range(6):
-            topo = random_tree(600 + seed, 3 + seed % 5)
-            sim = canonical_sim(topo)
-            cfg = sim.inject_arbitrary(seed) if seed % 2 else sim.initial_configuration()
-            make = lambda: RandomWorkload(topo.process_ids, 2, seed,  # noqa: E731
-                                          rate=0.05, max_duration=3)
-            monkeypatch.setattr(monitor.Tally, "settle", counting_settle)
-            trace = run_checked(sim, cfg, RandomPolicy(seed), 800, make())
-            monkeypatch.setattr(monitor.Tally, "settle", lambda self, *args: False)
-            ref = sim.run(cfg, RandomPolicy(seed), 800, make())
-            monkeypatch.undo()
-            assert list(trace.lines()) == list(ref.lines())
-            assert trace.records == ref.records
-        assert settled.count((True, False, False)) > 100  # holds and plain entries
-        assert settled.count((True, False, True)) > 50  # entries handing Prio on
-        assert settled.count((True, True, True)) > 50  # section ends
+        # record's own fields.  Among the settled passes are holds (plain
+        # entries among them), entries handing Prio on and section ends
+        seen = refused_settle_runs(monkeypatch, 600, 5, False, 0.05, 800)
+        assert seen.count(("hold", True)) > 100
+        assert seen.count(("entry handing Prio on", True)) > 50
+        assert seen.count(("section end", True)) > 50
 
 
 @pytest.mark.pin
 class TestSettle:
-    """A section's entry and end cost moves, not a recount: the pass of a
-    process the step does not count again for another reason goes to
-    ``Tally.settle``, which moves each token the pass released from the
-    slot it was held at, matched to what the process held (a unit by uid,
-    the priority token by its old Prio label), keeps a token kept this step
-    where it was counted, and rewrites the RSet, Prio and units in use of
-    its part.  Whatever it cannot read that way, it refuses, and the step
-    counts the sends in and the process again."""
+    """One counting rule for every step: ``Tally.settle`` pairs each message
+    the step placed with where it was counted, the delivered message sent
+    on with the slot it was delivered from, and a token its process
+    released (a unit by uid, the priority token by its old Prio label)
+    with the slot it was held at, and moves it from there.  A token kept
+    this step stays where it was counted, and only the RSet, Prio and units
+    in use of the process's part are rewritten: a section's entry and end,
+    and a release the pusher forces, cost moves, not a recount.  Whatever
+    it cannot read that way, it refuses: the sends are counted in and the
+    process again."""
 
     logged_steps = staticmethod(TestPureForward.logged_steps)
     record_settles = staticmethod(TestHold.record_settles)
@@ -2124,15 +2125,16 @@ class TestSettle:
     @staticmethod
     def broken_runs(monkeypatch):
         """``run_checked`` from canonical and arbitrary starts on seeded
-        trees, with requests, under whatever the caller patched; returns
-        the outcomes of ``Tally.settle`` for a pass that released a unit."""
+        trees, with requests, under whatever the caller patched; returns,
+        for every ``Tally.settle`` call, (the delivered message's class,
+        the classes of the other messages placed, whether it settled)."""
         settle, outcomes = monitor.Tally.settle, []
 
-        def recording(self, pid, st, placed, t=None, kept=None):
-            settled = settle(self, pid, st, placed, t, kept)
-            if any(m.__class__ is ResT for m, _ in placed):
-                outcomes.append(settled)
-            return settled
+        def recording(self, pid, st, t, msg, placed, woken):
+            pure = settle(self, pid, st, t, msg, placed, woken)
+            sent = tuple(m.__class__ for m, _ in placed if m is not msg)
+            outcomes.append((msg.__class__, sent, pid not in woken))
+            return pure
 
         monkeypatch.setattr(monitor.Tally, "settle", recording)
         for seed in range(4):
@@ -2142,6 +2144,11 @@ class TestSettle:
             run_checked(sim, cfg, RandomPolicy(seed), 600,
                         RandomWorkload(topo.process_ids, 2, seed, rate=0.08, max_duration=3))
         return outcomes
+
+    @staticmethod
+    def pass_releases(outcomes):
+        """The outcomes of the application-phase passes that released a unit."""
+        return [ok for cls, sent, ok in outcomes if cls is type(None) and ResT in sent]
 
     def test_release_onto_the_arrival_channel(self, monkeypatch):
         # a release sends each unit back on the channel it arrived on,
@@ -2154,7 +2161,7 @@ class TestSettle:
 
         monkeypatch.setattr(protocol, "_release_all", back)
         outcomes = self.broken_runs(monkeypatch)
-        assert outcomes.count(True) > 100
+        assert self.pass_releases(outcomes).count(True) > 100
 
     def test_pass_that_drops_a_released_unit(self, monkeypatch):
         # a section's end loses the first unit it releases: the tally finds
@@ -2167,8 +2174,90 @@ class TestSettle:
             return out
 
         monkeypatch.setattr(simnet, "local_actions", dropping)
-        outcomes = self.broken_runs(monkeypatch)
+        outcomes = self.pass_releases(self.broken_runs(monkeypatch))
         assert len(outcomes) > 20 and not any(outcomes)
+
+    def test_unit_reserved_from_another_channel(self, monkeypatch):
+        # a reservation records the next channel round, not the one the
+        # unit came on: the unit is held at another slot than the one it
+        # was counted at, so the tally does not keep it there, and counts
+        # the process again
+        def misfiling(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            if msg.__class__ is ResT and not out.sends and st.rset and p.delta > 1:
+                st.rset[-1] = Reserved(forward_channel(q, p.delta), msg.uid)
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", misfiling)
+        outcomes = self.broken_runs(monkeypatch)
+        assert sum(cls is ResT and not ok for cls, _, ok in outcomes) > 20
+
+    def test_unit_forwarded_under_another_uid(self, monkeypatch):
+        # a forward tags the unit it sends on with the next uid, which
+        # another unit may carry: the send is not the delivered unit, so
+        # the delivered one is counted out and the new one in, and a unit
+        # represented twice is found
+        def retagging(st, q, msg, p):
+            out = dispatch(st, q, msg, p)
+            if msg.__class__ is ResT and out.sends:
+                out = HandlerOutput([(out.sends[0][0], ResT(uid=msg.uid + 1))])
+            return out
+
+        monkeypatch.setattr(simnet, "dispatch", retagging)
+        self.broken_runs(monkeypatch)
+
+    def test_pusher_that_loses_a_unit(self, monkeypatch):
+        # the pusher's handler loses the first unit it would release: at a
+        # process holding one unit it sends only the pusher on, the
+        # delivered message sent on, while the RSet empties.  The tally
+        # reads the receiver's part, finds a held unit gone that nothing
+        # placed, and refuses: the process is counted again
+        handle, lost = protocol.handle_push_t, []
+
+        def losing(st, q, msg, p):
+            releases = st.prio is None and (st.state == OUT
+                                            or st.state == REQ and len(st.rset) < st.need)
+            if releases and st.rset:
+                lost.append(st.rset.pop(0))
+            return handle(st, q, msg, p)
+
+        monkeypatch.setitem(protocol._HANDLERS, PushT, losing)
+        outcomes = self.broken_runs(monkeypatch)
+        refused = [sent for cls, sent, ok in outcomes if cls is PushT and not ok]
+        assert len(lost) > 10 and len(refused) >= len(lost)
+        assert () in refused  # a pusher sent on alone, its receiver's unit gone
+
+    def test_pusher_release_at_a_non_root(self, monkeypatch):
+        # b, the leaf, requests two units and holds one from its channel 0
+        # (slot 2), where the pusher is queued: the pusher forces b to
+        # release its unit, and both go on to a's channel 1 (slot 3), each
+        # one move from the slot it was counted at.  Nobody is counted
+        # again, the last checks stand, and the records equal those of a
+        # run in which the tally refuses every settle
+        sim = canonical_sim(CHAIN)
+        cfg = sim.initial_configuration()
+        q = cfg.channels[("a", 0)]
+        unit = q.pop(1)
+        cfg.channels[("b", 0)].append(q.pop(3))
+        b = cfg.states["b"]
+        b.state, b.need, b.rset = REQ, 2, [Reserved(0, unit.uid)]
+        replay = [None, 2, 3, 3]
+        trace, log = self.logged_steps(monkeypatch, sim, cfg, replay)
+        assert trace.records[1].body == "proc=b event=deliver msg=PushT ch=0 sends=[0:ResT,0:PushT]"
+        assert log[2] == {"passes": 1, "moves": [(2, ResT, 3), (2, PushT, 3)], "counted": [],
+                          "kept": True}
+        assert all(rec.legit for rec in trace.records)
+        monkeypatch.setattr(monitor.Tally, "settle", refusing_settle)
+        ref = sim.run(cfg, ReplayPolicy(replay), len(replay))
+        assert list(trace.lines()) == list(ref.lines())
+        assert trace.records == ref.records
+
+    def test_pusher_releases_equal_generic_steps(self, monkeypatch):
+        # runs with requests from arbitrary and canonical starts: every step
+        # equals the one in which the tally refuses to settle.  Among the
+        # settled steps are many a pusher's delivery forces a release on
+        seen = refused_settle_runs(monkeypatch, 900, 5, False, 0.1, 1500)
+        assert seen.count(("pusher release", True)) > 50
 
 
 @pytest.mark.pin
@@ -2222,8 +2311,9 @@ class TestRunningCountShift:
     running-count clause reads: the last checks stand but for their
     verdict, which ``step_checks`` reads again as ``Tally.base`` and that
     clause (``Tally.stale``).  The root is not counted again for a forward
-    or prio pass off slot 0 while the last checks stand, so the step is a
-    lone one; once they are gone it is counted again
+    or prio pass off slot 0 while its part has no violation and its
+    counters are inside their domains, so the step is a lone one; else it
+    is counted again
     (``TestPureForward.test_root_forward_off_its_wrap_channel_changes_its_state``).
     A unit passing the controller under a replay is
     ``TestTallyMatchesScratch.test_shift_behind_the_controller``."""
